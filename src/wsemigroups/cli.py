@@ -24,6 +24,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .onepoint import (
+    _ONE_MINUS_T,
     DeltaSequence,
     NumericalSemigroup,
     OnePointSemigroup,
@@ -32,6 +33,7 @@ from .onepoint import (
     poincare_delta_product,
     poincare_direct,
     poincare_onepoint,
+    series_modes_report,
 )
 from .oracle import Fixture, d_oracle, semigroup_from_fixture
 from .series import LaurentPoly, RationalGF, Window
@@ -45,7 +47,6 @@ from .twopoint import (
 
 FORMS = ("direct", "closed", "corner", "paper")
 VERIFY_CHECKS = CHECKS + ("oracle", "all")
-_ONE_MINUS_T = LaurentPoly({(0,): 1, (1,): -1})
 
 
 @dataclass
@@ -73,6 +74,47 @@ class Model:
         return isinstance(self.semigroup, TwoPointSemigroup)
 
 
+def _is_int(x):
+    return type(x) is int  # JSON integers only: not bools, not floats
+
+
+def _list_of(accepts):
+    return lambda value: type(value) is list and all(map(accepts, value))
+
+
+_is_int_list = _list_of(_is_int)
+
+# the JSON shape of every field an input kind reads, as (test, description)
+_INT = (_is_int, "a JSON integer")
+_INTS = (_is_int_list, "a list of JSON integers")
+_FIELDS = {
+    "numerical": {"generators": _INTS},
+    "delta": {"r": _INTS, "extras": _INTS},
+    "two_point_strip": {
+        "genus": _INT, "period": _INT,
+        "strip": (_list_of(_list_of(lambda x: type(x) is bool)),
+                  "a list of rows of JSON booleans")},
+    "two_point": {
+        "genus": _INT, "period": _INT,
+        "members": (_list_of(lambda p: _is_int_list(p) and len(p) == 2),
+                    "a list of [m1, m2] integer pairs")},
+    "fixture": {"name": (lambda x: type(x) is str, "a string"),
+                "period": _INT},
+}
+
+
+def _check_fields(kind, obj):
+    """Reject a present field of the wrong JSON type instead of letting
+    the constructors coerce it."""
+    for key, (accepts, shape) in _FIELDS.get(kind, {}).items():
+        if key in obj and not accepts(obj[key]):
+            got = json.dumps(obj[key])
+            if len(got) > 60:
+                got = got[:57] + "..."
+            raise InputError(
+                f"malformed {kind!r} input: {key!r} must be {shape}, got {got}")
+
+
 def parse_input(data: bytes) -> Model:
     try:
         obj = json.loads(data.decode("utf-8"))
@@ -81,6 +123,9 @@ def parse_input(data: bytes) -> Model:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError('input must be a JSON object with a "kind" field')
     kind = obj["kind"]
+    if not isinstance(kind, str):
+        raise InputError(f"input kind must be a string, got {json.dumps(kind)}")
+    _check_fields(kind, obj)
     try:
         if kind == "numerical":
             return Model(kind, NumericalSemigroup(obj["generators"]))
@@ -94,7 +139,7 @@ def parse_input(data: bytes) -> Model:
             return Model(kind, TwoPointSemigroup.from_members(
                 obj["genus"], obj["period"], obj["members"]))
         if kind == "fixture":
-            fixture = Fixture(obj["name"], int(obj.get("period", 1)))
+            fixture = Fixture(obj["name"], obj.get("period", 1))
             return Model(kind, semigroup_from_fixture(fixture), fixture)
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed {kind!r} input: {exc!r}")
@@ -119,7 +164,7 @@ def _resolve_window(model: Model, values) -> Window:
 
 def _direct_series(model: Model) -> RationalGF:
     if model.kind == "delta":
-        return poincare_onepoint(model.semigroup, "finite_sum")[0]
+        return poincare_onepoint(model.semigroup, "finite_sum")
     return poincare_direct(model.semigroup)
 
 
@@ -137,7 +182,7 @@ def _summary(model: Model) -> dict:
             "symmetric": S.is_symmetric(),
         }
     if model.kind == "delta":
-        modes = poincare_onepoint(S, "finite_sum")[1]
+        modes = series_modes_report(S)
         return {
             "kind": model.kind,
             "r": list(S.base.r),
@@ -231,11 +276,10 @@ def _run_poincare(model: Model, cmd: Command):
                 DeltaSequence(model.semigroup.generators))
     else:
         if model.kind == "delta":
-            series = poincare_onepoint(model.semigroup, "paper_product")[0]
+            series = poincare_onepoint(model.semigroup, "paper_product")
         else:
             g = model.semigroup.genus
-            num = LaurentPoly({(0,): 1, (1,): -1}) + \
-                LaurentPoly.monomial((2 * g,))
+            num = _ONE_MINUS_T + LaurentPoly.monomial((2 * g,))
             series = RationalGF(num, [(1,)])
     return 0, _dump(series.to_json())
 

@@ -230,13 +230,26 @@ class OnePointSemigroup:
         return f"OnePointSemigroup({list(self.base.r)}, extras={list(self.extras)})"
 
 
+def _head_polynomial(semigroup) -> LaurentPoly:
+    """t^c + (1 - t) sum_{n in S, n < c} t^n.
+
+    This is the L-polynomial and the numerator of P over (1 - t).  Its
+    coefficient at t^n is the jump [n in S] - [n - 1 in S] of the
+    membership indicator on [0, c], with c counted as a member."""
+    c = semigroup.conductor
+    terms = {}
+    inside = False
+    for n in range(c + 1):
+        member = n == c or semigroup.contains(n)
+        if member != inside:
+            terms[(n,)] = 1 if member else -1
+            inside = member
+    return LaurentPoly(terms, arity=1)
+
+
 def poincare_direct(semigroup) -> RationalGF:
     """P(t) = sum_{n in S, n < c} t^n + t^c / (1 - t), over (1 - t)."""
-    c = semigroup.conductor
-    head = LaurentPoly({(n,): 1 for n in range(c) if semigroup.contains(n)},
-                       arity=1)
-    num = head * _ONE_MINUS_T + LaurentPoly.monomial((c,))
-    return RationalGF(num, [(1,)])
+    return RationalGF(_head_polynomial(semigroup), [(1,)])
 
 
 def poincare_delta_product(ds: DeltaSequence) -> RationalGF:
@@ -262,7 +275,7 @@ class SeriesModeReport:
     window: tuple[int, int]
 
 
-def poincare_onepoint(ops: OnePointSemigroup, mode="finite_sum"):
+def poincare_onepoint(ops: OnePointSemigroup, mode="finite_sum") -> RationalGF:
     """Poincare series of a one-point semigroup with extra members.
 
     mode "finite_sum" adds sum_{m in extras} t^m to the delta product;
@@ -270,34 +283,30 @@ def poincare_onepoint(ops: OnePointSemigroup, mode="finite_sum"):
     prod_j 1/(1 - t^{s_j}) over the extras, restricted to the nonzero
     combinations (i.e. minus its constant term, which would double
     count 0).  With no extras both corrections vanish.
-
-    Returns (series, report); the report compares the two modes'
-    expansions on [0, conductor + max(extras) + 10].
     """
     if mode not in ("finite_sum", "paper_product"):
         raise ValueError(f"unknown mode {mode!r}")
     base_gf = poincare_delta_product(ops.base)
     if not ops.extras:
-        hi = ops.conductor + 10
-        report = SeriesModeReport(True, None, (0, hi))
-        return base_gf, report
-    finite = base_gf + LaurentPoly({(m,): 1 for m in ops.extras})
-    extras_den = [(m,) for m in ops.extras]
-    geo = RationalGF.geometric(*extras_den)
-    correction = RationalGF(LaurentPoly.one(1) - geo.den_poly(), geo.den)
-    product = base_gf + correction
+        return base_gf
+    if mode == "finite_sum":
+        return base_gf + LaurentPoly({(m,): 1 for m in ops.extras})
+    geo = RationalGF.geometric(*[(m,) for m in ops.extras])
+    return base_gf + RationalGF(LaurentPoly.one(1) - geo.den_poly(), geo.den)
+
+
+def series_modes_report(ops: OnePointSemigroup) -> SeriesModeReport:
+    """Compare the expansions of the two modes of poincare_onepoint on
+    [0, conductor + max(extras) + 10] ([0, conductor + 10] without
+    extras, where the modes coincide and nothing is expanded)."""
+    if not ops.extras:
+        return SeriesModeReport(True, None, (0, ops.conductor + 10))
     hi = ops.conductor + ops.extras[-1] + 10
     window = Window((0, hi))
-    ef = finite.expand(window)
-    ep = product.expand(window)
-    first = None
-    for n in range(hi + 1):
-        if ef[(n,)] != ep[(n,)]:
-            first = n
-            break
-    report = SeriesModeReport(first is None, first, (0, hi))
-    series = finite if mode == "finite_sum" else product
-    return series, report
+    ef = poincare_onepoint(ops, "finite_sum").expand(window)
+    ep = poincare_onepoint(ops, "paper_product").expand(window)
+    first = next((n for n in range(hi + 1) if ef[(n,)] != ep[(n,)]), None)
+    return SeriesModeReport(first is None, first, (0, hi))
 
 
 def l_polynomial(semigroup, mode="direct") -> LaurentPoly:
@@ -311,10 +320,7 @@ def l_polynomial(semigroup, mode="direct") -> LaurentPoly:
     """
     if mode not in ("direct", "paper"):
         raise ValueError(f"unknown mode {mode!r}")
-    c = semigroup.conductor
-    head = LaurentPoly({(n,): 1 for n in range(c) if semigroup.contains(n)},
-                       arity=1)
-    direct = head * _ONE_MINUS_T + LaurentPoly.monomial((c,))
+    direct = _head_polynomial(semigroup)
     if mode == "direct":
         return direct
     return direct + _ONE_MINUS_T

@@ -13,6 +13,7 @@ field representation.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 from .errors import ArityMismatch, InputError
@@ -63,6 +64,15 @@ class LaurentPoly:
             raise ArityMismatch("arity required for a polynomial with no terms")
         self._terms = data
         self._arity = arity
+
+    @classmethod
+    def _trusted(cls, data, arity):
+        """Wrap a dict of checked exponent tuples to nonzero coefficients,
+        skipping the validation of the public constructor."""
+        p = object.__new__(cls)
+        p._terms = data
+        p._arity = arity
+        return p
 
     @classmethod
     def zero(cls, arity):
@@ -122,13 +132,13 @@ class LaurentPoly:
                 data[e] = s
             else:
                 data.pop(e, None)
-        return LaurentPoly(data, arity=self._arity)
+        return LaurentPoly._trusted(data, self._arity)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self._terms.items()},
-                           arity=self._arity)
+        return LaurentPoly._trusted(
+            {e: -c for e, c in self._terms.items()}, self._arity)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -140,36 +150,37 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self._terms.items()},
-                               arity=self._arity)
+            return LaurentPoly._trusted(
+                {e: c * other for e, c in self._terms.items()} if other
+                else {}, self._arity)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_same_arity(other)
         data = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 s = data.get(e, 0) + c1 * c2
                 if s:
                     data[e] = s
                 else:
                     del data[e]
-        return LaurentPoly(data, arity=self._arity)
+        return LaurentPoly._trusted(data, self._arity)
 
     __rmul__ = __mul__
 
     def shift(self, e):
         """Multiply by the monomial t^e."""
         e = _check_exponent(e, self._arity)
-        return LaurentPoly(
-            {tuple(a + b for a, b in zip(k, e)): c
-             for k, c in self._terms.items()}, arity=self._arity)
+        return LaurentPoly._trusted(
+            {tuple(map(operator.add, k, e)): c
+             for k, c in self._terms.items()}, self._arity)
 
     def reverse(self):
         """Substitute t -> 1/t, negating every exponent."""
-        return LaurentPoly({tuple(-x for x in e): c
-                            for e, c in self._terms.items()},
-                           arity=self._arity)
+        return LaurentPoly._trusted(
+            {tuple(-x for x in e): c for e, c in self._terms.items()},
+            self._arity)
 
     def min_exponents(self):
         """Componentwise minimum of the support (None when zero)."""
@@ -397,43 +408,61 @@ class RationalGF:
     def expand(self, window):
         """Coefficients of the one-sided expansion on a window.
 
-        Each factor 1/(1 - t^v) contributes sum_{k>=0} t^{k*v}.  Since
-        every v is nonnegative and nonzero, the coefficient of t^u in
-        the expanded denominator product vanishes outside u >= 0 and is
-        computed by the standard coin-change recurrence D(u) += D(u-v),
-        one factor at a time, in lexicographic order.
+        The expansion is computed as a linear-recurrence filter on a
+        dense grid.  With lo = min_exponents() of the numerator and hi
+        the window's upper corner, the grid is the box [lo, hi], stored
+        flat in row-major order.  The numerator's coefficients are
+        placed on it (terms beyond hi cannot reach the window and are
+        dropped).  Multiplying by 1/(1 - t^v) = sum_{k>=0} t^{k*v} is
+        then the in-place recurrence F[u] += F[u - v], run over the grid
+        in lexicographic order, one denominator factor at a time; every
+        v is nonnegative and nonzero, so u - v is always visited first.
+        In one variable with v = (1,) this is a prefix sum.  Window
+        points below lo lie outside the support and read 0.
 
-        Returns a dict mapping every window point to its coefficient.
+        Cost: O(|box| * |den|) additions plus O(|window|) reads, where
+        |box| is the number of grid cells; the numerator is touched
+        once.  Returns a dict mapping every window point to its
+        coefficient.
         """
         if not isinstance(window, Window):
             raise TypeError("expand needs a Window")
         if window.arity != self.arity:
             raise ArityMismatch("window arity does not match the series")
         if self._num.is_zero():
-            return {m: 0 for m in window.points()}
-        lo_e = self._num.min_exponents()
-        box = tuple(max(0, hi - lo_e[i])
-                    for i, (_, hi) in enumerate(window.bounds))
-        dp = {}
-        zero = (0,) * self.arity
-        dp[zero] = 1
-        grid = list(itertools.product(*[range(b + 1) for b in box]))
-        for u in grid:
-            dp.setdefault(u, 0)
+            return dict.fromkeys(window.points(), 0)
+        lo = self._num.min_exponents()
+        top = [hi for _, hi in window.bounds]
+        sizes = [max(0, hi - x) + 1 for hi, x in zip(top, lo)]
+        strides = [1] * self.arity
+        for i in range(self.arity - 1, 0, -1):
+            strides[i - 1] = strides[i] * sizes[i]
+        grid = [0] * (strides[0] * sizes[0])
+        for e, c in self._num._terms.items():
+            if all(x <= hi for x, hi in zip(e, top)):
+                grid[sum((x - y) * s for x, y, s in zip(e, lo, strides))] += c
+        n = sizes[-1]
         for v in self._den:
-            for u in grid:
-                prev = tuple(a - b for a, b in zip(u, v))
-                if all(x >= 0 for x in prev):
-                    dp[u] += dp[prev]
-        out = {}
-        for m in window.points():
-            total = 0
-            for e, c in self._num.terms():
-                u = tuple(a - b for a, b in zip(m, e))
-                if all(x >= 0 for x in u):
-                    total += c * dp.get(u, 0)
-            out[m] = total
-        return out
+            # rows run along the last variable; v moves a row to a
+            # lexicographically later row, or along its own row
+            *outer, step = v
+            jump = sum(a * s for a, s in zip(outer, strides))
+            for row in itertools.product(
+                    *[range(a, m) for a, m in zip(outer, sizes)]):
+                base = sum(r * s for r, s in zip(row, strides))
+                if jump:
+                    src = base - jump
+                    grid[base + step:base + n] = map(
+                        operator.add, grid[base + step:base + n],
+                        grid[src:src + n - step])
+                else:
+                    for r in range(base, base + min(step, n)):
+                        grid[r:base + n:step] = itertools.accumulate(
+                            grid[r:base + n:step])
+        axes = [[(x - y) * s if x >= y else None for x in range(a, hi + 1)]
+                for (a, hi), y, s in zip(window.bounds, lo, strides)]
+        return {m: 0 if None in flat else grid[sum(flat)]
+                for m, flat in zip(window.points(), itertools.product(*axes))}
 
     def evaluate(self, point):
         """Exact rational value; every factor must evaluate away from 1."""

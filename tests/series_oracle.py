@@ -1,0 +1,40 @@
+"""Slow reference expansion of a RationalGF, kept as a test oracle.
+
+`expand_by_convolution` computes the denominator's expansion as a
+dict-based coin-change table on the box [0, hi - min_exponents()] and
+then convolves the whole numerator against it at every window point.
+It costs O(|window| * |num|) on top of the table, which is why
+`RationalGF.expand` no longer works this way; the property tests in
+test_series.py check the fast expansion against it.
+"""
+
+import itertools
+
+
+def expand_by_convolution(gf, window):
+    """Coefficients of gf's one-sided expansion at every window point."""
+    num, den = gf.num, gf.den
+    if num.is_zero():
+        return {m: 0 for m in window.points()}
+    lo_e = num.min_exponents()
+    box = tuple(max(0, hi - lo_e[i])
+                for i, (_, hi) in enumerate(window.bounds))
+    dp = {}
+    dp[(0,) * gf.arity] = 1
+    grid = list(itertools.product(*[range(b + 1) for b in box]))
+    for u in grid:
+        dp.setdefault(u, 0)
+    for v in den:
+        for u in grid:
+            prev = tuple(a - b for a, b in zip(u, v))
+            if all(x >= 0 for x in prev):
+                dp[u] += dp[prev]
+    out = {}
+    for m in window.points():
+        total = 0
+        for e, c in num.terms():
+            u = tuple(a - b for a, b in zip(m, e))
+            if all(x >= 0 for x in u):
+                total += c * dp.get(u, 0)
+        out[m] = total
+    return out

@@ -85,6 +85,44 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+# a field of the wrong JSON type exits 2; raw text keeps 1e1 a float
+def exits_2_naming(tmp_path, capsys, text, field):
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    code, out, err = invoke(["analyze", str(path), "--json"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and repr(field) in err
+
+
+def test_parse_rejects_bool_generator(tmp_path, capsys):
+    exits_2_naming(tmp_path, capsys,
+                   '{"kind":"numerical","generators":[true]}', "generators")
+
+
+def test_parse_rejects_string_generators(tmp_path, capsys):
+    exits_2_naming(tmp_path, capsys,
+                   '{"kind":"numerical","generators":["4","5"]}', "generators")
+
+
+def test_parse_rejects_float_fixture_period(tmp_path, capsys):
+    exits_2_naming(tmp_path, capsys,
+                   '{"kind":"fixture","name":"elliptic","period":2.7}', "period")
+
+
+def test_parse_rejects_string_strip_row(tmp_path, capsys):
+    exits_2_naming(
+        tmp_path, capsys,
+        '{"kind":"two_point_strip","genus":1,"period":2,"strip":["ab","  "]}',
+        "strip")
+
+
+def test_parse_rejects_float_genus(tmp_path, capsys):
+    exits_2_naming(
+        tmp_path, capsys,
+        '{"kind":"two_point","genus":1e1,"period":2,"members":[[1,1]]}',
+        "genus")
+
+
 # ------------------------------------------------------- contract invocations
 
 def test_verify_c_identity_passes(elliptic2, capsys):

@@ -27,6 +27,7 @@ from wsemigroups.onepoint import (
     poincare_delta_product,
     poincare_direct,
     poincare_onepoint,
+    series_modes_report,
 )
 
 
@@ -211,11 +212,12 @@ def test_one_point_semigroup_validation():
 
 def test_poincare_onepoint_modes_disagree_beyond_first_extra():
     ops = OnePointSemigroup(DeltaSequence([4, 6, 7]), extras=[9])
-    finite, report = poincare_onepoint(ops, "finite_sum")
-    product, report2 = poincare_onepoint(ops, "paper_product")
-    assert report == report2
+    finite = poincare_onepoint(ops, "finite_sum")
+    product = poincare_onepoint(ops, "paper_product")
+    report = series_modes_report(ops)
     assert not report.agree
     assert report.first_difference == 18
+    assert report.window == (0, ops.conductor + 9 + 10)
     got = finite.expand(Window((0, 20)))
     # the finite-sum form stays a 0/1 indicator
     for n in range(21):
@@ -227,10 +229,11 @@ def test_poincare_onepoint_modes_disagree_beyond_first_extra():
 
 def test_poincare_onepoint_no_extras_modes_coincide():
     ops = OnePointSemigroup(DeltaSequence([4, 6, 7]))
-    a, ra = poincare_onepoint(ops, "finite_sum")
-    b, rb = poincare_onepoint(ops, "paper_product")
+    a = poincare_onepoint(ops, "finite_sum")
+    b = poincare_onepoint(ops, "paper_product")
     assert a.equals(b)
-    assert ra.agree and rb.agree
+    report = series_modes_report(ops)
+    assert report.agree and report.first_difference is None
 
 
 def test_l_polynomial_2_3():

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from wsemigroups import ArityMismatch, LaurentPoly, RationalGF, Window
 
+from series_oracle import expand_by_convolution
+
 
 def L(terms, arity=None):
     return LaurentPoly(terms, arity=arity)
@@ -258,3 +260,49 @@ def test_product_expansion_is_convolution(na, nb, den):
         total = sum(c * eb[(m - k,)] for (k,), c in ea.items()
                     if lo_b <= m - k <= hi - lo_a)
         assert total == ep[(m,)]
+
+
+# the dense-grid expansion against the per-point convolution it replaced
+
+def factor_strategy(arity):
+    entries = st.tuples(*[st.integers(min_value=0, max_value=10)] * arity)
+    return st.lists(entries.filter(any), max_size=4)
+
+
+def window_strategy(num, arity):
+    """Windows placed relative to the numerator's minimum exponent, so
+    that some start left of it and some lie entirely below it."""
+    base = num.min_exponents() or (0,) * arity
+    bound = st.tuples(st.integers(min_value=-8, max_value=6),
+                      st.integers(min_value=0, max_value=8))
+    return st.lists(bound, min_size=arity, max_size=arity).map(
+        lambda bs: Window(*[(b + off, b + off + width)
+                            for b, (off, width) in zip(base, bs)]))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_expand_matches_convolution_oracle(data):
+    arity = data.draw(st.sampled_from([1, 2]))
+    num = data.draw(poly_strategy(arity))
+    f = RationalGF(num, data.draw(factor_strategy(arity)))
+    window = data.draw(window_strategy(num, arity))
+    assert f.expand(window) == expand_by_convolution(f, window)
+
+
+ONE_VAR = RationalGF(L({(-2,): 3, (0,): -1, (5,): 2}), [(1,), (7,), (7,)])
+TWO_VAR = RationalGF(L({(-1, 2): 2, (0, -3): -1, (3, 1): 1}),
+                     [(0, 1), (2, 0), (1, 3), (4, 4)])
+
+
+@pytest.mark.parametrize("f, bounds", [
+    (ONE_VAR, [(-9, 4)]),    # starts left of the minimum exponent -2
+    (ONE_VAR, [(-9, -3)]),   # lies entirely below it
+    (ONE_VAR, [(0, 2)]),     # shorter than the factor 1 - t^7
+    (TWO_VAR, [(-3, 5), (-5, 6)]),
+    (TWO_VAR, [(-6, -2), (0, 4)]),
+    (TWO_VAR, [(0, 1), (9, 9)]),
+])
+def test_expand_window_edges_match_oracle(f, bounds):
+    window = Window(*bounds)
+    assert f.expand(window) == expand_by_convolution(f, window)

@@ -96,7 +96,9 @@ class NumericalSemigroup:
                 if self.contains(n) == self.contains(c - 1 - n)]
 
     def is_symmetric(self):
-        return not self.symmetry_witnesses()
+        # every member n < c pairs with the gap c-1-n, so g >= c/2,
+        # with equality exactly when no witness exists
+        return self.conductor == 2 * self.genus
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.generators)
@@ -191,7 +193,8 @@ class OnePointSemigroup:
                     f"extra member {x} already lies in the base semigroup")
         self.base = base
         self.extras = tuple(extra)
-        self.gaps = tuple(n for n in base.semigroup.gaps if n not in set(extra))
+        extra_set = set(extra)
+        self.gaps = tuple(n for n in base.semigroup.gaps if n not in extra_set)
         self.conductor = self.gaps[-1] + 1 if self.gaps else 0
         self.genus = len(self.gaps)
         self._check_closure()
@@ -224,7 +227,9 @@ class OnePointSemigroup:
                 if self.contains(n) == self.contains(c - 1 - n)]
 
     def is_symmetric(self):
-        return not self.symmetry_witnesses()
+        # every member n < c pairs with the gap c-1-n, so g >= c/2,
+        # with equality exactly when no witness exists
+        return self.conductor == 2 * self.genus
 
     def __repr__(self):
         return f"OnePointSemigroup({list(self.base.r)}, extras={list(self.extras)})"

@@ -4,16 +4,18 @@ A two-point semigroup lives in Z^2.  Its member set is invariant under
 translation by (period, -period), every point with coordinate sum >= 2g
 is a member, and no point with negative sum is.  Everything in between
 is recorded in a (2g) x period boolean table indexed by
-(sum, m1 mod period), which makes membership, nabla sets, maximal
-points, the two dimension functions and all window scans exact on an
-unbounded lattice.
+(sum, m1 mod period).  Two line-minimum tables read off the strip, the
+least member sum on each column class and on each row class, answer
+every question about the members below a point on its column or row,
+which makes membership, maximal points, the two dimension functions and
+all window scans exact on an unbounded lattice.
 
 Two dimension functions are deliberately kept side by side: dim_jump
-mirrors the sheaf dimension ell(m) - ell(m-1) through one-sided jump
-predicates, while dim_nabla encodes the combinatorial statement "d = 1
-iff nabla(m) is empty".  They disagree on genuine fixtures (the
-elliptic sum-1 antidiagonal) and the verify() machinery measures that
-instead of hiding it.
+mirrors the sheaf dimension ell(m) - ell(m-1) through one-sided jumps
+along the column and the row, while dim_nabla encodes the combinatorial
+statement "d = 1 iff nabla(m) is empty".  They disagree on genuine
+fixtures (the elliptic sum-1 antidiagonal) and the verify() machinery
+measures that instead of hiding it.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ class TwoPointSemigroup:
     (True, False, True)
     """
 
-    __slots__ = ("genus", "period", "strip", "_corner")
+    __slots__ = ("genus", "period", "strip", "_corner", "_colmin", "_rowmin")
 
     def __init__(self, genus, period, rows):
         genus = int(genus)
@@ -158,6 +160,16 @@ class TwoPointSemigroup:
             raise AxiomViolation(
                 f"quotient closure fails: classes {s1} + {s2} -> {target} "
                 f"is not a member", witnesses=bad)
+        # least member sum on each column class (m1 = a mod period) and
+        # each row class (m2 = b mod period); 2g when the strip has none
+        top = 2 * genus
+        self._colmin = tuple(
+            next((s for s in range(top) if self.strip[s][a]), top)
+            for a in range(period))
+        self._rowmin = tuple(
+            next((s for s in range(top) if self.strip[s][(s - b) % period]),
+                 top)
+            for b in range(period))
 
     @classmethod
     def from_strip(cls, genus, period, rows):
@@ -210,7 +222,7 @@ class TwoPointSemigroup:
                     bad.append(((s1, a1), (s2, a2), (s, a)))
         return sorted(bad)
 
-    # membership and nabla sets
+    # membership and the line minima
 
     def contains(self, m):
         s = m[0] + m[1]
@@ -222,39 +234,14 @@ class TwoPointSemigroup:
 
     __contains__ = contains
 
-    def nabla(self, n, coords, strict=True):
-        """Members agreeing with n on `coords` and below it elsewhere.
-
-        coords is a nonempty subset of {1, 2}.  With strict=True the
-        free coordinate runs strictly below n's; with strict=False it
-        may equal it.  The free coordinate is bounded below by the
-        nonnegative-sum condition, so the enumeration is finite.
-        """
-        coords = frozenset(coords)
-        if not coords or not coords <= {1, 2}:
-            raise ValueError(f"coords must be a nonempty subset of {{1,2}}")
-        n1, n2 = n
-        if coords == {1, 2}:
-            return [(n1, n2)] if self.contains(n) else []
-        slack = 0 if strict else 1
-        points = []
-        if coords == {1}:
-            for y in range(-n1, n2 + slack):
-                if self.contains((n1, y)):
-                    points.append((n1, y))
-        else:
-            for x in range(-n2, n1 + slack):
-                if self.contains((x, n2)):
-                    points.append((x, n2))
-        return points
-
-    def nabla_union(self, n):
-        """The strict set nabla(n) = nabla_1(n) union nabla_2(n)."""
-        return sorted(set(self.nabla(n, {1})) | set(self.nabla(n, {2})))
+    def _nabla_empty(self, m):
+        """No member on m's column or row strictly below m."""
+        s = m[0] + m[1]
+        return s <= self._colmin[m[0] % self.period] and \
+            s <= self._rowmin[m[1] % self.period]
 
     def is_maximal(self, n):
-        return self.contains(n) and not self.nabla(n, {1}) \
-            and not self.nabla(n, {2})
+        return self.contains(n) and self._nabla_empty(n)
 
     # maximal points and the fundamental corner
 
@@ -309,40 +296,11 @@ class TwoPointSemigroup:
 
     # dimension functions
 
-    def _column_reaches(self, m1, smax):
-        """Is there a member (m1, y) with m1 + y <= smax?"""
-        if smax < 0:
-            return False
-        if smax >= 2 * self.genus:
-            return True
-        a = m1 % self.period
-        return any(self.strip[s][a] for s in range(smax + 1))
-
-    def _row_reaches(self, m2, smax):
-        """Is there a member (x, m2) with x + m2 <= smax?"""
-        if smax < 0:
-            return False
-        if smax >= 2 * self.genus:
-            return True
-        return any(self.strip[s][(s - m2) % self.period]
-                   for s in range(smax + 1))
-
     def dim_jump(self, m):
         """[exists y <= m2: (m1,y) in S] + [exists x <= m1-1: (x,m2) in S]."""
         s = m[0] + m[1]
-        return int(self._column_reaches(m[0], s)) + \
-            int(self._row_reaches(m[1], s - 1))
-
-    def dim_jump_swapped(self, m):
-        """Same two-step count taken in the other coordinate order."""
-        s = m[0] + m[1]
-        return int(self._row_reaches(m[1], s)) + \
-            int(self._column_reaches(m[0], s - 1))
-
-    def order_independence_witnesses(self, window: Window):
-        """Points where the two dim_jump decompositions disagree."""
-        return [m for m in window.points()
-                if self.dim_jump(m) != self.dim_jump_swapped(m)]
+        return int(s >= self._colmin[m[0] % self.period]) + \
+            int(s - 1 >= self._rowmin[m[1] % self.period])
 
     def dim_nabla(self, m):
         """0 outside the semigroup, 1 for maximal members, else 2."""
@@ -360,18 +318,6 @@ class TwoPointSemigroup:
             raise ValueError(f"unknown d variant {d_variant!r}")
         m1, m2 = m
         return d(m) - d((m1 - 1, m2)) - d((m1, m2 - 1)) + d((m1 - 1, m2 - 1))
-
-    def projection_contains(self, axis, value):
-        """Is `value` in the one-point projection along the given axis?
-
-        Axis 1 asks for a member (value, y) with y <= 0; axis 2 for a
-        member (x, value) with x <= 0.
-        """
-        if axis == 1:
-            return self._column_reaches(value, value)
-        if axis == 2:
-            return self._row_reaches(value, value)
-        raise ValueError("axis must be 1 or 2")
 
     def gap_class_count(self):
         return sum(1 for row in self.strip for x in row if not x)
@@ -420,14 +366,11 @@ class TwoPointSemigroup:
         witnesses = []
         for n in window.points():
             refl = (sigma[0] - n[0], sigma[1] - n[1])
-            if self.contains(n) != (not self.nabla_union(refl)):
+            if self.contains(n) != self._nabla_empty(refl):
                 witnesses.append(n)
         return SymmetryReport(sigma, True, not witnesses, tuple(witnesses))
 
     # verification
-
-    def _scan_region(self, window: Window) -> Window:
-        return interior_region(window)
 
     def verify(self, check, window: Window | None = None) -> VerificationReport:
         """Run one named check; see CHECKS for the ids.
@@ -442,7 +385,7 @@ class TwoPointSemigroup:
             window = self.default_window()
         if window.arity != 2:
             raise WindowTooSmall("verification windows must be 2-dimensional")
-        region = self._scan_region(window)
+        region = interior_region(window)
         handler = getattr(self, f"_check_{check}")
         passed, witnesses, details = handler(region)
         return VerificationReport(
@@ -493,13 +436,18 @@ class TwoPointSemigroup:
         return not witnesses, witnesses, details
 
     def _check_lemma4(self, region):
-        """Both projections hit => dim_jump = 2, for m1, m2 > 0."""
+        """Both projections hit => dim_jump = 2, for m1, m2 > 0.
+
+        m1 is in the projection along axis 1 when some (m1, y) with
+        y <= 0 is a member, that is when m1 reaches its column minimum;
+        likewise m2 along axis 2 with its row minimum.
+        """
         witnesses = []
         for m in region.points():
             if m[0] <= 0 or m[1] <= 0:
                 continue
-            if self.projection_contains(1, m[0]) and \
-                    self.projection_contains(2, m[1]):
+            if m[0] >= self._colmin[m[0] % self.period] and \
+                    m[1] >= self._rowmin[m[1] % self.period]:
                 if self.dim_jump(m) != 2:
                     witnesses.append(m)
         return not witnesses, witnesses, {}

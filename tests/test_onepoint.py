@@ -5,9 +5,12 @@ so the series identities are checked against values that never touch
 the factored-series code path.
 """
 
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wsemigroups import (
     AxiomViolation,
@@ -95,6 +98,37 @@ def test_symmetry_examples():
     assert NumericalSemigroup([3, 5]).is_symmetric()
     assert NumericalSemigroup([4, 6, 7]).is_symmetric()
     assert not NumericalSemigroup([3, 4, 5]).is_symmetric()
+
+
+DELTA_SEQUENCES = [(1,), (2, 3), (2, 5), (3, 4), (3, 7), (4, 5), (4, 6, 7),
+                   (4, 6, 11), (6, 9, 10), (6, 8, 11), (8, 12, 14, 15)]
+
+
+@st.composite
+def numerical_semigroups(draw):
+    gens = draw(st.lists(st.integers(min_value=2, max_value=30),
+                         min_size=2, max_size=4, unique=True))
+    assume(math.gcd(*gens) == 1)
+    return NumericalSemigroup(gens)
+
+
+@st.composite
+def delta_semigroups_with_extras(draw):
+    base = DeltaSequence(draw(st.sampled_from(DELTA_SEQUENCES)))
+    gaps = base.semigroup.gaps
+    extras = draw(st.lists(st.sampled_from(gaps), unique=True)) if gaps else []
+    try:
+        return OnePointSemigroup(base, extras)
+    except AxiomViolation:
+        # every gap from some point on is always a closed enlargement
+        k = draw(st.integers(min_value=0, max_value=base.semigroup.conductor))
+        return OnePointSemigroup(base, [n for n in gaps if n >= k])
+
+
+@settings(max_examples=150)
+@given(st.one_of(numerical_semigroups(), delta_semigroups_with_extras()))
+def test_is_symmetric_matches_witness_scan(s):
+    assert s.is_symmetric() == (not s.symmetry_witnesses())
 
 
 def test_symmetric_means_conductor_twice_genus():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsemigroups import (
@@ -10,6 +10,8 @@ from wsemigroups import (
     Window,
     WindowTooSmall,
 )
+
+import twopoint_oracle as oracle
 
 T, F = True, False
 
@@ -131,27 +133,27 @@ def test_membership_is_periodic(S, m, k):
 
 def test_nabla_examples():
     S = elliptic2()
-    assert S.nabla((1, 1), {1}) == []
-    assert S.nabla((2, 0), {1}) == [(2, -2)]
-    assert S.nabla((1, 1), {1, 2}) == [(1, 1)]
-    assert S.nabla((1, 0), {1, 2}) == []
+    assert oracle.nabla(S, (1, 1), {1}) == []
+    assert oracle.nabla(S, (2, 0), {1}) == [(2, -2)]
+    assert oracle.nabla(S, (1, 1), {1, 2}) == [(1, 1)]
+    assert oracle.nabla(S, (1, 0), {1, 2}) == []
 
 
 def test_nabla_leq_includes_the_boundary():
     S = elliptic2()
-    assert S.nabla((2, 0), {1}, strict=False) == [(2, -2), (2, 0)]
-    assert S.nabla((2, 0), {2}, strict=False) == [(0, 0), (2, 0)]
+    assert oracle.nabla(S, (2, 0), {1}, strict=False) == [(2, -2), (2, 0)]
+    assert oracle.nabla(S, (2, 0), {2}, strict=False) == [(0, 0), (2, 0)]
 
 
 def test_nabla_rejects_empty_coordinate_set():
     with pytest.raises(ValueError):
-        elliptic2().nabla((0, 0), set())
+        oracle.nabla(elliptic2(), (0, 0), set())
 
 
 @settings(max_examples=40)
 @given(random_semigroups(), points)
 def test_nabla_matches_direct_scan(S, n):
-    got = S.nabla(n, {1})
+    got = oracle.nabla(S, n, {1})
     expected = [(n[0], y) for y in range(-n[0], n[1])
                 if S.contains((n[0], y))]
     assert got == expected
@@ -209,6 +211,30 @@ def test_corner_translates_match_scan_on_fixtures():
 def test_corner_translates_match_scan(S):
     W = S.default_window()
     assert S.corner_translates_in(W) == sorted(S.maximal_points_in(W))
+
+
+@settings(max_examples=60)
+@given(random_semigroups())
+@example(projective_line())
+@example(genus2_line())
+@example(elliptic3())
+def test_line_minima_match_scanning_oracle(S):
+    W = S.default_window()
+    for m in W.points():
+        assert S.dim_jump(m) == oracle.dim_jump(S, m), m
+        assert S.is_maximal(m) == oracle.is_maximal(S, m), m
+        assert S.dim_nabla(m) == oracle.dim_nabla(S, m), m
+    rep = S.find_symmetry_point()
+    assert (rep.sigma, rep.witnesses) == oracle.find_symmetry_point(S, W)
+    assert rep.point_symmetry_ok == (rep.sigma is not None
+                                     and not rep.witnesses)
+    lemma4 = S.verify("lemma4", W)
+    scan = Window(*lemma4.details["scan"])
+    assert lemma4.witnesses == tuple(
+        m for m in scan.points()
+        if m[0] > 0 and m[1] > 0 and oracle.projection_contains(S, 1, m[0])
+        and oracle.projection_contains(S, 2, m[1])
+        and oracle.dim_jump(S, m) != 2)
 
 
 # dimension functions and coefficients
@@ -375,13 +401,13 @@ def test_verify_symmetry_fails_without_sigma():
 
 def test_order_independence_clean_on_fixtures():
     for S in (projective_line(), elliptic2(), elliptic3(), genus2_line()):
-        assert S.order_independence_witnesses(S.default_window()) == []
+        assert oracle.order_independence_witnesses(S, S.default_window()) == []
 
 
 def test_order_dependent_strip_breaks_c_identity():
     S = order_dependent_strip()
     W = S.default_window()
-    assert (1, 0) in S.order_independence_witnesses(W)
+    assert (1, 0) in oracle.order_independence_witnesses(S, W)
     assert not S.verify("c_identity", W).passed
 
 
@@ -389,7 +415,7 @@ def test_order_dependent_strip_breaks_c_identity():
 @given(random_semigroups())
 def test_c_identity_holds_on_order_independent_semigroups(S):
     W = S.default_window()
-    if S.order_independence_witnesses(W):
+    if oracle.order_independence_witnesses(S, W):
         return
     assert S.verify("c_identity", W).passed
 

@@ -353,12 +353,11 @@ def _onepoint_check(model: Model, check: str, window) -> VerificationReport:
         return VerificationReport("symmetry", not witnesses, witnesses,
                                   None, details, poincare_direct(S))
     if check == "funceq":
-        try:
-            signs = functional_equation_signs(S)
-        except NotSymmetric:
+        if not S.is_symmetric():
             witnesses = tuple(S.symmetry_witnesses())
             return VerificationReport("funceq", False, witnesses, None,
                                       {"symmetric": False})
+        signs = functional_equation_signs(S)
         ok = signs.eps_l is not None and signs.eps_p is not None
         details = {
             "eps_l": signs.eps_l,
@@ -509,6 +508,9 @@ def main(argv=None) -> int:
             UnknownCheck, WindowTooSmall, NotSymmetric, OSError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError) as exc:
+        print(f"error: input too large ({type(exc).__name__})", file=sys.stderr)
         return 2
     if text:
         print(text)

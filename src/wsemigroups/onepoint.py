@@ -1,18 +1,20 @@
 """Numerical semigroups and one-point Weierstrass semigroup series.
 
-A numerical semigroup is given by generators with gcd 1.  Membership is
-decided by a certified sieve: once min(generators) consecutive members
-appear, everything beyond is a member, which pins down the conductor
-exactly.  On top of that sit gcd-descent generator chains (delta
-sequences), optional extra pole orders, and the Poincare series
-P(t) = sum_{n in S} t^n together with L(t) = (1 - t) P(t) in its
-various closed forms.
+A numerical semigroup is given by generators with gcd 1 and read off
+its Apery set: the least member in each residue class modulo
+a = min(generators).  That table of a entries gives membership, the
+conductor, the genus and membership masks.  On top of that sit
+gcd-descent generator chains (delta sequences), optional extra pole
+orders, and the Poincare series P(t) = sum_{n in S} t^n together with
+L(t) = (1 - t) P(t) in its various closed forms.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import AxiomViolation, InvalidSemigroup, NotSymmetric
@@ -26,7 +28,9 @@ class NumericalSemigroup:
 
     Requires gcd(generators) = 1, so the complement (the gap set) is
     finite.  `conductor` is the least c with [c, oo) fully contained,
-    `genus` the number of gaps.
+    `genus` the number of gaps.  `apery[r]` is the least member
+    congruent to r modulo the multiplicity min(generators).  `gaps` is
+    built from a membership mask on each access, at O(c) cost.
 
     >>> S = NumericalSemigroup([4, 6, 7])
     >>> S.gaps
@@ -35,7 +39,7 @@ class NumericalSemigroup:
     (10, 5)
     """
 
-    __slots__ = ("generators", "conductor", "gaps", "genus", "_low")
+    __slots__ = ("generators", "apery", "conductor", "genus")
 
     def __init__(self, generators):
         gens = sorted({int(g) for g in generators})
@@ -47,53 +51,51 @@ class NumericalSemigroup:
             raise InvalidSemigroup(
                 f"gcd of generators is {math.gcd(*gens)}, not 1")
         self.generators = tuple(gens)
-        bound = max(16, 2 * gens[0] * gens[-1])
-        while True:
-            member = self._sieve(bound)
-            last_gap = None
-            for n in range(bound, -1, -1):
-                if not member[n]:
-                    last_gap = n
-                    break
-            if last_gap is None:
-                conductor = 0
-                break
-            # a run of min-generator consecutive members closes the sieve
-            if bound - last_gap >= gens[0]:
-                conductor = last_gap + 1
-                break
-            bound *= 2
-        self.conductor = conductor
-        self._low = tuple(member[:conductor])
-        self.gaps = tuple(n for n in range(conductor) if not member[n])
-        self.genus = len(self.gaps)
-
-    def _sieve(self, bound):
-        member = [False] * (bound + 1)
-        member[0] = True
-        for n in range(1, bound + 1):
-            for g in self.generators:
-                if g > n:
-                    break
-                if member[n - g]:
-                    member[n] = True
-                    break
-        return member
+        # Dijkstra over Z/a, with an edge r -> r + g of weight g per g
+        a = gens[0]
+        apery = [0] + [None] * (a - 1)
+        heap = [(0, 0)]
+        while heap:
+            w, r = heapq.heappop(heap)
+            if w > apery[r]:
+                continue
+            for g in gens[1:]:
+                v, s = w + g, (r + g) % a
+                if apery[s] is None or v < apery[s]:
+                    apery[s] = v
+                    heapq.heappush(heap, (v, s))
+        self.apery = tuple(apery)
+        self.conductor = max(apery) - a + 1
+        self.genus = sum(w // a for w in apery)
 
     def contains(self, n):
-        if n < 0:
-            return False
-        if n >= self.conductor:
-            return True
-        return self._low[n]
+        # the least member of n's class is >= 0, so negative n fail too
+        return n >= self.apery[n % len(self.apery)]
 
     __contains__ = contains
+
+    def mask(self, hi):
+        """A bytearray m of length hi with m[n] = 1 exactly for members n."""
+        a = len(self.apery)
+        member = bytearray(hi)
+        for w in self.apery:
+            member[w::a] = b"\1" * len(range(w, hi, a))
+        return member
+
+    @property
+    def gaps(self):
+        c = self.conductor
+        return tuple(itertools.compress(range(c),
+                                        map(operator.not_, self.mask(c))))
 
     def symmetry_witnesses(self):
         """Values n in [0, c) where n and c-1-n are both in or both out."""
         c = self.conductor
-        return [n for n in range(c)
-                if self.contains(n) == self.contains(c - 1 - n)]
+        if c == 2 * self.genus:
+            return []
+        member = self.mask(c)
+        return list(itertools.compress(
+            range(c), map(operator.eq, member, reversed(member))))
 
     def is_symmetric(self):
         # every member n < c pairs with the gap c-1-n, so g >= c/2,
@@ -151,17 +153,11 @@ class DeltaSequence:
         self._verify_unique_representation()
 
     def _verify_unique_representation(self):
-        r, d = self.r, self.d
-        bound = self.semigroup.conductor + r[0] * (max(d) if d else 1)
-        counts = [0] * (bound + 1)
-        for rest in itertools.product(*[range(di) for di in d]):
-            base = sum(a * ri for a, ri in zip(rest, r[1:]))
-            if base > bound:
-                continue
-            for a0 in range((bound - base) // r[0] + 1):
-                counts[base + a0 * r[0]] += 1
-        bad = [(n, counts[n]) for n in range(bound + 1)
-               if self.semigroup.contains(n) and counts[n] != 1]
+        # the delta product's coefficient at n counts the representations
+        bound = self.semigroup.conductor + self.r[0] * max(self.d, default=1)
+        counts = poincare_delta_product(self).expand(Window((0, bound)))
+        bad = [(n, counts[(n,)]) for n in range(bound + 1)
+               if self.semigroup.contains(n) and counts[(n,)] != 1]
         if bad:
             raise AxiomViolation(
                 f"representation is not unique for {self.r}: "
@@ -179,7 +175,7 @@ class OnePointSemigroup:
     under addition, and the extras must genuinely lie outside S.
     """
 
-    __slots__ = ("base", "extras", "conductor", "gaps", "genus")
+    __slots__ = ("base", "extras", "conductor", "genus")
 
     def __init__(self, base, extras=()):
         if not isinstance(base, DeltaSequence):
@@ -193,10 +189,9 @@ class OnePointSemigroup:
                     f"extra member {x} already lies in the base semigroup")
         self.base = base
         self.extras = tuple(extra)
-        extra_set = set(extra)
-        self.gaps = tuple(n for n in base.semigroup.gaps if n not in extra_set)
-        self.conductor = self.gaps[-1] + 1 if self.gaps else 0
-        self.genus = len(self.gaps)
+        # every extra is a gap of the base, so below its conductor
+        self.conductor = self.mask(base.semigroup.conductor).rfind(0) + 1
+        self.genus = base.semigroup.genus - len(extra)
         self._check_closure()
 
     def _check_closure(self):
@@ -205,11 +200,11 @@ class OnePointSemigroup:
         bound = self.conductor + self.extras[-1] + max(self.base.r)
         # sums inside the base semigroup are closed already, so only
         # sums involving at least one extra member need checking
-        witnesses = []
-        for e in self.extras:
-            for n in range(bound - e + 1):
-                if self.contains(n) and not self.contains(e + n):
-                    witnesses.append((e, n, e + n))
+        member = self.mask(bound + 1)
+        witnesses = [
+            (e, n, e + n) for e in self.extras
+            for n in itertools.compress(range(bound - e + 1),
+                                        map(operator.gt, member, member[e:]))]
         if witnesses:
             raise AxiomViolation(
                 f"member set is not closed under addition: "
@@ -221,15 +216,17 @@ class OnePointSemigroup:
 
     __contains__ = contains
 
-    def symmetry_witnesses(self):
-        c = self.conductor
-        return [n for n in range(c)
-                if self.contains(n) == self.contains(c - 1 - n)]
+    def mask(self, hi):
+        """The base semigroup's membership mask with the extras set."""
+        member = self.base.semigroup.mask(hi)
+        for e in self.extras:
+            if e < hi:
+                member[e] = 1
+        return member
 
-    def is_symmetric(self):
-        # every member n < c pairs with the gap c-1-n, so g >= c/2,
-        # with equality exactly when no witness exists
-        return self.conductor == 2 * self.genus
+    gaps = NumericalSemigroup.gaps
+    symmetry_witnesses = NumericalSemigroup.symmetry_witnesses
+    is_symmetric = NumericalSemigroup.is_symmetric
 
     def __repr__(self):
         return f"OnePointSemigroup({list(self.base.r)}, extras={list(self.extras)})"
@@ -240,16 +237,15 @@ def _head_polynomial(semigroup) -> LaurentPoly:
 
     This is the L-polynomial and the numerator of P over (1 - t).  Its
     coefficient at t^n is the jump [n in S] - [n - 1 in S] of the
-    membership indicator on [0, c], with c counted as a member."""
-    c = semigroup.conductor
-    terms = {}
-    inside = False
-    for n in range(c + 1):
-        member = n == c or semigroup.contains(n)
-        if member != inside:
-            terms[(n,)] = 1 if member else -1
-            inside = member
-    return LaurentPoly(terms, arity=1)
+    membership indicator on [0, c]: +1 where a run of members starts
+    (the first at 0), -1 where one ends (the last, through c, never)."""
+    member = semigroup.mask(semigroup.conductor + 1)
+    terms, start = {}, 0
+    while (end := member.find(0, start)) >= 0:
+        terms[(start,)], terms[(end,)] = 1, -1
+        start = member.find(1, end)
+    terms[(start,)] = 1
+    return LaurentPoly._trusted(terms, 1)
 
 
 def poincare_direct(semigroup) -> RationalGF:

@@ -159,6 +159,46 @@ def test_validate_text_and_json(ns23, capsys):
     assert json.loads(out) == {"ok": True, "kind": "numerical"}
 
 
+def test_validate_huge_conductor(tmp_path, capsys):
+    # the Apery set of <2, b> has two entries whatever the conductor b - 1
+    path = write(tmp_path, "huge.json",
+                 {"kind": "numerical", "generators": [2, 1000000000001]})
+    code, out, err = invoke(["validate", path], capsys)
+    assert (code, err) == (0, "")
+    assert out == ("valid numerical semigroup: generators (2, 1000000000001), "
+                   "conductor 1000000000000, genus 500000000000\n")
+
+
+@pytest.mark.parametrize("exhausted", [MemoryError, RecursionError])
+def test_resource_exhaustion_exits_2(ns23, capsys, monkeypatch, exhausted):
+    def handler(model, cmd):
+        raise exhausted()
+
+    monkeypatch.setitem(cli._HANDLERS, "analyze", handler)
+    code, out, err = invoke(["analyze", ns23], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: input too large ({exhausted.__name__})\n"
+
+
+def test_validate_delta_with_huge_conductor_exits_2(tmp_path, capsys,
+                                                    monkeypatch):
+    # unlike a numerical input, a delta chain costs O(c): its uniqueness
+    # count expands the delta product on [0, c + r_0 max(d)], here a dense
+    # grid of about 10^12 cells; the stub fails that allocation at once
+    expand = RationalGF.expand
+
+    def bounded_expand(self, window):
+        ((lo, hi),) = window.bounds
+        if hi - lo > 10**7:
+            raise MemoryError
+        return expand(self, window)
+
+    monkeypatch.setattr(RationalGF, "expand", bounded_expand)
+    path = write(tmp_path, "huge.json", {"kind": "delta", "r": [2, 10**12 + 1]})
+    code, out, err = invoke(["validate", path], capsys)
+    assert (code, out, err) == (2, "", "error: input too large (MemoryError)\n")
+
+
 # ------------------------------------------------------------------- analyze
 
 def test_analyze_numerical_json(ns23, capsys):

@@ -5,6 +5,7 @@ so the series identities are checked against values that never touch
 the factored-series code path.
 """
 
+import itertools
 import math
 import random
 
@@ -32,15 +33,13 @@ from wsemigroups.onepoint import (
     poincare_onepoint,
     series_modes_report,
 )
+from onepoint_oracle import closure_sieve, representation_counts, sieved
 
 
-def closure_sieve(gens, bound):
-    """Reference membership table, independent of NumericalSemigroup."""
-    member = [False] * (bound + 1)
-    member[0] = True
-    for n in range(1, bound + 1):
-        member[n] = any(n >= g and member[n - g] for g in gens)
-    return member
+def sieve_membership(gens):
+    """The membership test of <gens>, read off the oracle's table."""
+    member, conductor = sieved(gens)
+    return lambda n: n >= conductor or (n >= 0 and member[n])
 
 
 def test_semigroup_2_3():
@@ -91,6 +90,42 @@ def test_membership_matches_reference_sieve():
         assert all(s.contains(n) == ref[n] for n in range(bound + 1))
 
 
+def assert_matches_sieve(gens):
+    s = NumericalSemigroup(gens)
+    member, conductor = sieved(gens)
+    gaps = tuple(n for n in range(conductor) if not member[n])
+    assert s.generators == tuple(sorted(set(gens)))
+    assert (s.conductor, s.genus, s.gaps) == (conductor, len(gaps), gaps)
+    ref = sieve_membership(gens)
+    span = 2 * max(gens) + 2
+    # negative values, the band below the conductor and values past it
+    for n in range(-span, conductor + span):
+        assert s.contains(n) == ref(n), (gens, n)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=5))
+def test_apery_construction_matches_sieve_oracle(gens):
+    # unsorted lists with repeats, as the JSON input may give them
+    assume(math.gcd(*gens) == 1)
+    assert_matches_sieve(gens)
+
+
+@pytest.mark.parametrize("gens", [
+    [1], [1, 1, 5], [7, 3, 5, 3, 7], [9, 2], [2, 20001], [40, 39, 38]])
+def test_apery_construction_edge_cases(gens):
+    assert_matches_sieve(gens)
+
+
+def test_two_generators_with_huge_conductor():
+    b = 10**12 + 1
+    s = NumericalSemigroup([b, 2])
+    assert (s.conductor, s.genus) == (b - 1, (b - 1) // 2)
+    assert s.is_symmetric()
+    assert not s.contains(-2) and not s.contains(b - 2)
+    assert s.contains(b - 3) and s.contains(b) and s.contains(b - 1)
+
+
 def test_symmetry_examples():
     assert NumericalSemigroup([2, 3]).is_symmetric()
     assert NumericalSemigroup([2, 5]).is_symmetric()
@@ -131,6 +166,22 @@ def test_is_symmetric_matches_witness_scan(s):
     assert s.is_symmetric() == (not s.symmetry_witnesses())
 
 
+@settings(max_examples=100)
+@given(st.one_of(numerical_semigroups(), delta_semigroups_with_extras()))
+def test_mask_readers_match_membership_scans(s):
+    c = s.conductor
+    assert list(s.mask(c + 7)) == [int(s.contains(n)) for n in range(c + 7)]
+    assert c == 0 or not s.contains(c - 1)
+    assert s.gaps == tuple(n for n in range(c) if not s.contains(n))
+    assert s.genus == len(s.gaps)
+    assert s.symmetry_witnesses() == [
+        n for n in range(c) if s.contains(n) == s.contains(c - 1 - n)]
+    jumps = {(n,): int(n == c or s.contains(n)) - int(s.contains(n - 1))
+             for n in range(c + 1)}
+    assert l_polynomial(s) == LaurentPoly(
+        {e: v for e, v in jumps.items() if v}, arity=1)
+
+
 def test_symmetric_means_conductor_twice_genus():
     for gens in ([2, 3], [2, 5], [3, 4], [3, 5], [4, 6, 7], [1]):
         s = NumericalSemigroup(gens)
@@ -165,6 +216,48 @@ def test_delta_sequence_rejects_non_descending_gcd():
     # gcd(2, 3) = 1 already, so 5 gives d_2 = 1
     with pytest.raises(InvalidSemigroup):
         DeltaSequence([2, 3, 5])
+
+
+@st.composite
+def strict_descent_chains(draw):
+    """(r_0, ..., r_h) with gcd(r_0, ..., r_i) = theta_i / d_i, d_i >= 2:
+    r_i = theta_{i+1} * m with m prime to d_i."""
+    d = draw(st.lists(st.integers(min_value=2, max_value=4),
+                      min_size=1, max_size=3))
+    theta = math.prod(d)
+    r = [theta]
+    for di in d:
+        m = draw(st.integers(min_value=1, max_value=3 * di + 5).filter(
+            lambda m, di=di: math.gcd(m, di) == 1))
+        theta //= di
+        r.append(theta * m)
+    return r
+
+
+@settings(max_examples=200)
+@given(strict_descent_chains())
+def test_delta_sequence_accepts_exactly_the_free_chains(r):
+    # free (telescopic, Kirfel & Pellikaan 1995): for every i >= 1,
+    # d_i r_i lies in <r_0, ..., r_{i-1}>, all divided by theta_i
+    theta = [r[0], *itertools.accumulate(r, math.gcd)]
+    d = [theta[i] // theta[i + 1] for i in range(1, len(r))]
+    free = all(
+        sieve_membership([x // theta[i] for x in r[:i]])(
+            d[i - 1] * r[i] // theta[i])
+        for i in range(1, len(r)))
+    _, conductor = sieved(r)
+    ref = sieve_membership(r)
+    bound = conductor + r[0] * max(d)
+    counts = representation_counts(r, d, bound)
+    bad = [(n, counts[n]) for n in range(bound + 1)
+           if ref(n) and counts[n] != 1]
+    assert free == (not bad)
+    try:
+        DeltaSequence(r)
+    except AxiomViolation as exc:
+        assert exc.witnesses == tuple(bad) and bad
+    else:
+        assert not bad
 
 
 def test_delta_representation_uniqueness_verified():

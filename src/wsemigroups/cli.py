@@ -289,8 +289,7 @@ def _run_expand(model: Model, cmd: Command):
     if model.two_point:
         S = model.semigroup
         (lo1, hi1), (lo2, hi2) = window.bounds
-        table = [[S.dim_jump((m1, m2)) for m2 in range(lo2, hi2 + 1)]
-                 for m1 in range(lo1, hi1 + 1)]
+        table = S.dim_jump_rows(window)
         if cmd.json_output:
             return 0, _dump({"window": _jsonable(window.bounds),
                              "dim_jump": table})

@@ -3,12 +3,12 @@
 A two-point semigroup lives in Z^2.  Its member set is invariant under
 translation by (period, -period), every point with coordinate sum >= 2g
 is a member, and no point with negative sum is.  Everything in between
-is recorded in a (2g) x period boolean table indexed by
-(sum, m1 mod period).  Two line-minimum tables read off the strip, the
-least member sum on each column class and on each row class, answer
-every question about the members below a point on its column or row,
-which makes membership, maximal points, the two dimension functions and
-all window scans exact on an unbounded lattice.
+is recorded in a (2g) x period boolean table indexed by the class
+(sum, m1 mod period).  Two line-minimum tables, the least member sum on
+each column class and on each row class, answer every question about
+the members below a point on its column or row.  Every pointwise
+predicate thus reads only a point's class, so window scans and checks
+cost O(g * period + witnesses + output), not the window's area.
 
 Two dimension functions are deliberately kept side by side: dim_jump
 mirrors the sheaf dimension ell(m) - ell(m-1) through one-sided jumps
@@ -245,15 +245,16 @@ class TwoPointSemigroup:
 
     # maximal points and the fundamental corner
 
+    def _maximal_classes(self):
+        """The at most period classes (s, a) holding maximal points: a
+        line's only maximal candidate is its member of least sum."""
+        return [(s, a) for a, s in enumerate(self._colmin)
+                if s <= self._rowmin[(s - a) % self.period]]
+
     def corner_maximals(self) -> CornerData:
         if self._corner is None:
-            pts = []
-            for m1 in range(1, self.period + 1):
-                for s in range(0, 2 * self.genus + 1):
-                    m = (m1, s - m1)
-                    if self.is_maximal(m):
-                        pts.append(m)
-            self._corner = CornerData(tuple(sorted(pts)))
+            self._corner = CornerData(tuple(sorted(
+                self.normalize((a, s - a)) for s, a in self._maximal_classes())))
         return self._corner
 
     def normalize(self, p):
@@ -263,7 +264,7 @@ class TwoPointSemigroup:
         return (k, p[1] - lam * self.period)
 
     def maximal_points_in(self, window: Window):
-        return [m for m in window.points() if self.is_maximal(m)]
+        return self._points_of(window, self._maximal_classes())
 
     def corner_translates_in(self, window: Window):
         """Period translates of the corner maximals inside the window."""
@@ -277,22 +278,17 @@ class TwoPointSemigroup:
                 out.add((p1 + lam * th, p2 - lam * th))
         return sorted(out)
 
-    def _count_maximals_leq(self, m):
-        """Number of maximal points componentwise <= m, via translates."""
-        m1, m2 = m
-        th = self.period
-        total = 0
-        for p1, p2 in self.corner_maximals().points:
-            hi = (m1 - p1) // th
-            lo = -((m2 - p2) // th)
-            if hi >= lo:
-                total += hi - lo + 1
-        return total
-
     def maximal_count_coefficient(self, m):
-        """Coefficient of t^m in (1 - t1 t2) * sum over all maximal points."""
-        return self._count_maximals_leq(m) - \
-            self._count_maximals_leq((m[0] - 1, m[1] - 1))
+        """Coefficient of t^m in (1 - t1 t2) * sum over all maximal points.
+
+        The maximal points <= m but not <= m - (1, 1) lie on m's column
+        or row, and each line holds at most one, at its least member.
+        """
+        s, th = m[0] + m[1], self.period
+        col, row = self._colmin[m[0] % th], self._rowmin[m[1] % th]
+        return (col <= s and col <= self._rowmin[(col - m[0]) % th]) + \
+            (row <= s and row <= self._colmin[(row - m[1]) % th]) - \
+            self.is_maximal(m)
 
     # dimension functions
 
@@ -318,6 +314,20 @@ class TwoPointSemigroup:
             raise ValueError(f"unknown d variant {d_variant!r}")
         m1, m2 = m
         return d(m) - d((m1 - 1, m2)) - d((m1, m2 - 1)) + d((m1 - 1, m2 - 1))
+
+    def dim_jump_rows(self, window: Window):
+        """dim_jump on the window, one list per m1 (m2 ascending): a slice
+        of the column class's values on the sums [0, 2g], padded with 0
+        below sum 0 and 2 above sum 2g."""
+        (lo1, hi1), (lo2, hi2) = window.bounds
+        top = 2 * self.genus
+        band = [[self.dim_jump((a, s - a)) for s in range(top + 1)]
+                for a in range(self.period)]
+        return [[0] * max(0, min(-1, m1 + hi2) - m1 - lo2 + 1)
+                + band[m1 % self.period][max(0, m1 + lo2):
+                                         max(0, min(top, m1 + hi2) + 1)]
+                + [2] * max(0, m1 + hi2 - max(top + 1, m1 + lo2) + 1)
+                for m1 in range(lo1, hi1 + 1)]
 
     def gap_class_count(self):
         return sum(1 for row in self.strip for x in row if not x)
@@ -363,12 +373,77 @@ class TwoPointSemigroup:
         sigma = self._sigma_candidate()
         if sigma is None:
             return SymmetryReport(None, False, False, ())
-        witnesses = []
-        for n in window.points():
-            refl = (sigma[0] - n[0], sigma[1] - n[1])
-            if self.contains(n) != self._nabla_empty(refl):
-                witnesses.append(n)
+        witnesses = self._where(window, lambda n: self.contains(n) !=
+                                self._nabla_empty((sigma[0] - n[0],
+                                                   sigma[1] - n[1])))
         return SymmetryReport(sigma, True, not witnesses, tuple(witnesses))
+
+    # class loops: a pointwise predicate reads only the class (s, a) of a
+    # point, s = m1 + m2 and a = m1 mod period, so it is asked once per
+    # class, at m = (a, s - a).  Below the band s in [-2, 2g+2] d = 0 and
+    # nothing is a member; above it d = 2, everything is a member and
+    # nothing is maximal, so every check but funceq passes there.
+
+    def _band(self, window):
+        """The band classes that meet the window's sums."""
+        (lo1, hi1), (lo2, hi2) = window.bounds
+        return [(s, a) for s in range(max(-2, lo1 + lo2),
+                                      min(2 * self.genus + 2, hi1 + hi2) + 1)
+                for a in range(self.period)]
+
+    def _points_of(self, window, classes):
+        """Window points of the classes (s, a[, lo, hi]), m1 clipped to
+        [lo, hi] when given, in Window.points() order."""
+        (lo1, hi1), (lo2, hi2) = window.bounds
+        points = []
+        for s, a, *clip in classes:
+            lo, hi = max(lo1, s - hi2, *clip[:1]), min(hi1, s - lo2, *clip[1:])
+            points.extend((m1, s - m1) for m1 in range(
+                lo + (a - lo) % self.period, hi + 1, self.period))
+        points.sort()
+        return points
+
+    def _where(self, window, pred, periodic=False):
+        """Window points of the band classes where pred(m) holds.  With
+        periodic, pred is also asked on one period of sums on each side
+        of the band, and its answers repeat beyond it."""
+        points = self._points_of(window, [
+            (s, a) for s, a in self._band(window) if pred((a, s - a))])
+        if periodic:
+            top, th = 2 * self.genus, self.period
+            for s in (*range(-2 - th, -2), *range(top + 3, top + 3 + th)):
+                for a in range(th):
+                    if pred((a, s - a)):
+                        points.extend(
+                            self._residue_points(window, a, s - a, s > 0))
+            points.sort()
+        return points
+
+    def _residue_points(self, window, a, b, above):
+        """Window points with m1 = a and m2 = b mod period and sum at
+        least 2g + 3 (above) or at most -3, in O(1 + output): only the
+        m1 whose clipped m2 range still holds such a point are visited."""
+        (lo1, hi1), (lo2, hi2) = window.bounds
+        th = self.period
+        first2, last2 = lo2 + (b - lo2) % th, hi2 - (hi2 - b) % th
+        if first2 > hi2:
+            return []
+        cut = 2 * self.genus + 3 if above else -3
+        if above:
+            lo1 = max(lo1, cut - last2)
+        else:
+            hi1 = min(hi1, cut - first2)
+        points = []
+        for m1 in range(lo1 + (a - lo1) % th, hi1 + 1, th):
+            lo = max(first2, cut - m1) if above else first2
+            hi = last2 if above else min(last2, cut - m1)
+            points.extend((m1, m2) for m2 in range(lo + (b - lo) % th,
+                                                   hi + 1, th))
+        return points
+
+    def _step(self, m):
+        """1_M(m) - 1_M(m - (1, 1)) for the maximal set M."""
+        return self.is_maximal(m) - self.is_maximal((m[0] - 1, m[1] - 1))
 
     # verification
 
@@ -377,7 +452,11 @@ class TwoPointSemigroup:
 
         Pointwise checks scan the interior of the window, two cells in
         from each edge, so difference operators and reflections stay
-        honest near the boundary.
+        honest near the boundary.  They ask their predicate once per
+        band class, not once per point, and expand only failing classes
+        into points: O(g * period + witnesses) whatever the window, plus
+        period^2 for funceq, which also asks one period of sums on each
+        side of the band.
         """
         if check not in CHECKS:
             raise UnknownCheck(f"unknown check {check!r}; pick one of {CHECKS}")
@@ -402,16 +481,15 @@ class TwoPointSemigroup:
 
     def _check_c_prop(self, region):
         """c(m) = -1 iff m-1 maximal, and c(m) = 1 iff m maximal."""
-        witnesses = []
-        stray = []
-        for m in region.points():
+        def fails(m, only_stray=False):
             c = self.euler_c(m, "jump")
             prev_max = self.is_maximal((m[0] - 1, m[1] - 1))
             here_max = self.is_maximal(m)
-            if ((c == -1) != prev_max) or ((c == 1) != here_max):
-                witnesses.append(m)
-                if not (prev_max and here_max):
-                    stray.append(m)
+            return ((c == -1) != prev_max or (c == 1) != here_max) and \
+                not (only_stray and prev_max and here_max)
+
+        witnesses = self._where(region, fails)
+        stray = self._where(region, lambda m: fails(m, only_stray=True))
         details = {"violations_both_maximal": not stray}
         if stray:
             details["stray"] = stray
@@ -419,17 +497,14 @@ class TwoPointSemigroup:
 
     def _check_c_identity(self, region):
         """c(m) with dim_jump equals 1_M(m) - 1_M(m-1)."""
-        witnesses = []
-        for m in region.points():
-            lhs = self.euler_c(m, "jump")
-            rhs = int(self.is_maximal(m)) - \
-                int(self.is_maximal((m[0] - 1, m[1] - 1)))
-            if lhs != rhs:
-                witnesses.append(m)
+        witnesses = self._where(
+            region, lambda m: self.euler_c(m, "jump") != self._step(m))
         return not witnesses, witnesses, {}
 
     def _check_corner_translates(self, region):
-        scanned = set(self.maximal_points_in(region))
+        # is_maximal asked per band class, not the line-minimum shortcut
+        # behind maximal_points_in and the corner, so the two can disagree
+        scanned = set(self._where(region, self.is_maximal))
         translated = set(self.corner_translates_in(region))
         witnesses = sorted(scanned ^ translated)
         details = {"scanned": len(scanned), "translates": len(translated)}
@@ -440,21 +515,18 @@ class TwoPointSemigroup:
 
         m1 is in the projection along axis 1 when some (m1, y) with
         y <= 0 is a member, that is when m1 reaches its column minimum;
-        likewise m2 along axis 2 with its row minimum.
+        likewise m2 along axis 2 with its row minimum.  On a class the
+        premise clips m1 to [max(1, colmin), s - max(1, rowmin)].
         """
-        witnesses = []
-        for m in region.points():
-            if m[0] <= 0 or m[1] <= 0:
-                continue
-            if m[0] >= self._colmin[m[0] % self.period] and \
-                    m[1] >= self._rowmin[m[1] % self.period]:
-                if self.dim_jump(m) != 2:
-                    witnesses.append(m)
+        witnesses = self._points_of(region, [
+            (s, a, max(1, self._colmin[a]),
+             s - max(1, self._rowmin[(s - a) % self.period]))
+            for s, a in self._band(region) if self.dim_jump((a, s - a)) != 2])
         return not witnesses, witnesses, {}
 
     def _check_d_agreement(self, region):
-        witnesses = [m for m in region.points()
-                     if self.dim_jump(m) != self.dim_nabla(m)]
+        witnesses = self._where(
+            region, lambda m: self.dim_jump(m) != self.dim_nabla(m))
         return not witnesses, witnesses, {}
 
     def _check_symmetry(self, region):
@@ -476,19 +548,15 @@ class TwoPointSemigroup:
         sigma = self._sigma_candidate()
         if sigma is None:
             return False, [], {"sigma": None, "involution_ok": False}
-        witnesses = []
-        for m in region.points():
+        mcc = self.maximal_count_coefficient
+
+        def fails(m):
             refl = (sigma[0] - m[0], sigma[1] - m[1])
-            if self.maximal_count_coefficient(m) + \
-                    self.maximal_count_coefficient(refl) != 2:
-                witnesses.append(m)
-                continue
-            cmax = int(self.is_maximal(m)) - \
-                int(self.is_maximal((m[0] - 1, m[1] - 1)))
-            cref = int(self.is_maximal((refl[0] + 1, refl[1] + 1))) - \
-                int(self.is_maximal(refl))
-            if cmax != -cref:
-                witnesses.append(m)
+            return mcc(m) + mcc(refl) != 2 or \
+                self._step(m) != -self._step((refl[0] + 1, refl[1] + 1))
+
+        # beyond the band mcc repeats with period `period` in s, not 2
+        witnesses = self._where(region, fails, periodic=True)
         details = {"sigma": sigma, "involution_ok": True}
         return not witnesses, witnesses, details
 

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, verbs, exit codes, output determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -12,8 +13,10 @@ from wsemigroups import (
     poincare_delta_product,
     poincare_direct,
 )
-from wsemigroups import cli
+from wsemigroups import CHECKS, TwoPointSemigroup, VerificationReport, cli
 from wsemigroups.cli import parse_input
+
+import twopoint_oracle as oracle
 
 
 def invoke(argv, capsys):
@@ -379,3 +382,176 @@ def test_identical_invocations_byte_identical(elliptic2, ns23, capsys):
         first = invoke(argv, capsys)
         second = invoke(argv, capsys)
         assert first == second
+
+
+# ----------------------------------------------------------- byte identity
+
+# Four fixtures and three seeded strips (sym-3x2 is symmetric with period
+# 2); the SHA-256 of stdout and the exit code of each two-point verb below
+# are pinned, so any change to the CLI's output contract shows up here.
+GUARD_INPUTS = {
+    "projective-line": {"kind": "fixture", "name": "projective_line"},
+    "elliptic-1": {"kind": "fixture", "name": "elliptic", "period": 1},
+    "elliptic-2": {"kind": "fixture", "name": "elliptic", "period": 2},
+    "elliptic-3": {"kind": "fixture", "name": "elliptic", "period": 3},
+    "sym-3x2": {"kind": "two_point", "genus": 3, "period": 2,
+                "members": [[-2, 4]]},
+    "members-5x3": {"kind": "two_point", "genus": 5, "period": 3,
+                    "members": [[0, 6], [-1, 7]]},
+    "strip-4x5": {"kind": "two_point_strip", "genus": 4, "period": 5,
+                  "strip": [[c == "1" for c in row] for row in (
+                      "10000", "00000", "00000", "10000",
+                      "00001", "10000", "10000", "00001")]},
+}
+GUARD_VERBS = {"analyze": (), "maximals": (), "expand": (),
+               "verify": ("--check", "all")}
+
+_PINNED_STDOUT = {
+    "projective-line analyze":
+        (0, "cf9ee3ff19b589e44994728a0c423a35324dec285767725473227d3dec823458"),
+    "projective-line analyze --json":
+        (0, "749c3aebef37ca54569f3b82a2be682c30787451e475de09a5a0465a1e5eacb9"),
+    "projective-line maximals":
+        (0, "175f121a09643d79d24aee32e6f2fa3bacc282afdd72abcb203f15ca02fa6fc1"),
+    "projective-line maximals --json":
+        (0, "a6bbf10c357ff4dcafa7be68617cf1c380eba53d6320f0ea043f3989d2b50f99"),
+    "projective-line expand":
+        (0, "23be3f9e570fc3f1718a468cbae9b80cd9219b05a1f6b9b7e3da4831800d75aa"),
+    "projective-line expand --json":
+        (0, "f9dcdbca525e18e16f16e073ef0d31074acd16f400ed6cf666aad74d3991c0ac"),
+    "projective-line verify":
+        (0, "ca4fc876b4ece3d96a8cf53b8d12c3dd6c146384bea2df41cd209b06fc152e0e"),
+    "projective-line verify --json":
+        (0, "23e48bf07004af6c5423934d996ce17973cbf5d348c617e3ce73541b579c5862"),
+    "elliptic-1 analyze":
+        (0, "82112de4eae9b9203cfd22a9e0339d917a2aecddc1e52f4c76f5f13b307dc95d"),
+    "elliptic-1 analyze --json":
+        (0, "f305300eced81241fa60ac994cf3c51c15d16e256d1499454d24b278e603e938"),
+    "elliptic-1 maximals":
+        (0, "d04bbb96c4ae91640f4b68d8188f027169311b1eb25759b1d66f0f1eca12574f"),
+    "elliptic-1 maximals --json":
+        (0, "bc2e9fd8570373f6091416873379865497a02e15b292a6bf12959c5a966262c5"),
+    "elliptic-1 expand":
+        (0, "d894e58e6c2541e5b3cd16d0285628f7126395ae3dce9e6604ac273785fed9df"),
+    "elliptic-1 expand --json":
+        (0, "227cb2939598f4948edefbc938e9b9db8d91ab6bbc9bae9cf9db6f3eaf44a099"),
+    "elliptic-1 verify":
+        (1, "ca6d09160d45e4023bdcccb6f6818cb96aa6f3905114cb358d469564ac2f1268"),
+    "elliptic-1 verify --json":
+        (1, "30357789bf5123dd805f105e0177518805a45492a3d8361f14f3fde83fd2f645"),
+    "elliptic-2 analyze":
+        (0, "a666f060e4eb0522e8a43c80c10756c200e8f9d44ca31a48211b21c74e274dd9"),
+    "elliptic-2 analyze --json":
+        (0, "437d2d4b38262d3b1f33ceff1f0e3b2245a7898f6ef159ac1cd4cc4262de579f"),
+    "elliptic-2 maximals":
+        (0, "931a1901dcbb2a5c0f0068e93983bd7ab4a810c1a0769e141b51891cc05f269b"),
+    "elliptic-2 maximals --json":
+        (0, "b482a767d8b06c41b87fa63bd45979496e7ad24e8b32f9bf8567d350d4755b32"),
+    "elliptic-2 expand":
+        (0, "54f915fa579329ef3bf1acf0ea7c2ad318efab278d62d0fd49862ab80166386b"),
+    "elliptic-2 expand --json":
+        (0, "ec59a357f71cc1cd8fdfbad8ba021f758fa2525db0ed7c9f393a9a1a9c1951ca"),
+    "elliptic-2 verify":
+        (1, "0913bb75628bcc1f2bd6279507f852a3ed63ba62a5428f456dcb9748cecd83bd"),
+    "elliptic-2 verify --json":
+        (1, "b72dd849d9aa4fd97ccde07df9411c0038c0318059366fb227da82044d58ff2e"),
+    "elliptic-3 analyze":
+        (0, "af2e09b9b19701328f738f08cb54d03a5e350a27f51c2b06f255b87a46893b62"),
+    "elliptic-3 analyze --json":
+        (0, "9bb15bc74f0ce49beac0ca3b7f03025dec466d26c3801af7838185b86d7f0123"),
+    "elliptic-3 maximals":
+        (0, "2a56d8b8cadc0bcf1cd3f64d43c4af15233856ab2fbb898cfe01f6aac98bdd1c"),
+    "elliptic-3 maximals --json":
+        (0, "5b76d2fe96c9b94712b3d531c5ce0106f4d0bdaea5394baa6ac8c28fa557cb38"),
+    "elliptic-3 expand":
+        (0, "9febdac7cd9bbf81cd182b50cfdce5d45853dc64b4771a239435bb42ed1efc14"),
+    "elliptic-3 expand --json":
+        (0, "9cee64bfcaabcec1027676df03cd743d37ada84545c8c2f7e6431fb82bae8d34"),
+    "elliptic-3 verify":
+        (1, "e2bb3ced9a246e4a6505257b379be23431eefc8cd7b51057dafa91f4a12a5c33"),
+    "elliptic-3 verify --json":
+        (1, "528f7db60259397b1376393139ec09bfaf6657523dc497b5bb6cfd7c4915b28c"),
+    "sym-3x2 analyze":
+        (0, "0589d64b1fe65f81c798ef5fb8cb2a39be74d21cf043379e6b3b076025d028c8"),
+    "sym-3x2 analyze --json":
+        (0, "66ae34999759a698fe4472dabefcb2dbf361934fccfc3f48aecfd0b07d9d9ba3"),
+    "sym-3x2 maximals":
+        (0, "399a53aad2ed805bd0f9cf9ee094b83cdb03e9af84481bc9057d0e65ba2f7e4f"),
+    "sym-3x2 maximals --json":
+        (0, "c114666e483130d0589115dfe21fa3c59edcbd85fac188d83571eeddd8ce7ade"),
+    "sym-3x2 expand":
+        (0, "3ed64b6d8c26b0d8bc1e60200346f6d7d58fbda550dda8d007ea483075193208"),
+    "sym-3x2 expand --json":
+        (0, "3ec19c78a726cb8e03427375b424751ba1a317633825fa21bb91650ed9350dcf"),
+    "sym-3x2 verify":
+        (1, "e7827990da7239d1891397116c8fc54b3e850c26a8ed73c780201c911d4848f4"),
+    "sym-3x2 verify --json":
+        (1, "9f8a4df781eda3f4c6ac8eeff77aac5c3b3a976054609a605c6ea280b24c79df"),
+    "members-5x3 analyze":
+        (0, "c20a57b2bec1f8f9a0698e904263fcf5ba9e47ab4452622f95f694bc7799d996"),
+    "members-5x3 analyze --json":
+        (0, "687fd70f89d465f70d80459a68859b7592fcf67b59844a0d20ff4324c90d9ed9"),
+    "members-5x3 maximals":
+        (0, "e1cd131f45f5fee62a79a8d63eea972b33dbced74f66195b0b1cde3c80fc7e5e"),
+    "members-5x3 maximals --json":
+        (0, "23a36b698b6108610e6c69d94d3e203b85f2fb4885a0d609add6c449fa0e0c96"),
+    "members-5x3 expand":
+        (0, "48a7862c2a15170bfce68be7f22d87825549b0bb185e09f4f5a1e9f416813015"),
+    "members-5x3 expand --json":
+        (0, "2f80bf68dedc44474d931f05177ce0daea43aeb89aa1ceee653d74a6908a106d"),
+    "members-5x3 verify":
+        (1, "a497c29b4f503fc10cb241081debf3942785fcdfd8e4f8626647fabcdbab73b3"),
+    "members-5x3 verify --json":
+        (1, "413abd39fbf61db5935e206baa90d7588195d4ca8bf096b3f97db7018e0e613b"),
+    "strip-4x5 analyze":
+        (0, "98b3524da58c6c6d708629ea7fc67d027be5e1643102c31539705925e7b49ad3"),
+    "strip-4x5 analyze --json":
+        (0, "21aaeb960cbfd45f5d90ece87d9263863dfab6ad581972a084b9cd3452c00f09"),
+    "strip-4x5 maximals":
+        (0, "573a34ccd5344e15659ff9ffabeb28d300ab6291b1e83b66659c5c6a2f0d0e9c"),
+    "strip-4x5 maximals --json":
+        (0, "d561f329a78305dfec390ae2ed65a8f4eab2fa720f8da3c4cdae4f4561e53b88"),
+    "strip-4x5 expand":
+        (0, "cd7823267b49bc1b3180ac1648e59fa19da4a56f2d751428980185db2425f53a"),
+    "strip-4x5 expand --json":
+        (0, "f4d3fcf2ae6afb249f5fe8aaaaaff26e4d8b5e30421cf28ddc8fbfa58478ed81"),
+    "strip-4x5 verify":
+        (1, "75118b0495b0a7497a937c0620e85dd27d9c0b4ec721e18cc9269a09d7e20a2b"),
+    "strip-4x5 verify --json":
+        (1, "51473bc980f1677616cb81b9f90a81b41f5cc3131680e89889ea47a97153802c"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_STDOUT))
+def test_two_point_stdout_is_pinned(key, tmp_path, capsys):
+    name, verb, *json_flag = key.split()
+    path = write(tmp_path, f"{name}.json", GUARD_INPUTS[name])
+    code, out, _ = invoke([verb, path, *GUARD_VERBS[verb], *json_flag],
+                          capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        _PINNED_STDOUT[key]
+
+
+@pytest.mark.parametrize("window", [
+    (0, 10, 10**9, 10**9 + 10),
+    (0, 10, -10**9 - 20, -10**9 - 10),
+    (-10**9 - 12, -10**9, 3, 15),
+])
+def test_verify_far_window_matches_point_scans(window, tmp_path, capsys):
+    # strip-4x5 has a sigma and a maximal_count_coefficient that is not 2
+    # above sum 2g, so funceq fails on whole residue classes far from the
+    # band; every check must list the oracle's witnesses there
+    path = write(tmp_path, "strip-4x5.json", GUARD_INPUTS["strip-4x5"])
+    code, out, _ = invoke(["verify", path, "--check", "all", "--window",
+                           *map(str, window), "--json"], capsys)
+    S = TwoPointSemigroup.from_strip(4, 5, GUARD_INPUTS["strip-4x5"]["strip"])
+    W = Window((window[0], window[1]), (window[2], window[3]))
+    expected = []
+    for check in CHECKS[1:]:  # all but closure, which scans no window
+        passed, witnesses, details = oracle.verify(S, check, W)
+        expected.append(VerificationReport(
+            check=check, passed=passed, witnesses=witnesses,
+            window=W.bounds, details=details).to_json())
+    got = json.loads(out)["checks"]
+    assert got[1:] == expected
+    assert code == 1 and any(r["witnesses"] for r in got)

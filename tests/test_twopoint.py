@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsemigroups import (
+    CHECKS,
     AxiomViolation,
     InvalidSemigroup,
     TwoPointSemigroup,
@@ -10,6 +11,9 @@ from wsemigroups import (
     Window,
     WindowTooSmall,
 )
+
+from wsemigroups.oracle import Fixture, semigroup_from_fixture
+from wsemigroups.twopoint import CornerData
 
 import twopoint_oracle as oracle
 
@@ -54,6 +58,64 @@ def random_semigroups(draw):
         m1 = draw(st.integers(min_value=-2 * th, max_value=2 * th))
         gens.append((m1, s - m1))
     return TwoPointSemigroup.from_members(g, th, gens)
+
+
+@st.composite
+def strip_semigroups(draw):
+    """Strips with genus and period up to 6, so each residue has
+    several classes."""
+    g = draw(st.integers(min_value=0, max_value=6))
+    th = draw(st.integers(min_value=1, max_value=6))
+    gens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        s = draw(st.integers(min_value=0, max_value=2 * g + 2))
+        m1 = draw(st.integers(min_value=-2 * th, max_value=2 * th))
+        gens.append((m1, s - m1))
+    return TwoPointSemigroup.from_members(g, th, gens)
+
+
+def fixture(name, period=1):
+    return semigroup_from_fixture(Fixture(name, period))
+
+
+def strip_4x5():
+    # its maximal_count_coefficient above sum 2g takes values other than 2
+    return TwoPointSemigroup.from_strip(4, 5, [
+        [c == "1" for c in row] for row in (
+            "10000", "00000", "00000", "10000",
+            "00001", "10000", "10000", "00001")])
+
+
+def windows_for(S):
+    """Windows of seven kinds: 5x5 (a 1x1 interior), ones that cut class
+    progressions at both ends, ones entirely below sum 0 or above sum
+    2g+2, ones wider than +-(2g + 4 period), and 5x5 or cutting windows
+    whose sums lie near +-10^9."""
+    g, th = S.genus, S.period
+    reach = 2 * g + 4 * th + 1
+    at = st.integers(min_value=-reach, max_value=reach)
+    width = st.integers(min_value=4, max_value=3 * th + 4)
+    gap = st.integers(min_value=1, max_value=2 * th + 2)
+    extra = st.integers(min_value=0, max_value=3)
+    far = st.integers(min_value=10**9 - 3 * th, max_value=10**9 + 3 * th)
+    far = st.one_of(far, far.map(lambda k: -k))
+    return st.tuples(
+        st.builds(lambda x, y: Window((x, x + 4), (y, y + 4)), at, at),
+        st.builds(lambda x, y, w1, w2: Window((x, x + w1), (y, y + w2)),
+                  at, at, width, width),
+        st.builds(lambda x, w1, w2, k: Window(
+            (x, x + w1), (-x - w1 - w2 - k, -x - w1 - k)),
+            at, width, width, gap),
+        st.builds(lambda x, w1, w2, k: Window(
+            (x, x + w1), (2 * g + 2 + k - x, 2 * g + 2 + k - x + w2)),
+            at, width, width, gap),
+        st.builds(lambda e1, e2, e3, e4: Window(
+            (-reach - e1, reach + e2), (-reach - e3, reach + e4)),
+            extra, extra, extra, extra),
+        st.builds(lambda x, k: Window((x, x + 4), (k - x, k - x + 4)),
+                  at, far),
+        st.builds(lambda x, k, w1, w2: Window((x, x + w1), (k - x, k - x + w2)),
+                  at, far, width, width))
 
 
 points = st.tuples(st.integers(min_value=-8, max_value=8),
@@ -235,6 +297,67 @@ def test_line_minima_match_scanning_oracle(S):
         if m[0] > 0 and m[1] > 0 and oracle.projection_contains(S, 1, m[0])
         and oracle.projection_contains(S, 2, m[1])
         and oracle.dim_jump(S, m) != 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(strip_semigroups(), st.data())
+@example(fixture("projective_line"), None)
+@example(fixture("elliptic", 1), None)
+@example(fixture("elliptic", 2), None)
+@example(fixture("elliptic", 3), None)
+@example(strip_4x5(), None)
+def test_class_loops_match_point_scans(S, data):
+    if data:
+        windows = data.draw(windows_for(S))
+    else:
+        reach, top = 2 * S.genus + 4 * S.period + 1, 2 * S.genus
+        windows = (Window((-2, 2), (-2, 2)), Window((-9, 3), (-1, 11)),
+                   Window((-30, -20), (10, 17)),
+                   Window((20, 30), (top - 17, top - 8)),
+                   Window((-reach - 1, reach + 2), (-reach, reach + 3)),
+                   Window((3, 7), (10**9, 10**9 + 4)),
+                   Window((-10**9 - 9, -10**9 + 3), (-4, 13)))
+    assert S.corner_maximals().points == oracle.corner_maximals(S)
+    for m in windows[4].points():  # the window wider than the band
+        assert S.maximal_count_coefficient(m) == \
+            oracle.maximal_count_coefficient(S, m), m
+    for W in windows:
+        for check in CHECKS[1:]:  # all but closure, which scans no window
+            rep = S.verify(check, W)
+            assert (rep.passed, rep.witnesses, rep.details) == \
+                oracle.verify(S, check, W), (check, W.bounds)
+        assert S.maximal_points_in(W) == oracle.maximal_points_in(S, W)
+        assert S.dim_jump_rows(W) == oracle.dim_jump_rows(S, W)
+        rep = S.find_symmetry_point(W)
+        sigma = oracle.symmetry_point(S)
+        assert rep.sigma == sigma
+        assert rep.witnesses == (
+            () if sigma is None else oracle.symmetry_witnesses(S, sigma, W))
+
+
+def test_corner_translates_check_compares_two_derivations(monkeypatch):
+    # the scanned side asks is_maximal on the band, the translated side
+    # reads the corner maximals; a corner missing a point must fail it
+    S = fixture("elliptic", 2)
+    assert S.verify("corner_translates").passed
+    dropped = CornerData(S.corner_maximals().points[1:])
+    monkeypatch.setattr(TwoPointSemigroup, "corner_maximals",
+                        lambda self: dropped)
+    rep = S.verify("corner_translates")
+    assert not rep.passed
+    assert rep.details["scanned"] > rep.details["translates"]
+
+
+def test_maximal_count_coefficient_above_the_band_is_periodic():
+    # above sum 2g+1 the coefficient is the number of maximal points on
+    # the column plus on the row: periodic in the sum, not constant 2,
+    # which is why funceq reads it exactly outside the band
+    S = strip_4x5()
+    top = 2 * S.genus
+    values = [[S.maximal_count_coefficient((a, s - a)) for a in range(5)]
+              for s in range(top + 2, top + 12)]
+    assert values[:5] == values[5:]
+    assert any(v != 2 for row in values for v in row)
 
 
 # dimension functions and coefficients

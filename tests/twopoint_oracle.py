@@ -1,11 +1,18 @@
 """Slow reference predicates of a two-point semigroup, kept as a test oracle.
 
-Every function here takes a TwoPointSemigroup and reads it through
+The point predicates take a TwoPointSemigroup and read it through
 `contains` alone, walking the column or row of a point member by
 member.  `TwoPointSemigroup` answers the same questions from its two
-line-minimum tables; the property tests in test_twopoint.py check the
-two against each other.
+line-minimum tables.  The window scans further down visit every window
+point and call the semigroup's own point predicates there, where
+`TwoPointSemigroup` asks each predicate once per class (m1 + m2,
+m1 mod period).  The property tests in test_twopoint.py check each
+pair against each other.
 """
+
+from functools import cache
+
+from wsemigroups.twopoint import interior_region
 
 
 def nabla(S, n, coords, strict=True):
@@ -92,25 +99,168 @@ def _normalize(th, p):
     return (p[0] - shift, p[1] + shift)
 
 
+def _symmetry_point(corner, g, th):
+    """The first corner maximal with sum 2g whose reflection
+    m -> normalize(sigma - m) maps the corner maximals into themselves."""
+    for cand in corner:
+        if cand[0] + cand[1] == 2 * g and all(
+                _normalize(th, (cand[0] - p[0], cand[1] - p[1])) in corner
+                for p in corner):
+            return cand
+    return None
+
+
 def find_symmetry_point(S, window):
     """(sigma, witnesses) of the symmetry search, by direct scans.
 
-    sigma is the first corner maximal with sum 2g whose reflection
-    m -> normalize(sigma - m) maps the corner maximals into themselves;
-    the witnesses are the window points n where n in S disagrees with
+    The witnesses are the window points n where n in S disagrees with
     nabla(sigma - n) being empty.  (None, ()) when no sigma exists.
     """
     g, th = S.genus, S.period
     corner = sorted((m1, s - m1) for m1 in range(1, th + 1)
                     for s in range(2 * g + 1) if is_maximal(S, (m1, s - m1)))
-    for cand in corner:
-        if cand[0] + cand[1] != 2 * g:
-            continue
-        if all(_normalize(th, (cand[0] - p[0], cand[1] - p[1])) in corner
-               for p in corner):
-            witnesses = tuple(
-                n for n in window.points()
-                if S.contains(n) != (not nabla_union(
-                    S, (cand[0] - n[0], cand[1] - n[1]))))
-            return cand, witnesses
-    return None, ()
+    sigma = _symmetry_point(corner, g, th)
+    if sigma is None:
+        return None, ()
+    return sigma, tuple(
+        n for n in window.points()
+        if S.contains(n) != (not nabla_union(
+            S, (sigma[0] - n[0], sigma[1] - n[1]))))
+
+
+# window scans, one predicate call per window point
+
+@cache
+def corner_maximals(S):
+    """Maximal points with 0 < m1 <= period and 0 <= m1 + m2 <= 2g."""
+    return tuple(sorted(
+        (m1, s - m1) for m1 in range(1, S.period + 1)
+        for s in range(2 * S.genus + 1) if S.is_maximal((m1, s - m1))))
+
+
+def count_maximals_leq(S, m):
+    """Number of maximal points componentwise <= m, via translates."""
+    m1, m2 = m
+    th = S.period
+    total = 0
+    for p1, p2 in corner_maximals(S):
+        hi = (m1 - p1) // th
+        lo = -((m2 - p2) // th)
+        if hi >= lo:
+            total += hi - lo + 1
+    return total
+
+
+def maximal_count_coefficient(S, m):
+    return count_maximals_leq(S, m) - \
+        count_maximals_leq(S, (m[0] - 1, m[1] - 1))
+
+
+def symmetry_point(S):
+    """sigma from the scanned corner maximals, or None."""
+    return _symmetry_point(corner_maximals(S), S.genus, S.period)
+
+
+def maximal_points_in(S, window):
+    return [m for m in window.points() if S.is_maximal(m)]
+
+
+def dim_jump_rows(S, window):
+    (lo1, hi1), (lo2, hi2) = window.bounds
+    return [[S.dim_jump((m1, m2)) for m2 in range(lo2, hi2 + 1)]
+            for m1 in range(lo1, hi1 + 1)]
+
+
+def symmetry_witnesses(S, sigma, window):
+    """Window points n where n in S disagrees with nabla(sigma - n)
+    being empty."""
+    return tuple(n for n in window.points()
+                 if S.contains(n) != S._nabla_empty((sigma[0] - n[0],
+                                                     sigma[1] - n[1])))
+
+
+def _max_step(S, m):
+    return int(S.is_maximal(m)) - int(S.is_maximal((m[0] - 1, m[1] - 1)))
+
+
+def _c_prop(S, region):
+    witnesses = []
+    stray = []
+    for m in region.points():
+        c = S.euler_c(m, "jump")
+        prev_max = S.is_maximal((m[0] - 1, m[1] - 1))
+        here_max = S.is_maximal(m)
+        if ((c == -1) != prev_max) or ((c == 1) != here_max):
+            witnesses.append(m)
+            if not (prev_max and here_max):
+                stray.append(m)
+    details = {"violations_both_maximal": not stray}
+    if stray:
+        details["stray"] = stray
+    return witnesses, details
+
+
+def _c_identity(S, region):
+    return [m for m in region.points()
+            if S.euler_c(m, "jump") != _max_step(S, m)], {}
+
+
+def _corner_translates(S, region):
+    scanned = set(maximal_points_in(S, region))
+    translated = set(S.corner_translates_in(region))
+    details = {"scanned": len(scanned), "translates": len(translated)}
+    return sorted(scanned ^ translated), details
+
+
+def _lemma4(S, region):
+    return [m for m in region.points()
+            if m[0] > 0 and m[1] > 0 and projection_contains(S, 1, m[0])
+            and projection_contains(S, 2, m[1]) and S.dim_jump(m) != 2], {}
+
+
+def _d_agreement(S, region):
+    return [m for m in region.points()
+            if S.dim_jump(m) != S.dim_nabla(m)], {}
+
+
+def _symmetry(S, region):
+    sigma = symmetry_point(S)
+    if sigma is None:
+        return [], {"sigma": None, "involution_ok": False}
+    return list(symmetry_witnesses(S, sigma, region)), \
+        {"sigma": sigma, "involution_ok": True}
+
+
+def _funceq(S, region):
+    sigma = symmetry_point(S)
+    if sigma is None:
+        return [], {"sigma": None, "involution_ok": False}
+    witnesses = []
+    for m in region.points():
+        refl = (sigma[0] - m[0], sigma[1] - m[1])
+        if maximal_count_coefficient(S, m) + \
+                maximal_count_coefficient(S, refl) != 2 or \
+                _max_step(S, m) != -_max_step(S, (refl[0] + 1, refl[1] + 1)):
+            witnesses.append(m)
+    return witnesses, {"sigma": sigma, "involution_ok": True}
+
+
+_CHECKS = {
+    "c_prop": _c_prop,
+    "c_identity": _c_identity,
+    "corner_translates": _corner_translates,
+    "lemma4": _lemma4,
+    "d_agreement": _d_agreement,
+    "symmetry": _symmetry,
+    "funceq": _funceq,
+}
+
+
+def verify(S, check, window):
+    """(passed, witnesses, details) of a pointwise check, point by point,
+    with the details TwoPointSemigroup.verify reports."""
+    region = interior_region(window)
+    witnesses, details = _CHECKS[check](S, region)
+    # symmetry and funceq fail outright without a symmetry point
+    passed = not witnesses and details.get("sigma", True) is not None
+    return passed, tuple(witnesses), {"scan": region.bounds, **details}

@@ -10,6 +10,7 @@ input or usage.  Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -178,7 +179,7 @@ def _summary(model: Model) -> dict:
             "generators": list(S.generators),
             "conductor": S.conductor,
             "genus": S.genus,
-            "gaps": list(S.gaps),
+            "gaps": S.gaps,
             "symmetric": S.is_symmetric(),
         }
     if model.kind == "delta":
@@ -191,7 +192,7 @@ def _summary(model: Model) -> dict:
             "extras": list(S.extras),
             "conductor": S.conductor,
             "genus": S.genus,
-            "gaps": list(S.gaps),
+            "gaps": S.gaps,
             "symmetric": S.is_symmetric(),
             "series_modes_agree": modes.agree,
             "series_first_difference": modes.first_difference,
@@ -313,8 +314,10 @@ def _oracle_report(model: Model, window: Window) -> VerificationReport:
         raise InputError("check 'oracle' needs a fixture input")
     S = model.semigroup
     region = interior_region(window)
-    witnesses = tuple(m for m in region.points()
-                      if S.dim_jump(m) != d_oracle(model.fixture, m))
+    # both sides read only the class (m1 + m2, m1 mod period) and agree
+    # outside the band (0 below, 2 above), so one ask per band class does
+    witnesses = tuple(S._where(
+        region, lambda m: S.dim_jump(m) != d_oracle(model.fixture, m)))
     details = {"scan": region.bounds,
                "family": model.fixture.family,
                "period": model.fixture.period}
@@ -446,7 +449,14 @@ def run(cmd: Command):
     return _HANDLERS[cmd.verb](model, cmd)
 
 
-def parse_args(argv=None) -> Command:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built on first use and shared by every call.
+
+    Reuse is safe: argparse makes a fresh Namespace per parse, every
+    default is immutable, and help and usage read the terminal width
+    (COLUMNS) when they are formatted, not here.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", dest="json_output",
                         help="emit canonical JSON instead of text")
@@ -487,7 +497,11 @@ def parse_args(argv=None) -> Command:
     p.add_argument("--window", type=int, nargs="+", default=None,
                    help="lo hi (one variable) or m1lo m1hi m2lo m2hi")
 
-    ns = parser.parse_args(argv)
+    return parser
+
+
+def parse_args(argv=None) -> Command:
+    ns = _parser().parse_args(argv)
     return Command(
         verb=ns.verb,
         path=ns.path,

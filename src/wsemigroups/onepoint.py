@@ -21,6 +21,7 @@ from .errors import AxiomViolation, InvalidSemigroup, NotSymmetric
 from .series import LaurentPoly, RationalGF, Window
 
 _ONE_MINUS_T = LaurentPoly({(0,): 1, (1,): -1})
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # swaps a mask's 0 and 1 bytes
 
 
 class NumericalSemigroup:
@@ -86,7 +87,7 @@ class NumericalSemigroup:
     def gaps(self):
         c = self.conductor
         return tuple(itertools.compress(range(c),
-                                        map(operator.not_, self.mask(c))))
+                                        self.mask(c).translate(_FLIP)))
 
     def symmetry_witnesses(self):
         """Values n in [0, c) where n and c-1-n are both in or both out."""

@@ -15,6 +15,8 @@ from wsemigroups import (
 )
 from wsemigroups import CHECKS, TwoPointSemigroup, VerificationReport, cli
 from wsemigroups.cli import parse_input
+from wsemigroups.oracle import d_oracle
+from wsemigroups.twopoint import interior_region
 
 import twopoint_oracle as oracle
 
@@ -555,3 +557,69 @@ def test_verify_far_window_matches_point_scans(window, tmp_path, capsys):
     got = json.loads(out)["checks"]
     assert got[1:] == expected
     assert code == 1 and any(r["witnesses"] for r in got)
+
+
+@pytest.mark.parametrize("name", ["projective-line", "elliptic-1",
+                                  "elliptic-2", "elliptic-3"])
+def test_oracle_report_matches_point_scan(name):
+    model = parse_input(json.dumps(GUARD_INPUTS[name]).encode())
+    S = model.semigroup
+    for W in (S.default_window(),
+              Window((-4, 3), (-5, 2)),  # sums cut the band at -2
+              Window((0, 6), (-2, 5)),  # sums cut the band at 2g + 2
+              Window((10**9, 10**9 + 8), (-10**9 - 6, -10**9 + 3)),
+              Window((0, 10), (10**9, 10**9 + 10)),
+              Window((-10**9 - 12, -10**9), (3, 15))):
+        expected = tuple(m for m in interior_region(W).points()
+                         if S.dim_jump(m) != d_oracle(model.fixture, m))
+        rep = cli._oracle_report(model, W)
+        assert (rep.passed, rep.witnesses) == (not expected, expected), \
+            W.bounds
+
+
+# ----------------------------------------------------------- parser reuse
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+def test_reused_parser_matches_a_fresh_one(ns23, elliptic2, tmp_path,
+                                           capsys, monkeypatch):
+    delta = write(tmp_path, "delta.json", {"kind": "delta", "r": [4, 6, 7]})
+    argvs = [
+        ["validate", ns23],
+        ["frobnicate", ns23],
+        ["analyze", delta, "--json"],
+        ["verify", elliptic2],
+        ["maximals", elliptic2, "--corner"],
+        ["poincare", ns23, "--form", "spiral"],
+        ["poincare", ns23, "--form", "closed", "--json"],
+        ["expand", elliptic2, "--window", "0", "x", "0", "4"],
+        ["expand", ns23, "--window", "0", "9"],
+        ["--help"],
+        ["verify", elliptic2, "--check", "oracle", "--json"],
+        ["verify", "--help"],
+        ["analyze", elliptic2],
+        [],
+    ]
+    fresh = cli._parser.__wrapped__
+    for argv in argvs:
+        reused = invoke(argv, capsys)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", fresh)
+            assert invoke(argv, capsys) == reused, argv
+
+
+def test_help_width_is_read_per_call(capsys, monkeypatch):
+    def options_width():
+        _, out, _ = invoke(["expand", "--help"], capsys)
+        _, options = out.split("\n\n", 1)  # usage groups never wrap
+        return out, max(map(len, options.splitlines()))
+
+    monkeypatch.setenv("COLUMNS", "200")
+    wide, wide_width = options_width()
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow, narrow_width = options_width()
+    assert wide_width > 40 >= narrow_width
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)
+    assert options_width()[0] == narrow != wide

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -29,25 +30,18 @@ from .onepoint import (
     DeltaSequence,
     NumericalSemigroup,
     OnePointSemigroup,
-    functional_equation_signs,
-    l_polynomial,
+    direct_series,
     poincare_delta_product,
-    poincare_direct,
     poincare_onepoint,
     series_modes_report,
 )
-from .oracle import Fixture, d_oracle, semigroup_from_fixture
+from .oracle import Fixture, FixtureSemigroup, semigroup_from_fixture
 from .series import LaurentPoly, RationalGF, Window
-from .twopoint import (
-    CHECKS,
-    TwoPointSemigroup,
-    VerificationReport,
-    _jsonable,
-    interior_region,
-)
+from .twopoint import TwoPointSemigroup, VerificationReport, _jsonable
 
 FORMS = ("direct", "closed", "corner", "paper")
-VERIFY_CHECKS = CHECKS + ("oracle", "all")
+# the checks a user can name: the two-point ones, then the fixtures' oracle
+VERIFY_CHECKS = FixtureSemigroup.CHECKS + ("all",)
 
 
 @dataclass
@@ -63,12 +57,10 @@ class Command:
 
 @dataclass
 class Model:
-    """A parsed input: the JSON kind, the validated semigroup, and the
-    originating fixture when the input named one."""
+    """A parsed input: the JSON kind and the validated semigroup."""
 
     kind: str
     semigroup: object
-    fixture: Fixture | None = None
 
     @property
     def two_point(self):
@@ -140,33 +132,24 @@ def parse_input(data: bytes) -> Model:
             return Model(kind, TwoPointSemigroup.from_members(
                 obj["genus"], obj["period"], obj["members"]))
         if kind == "fixture":
-            fixture = Fixture(obj["name"], obj.get("period", 1))
-            return Model(kind, semigroup_from_fixture(fixture), fixture)
+            return Model(kind, semigroup_from_fixture(
+                Fixture(obj["name"], obj.get("period", 1))))
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed {kind!r} input: {exc!r}")
     raise InputError(f"unknown input kind {kind!r}")
 
 
 def _resolve_window(model: Model, values) -> Window:
+    if values is None:
+        return model.semigroup.default_window()
     if model.two_point:
-        if values is None:
-            return model.semigroup.default_window()
         if len(values) != 4:
             raise InputError(
                 "two-point windows take four integers: m1lo m1hi m2lo m2hi")
         return Window((values[0], values[1]), (values[2], values[3]))
-    if values is None:
-        c = model.semigroup.conductor
-        return Window((0, max(3 * c, 8)))
     if len(values) != 2:
         raise InputError("one-point windows take two integers: lo hi")
     return Window((values[0], values[1]))
-
-
-def _direct_series(model: Model) -> RationalGF:
-    if model.kind == "delta":
-        return poincare_onepoint(model.semigroup, "finite_sum")
-    return poincare_direct(model.semigroup)
 
 
 # per-verb handlers; each returns (exit code, output text)
@@ -198,8 +181,8 @@ def _summary(model: Model) -> dict:
             "series_first_difference": modes.first_difference,
         }
     out = {"kind": model.kind}
-    if model.fixture is not None:
-        out["family"] = model.fixture.family
+    if model.kind == "fixture":
+        out["family"] = S.fixture.family
     out["genus"] = S.genus
     out["period"] = S.period
     out["gap_classes"] = S.gap_class_count()
@@ -219,8 +202,8 @@ def _describe(model: Model) -> str:
         return (f"one-point semigroup: r {S.base.r}, extras {S.extras}, "
                 f"conductor {S.conductor}, genus {S.genus}")
     if model.kind == "fixture":
-        return (f"fixture: {model.fixture.family}, "
-                f"period {model.fixture.period} (genus {S.genus})")
+        return (f"fixture: {S.fixture.family}, "
+                f"period {S.fixture.period} (genus {S.genus})")
     return f"two-point semigroup: genus {S.genus}, period {S.period}"
 
 
@@ -268,7 +251,7 @@ def _run_poincare(model: Model, cmd: Command):
     elif form == "corner":
         raise InputError("form 'corner' needs a two-point input")
     elif form == "direct":
-        series = _direct_series(model)
+        series = direct_series(model.semigroup)
     elif form == "closed":
         if model.kind == "delta":
             series = poincare_delta_product(model.semigroup.base)
@@ -298,8 +281,7 @@ def _run_expand(model: Model, cmd: Command):
         for m1, row in zip(range(lo1, hi1 + 1), table):
             lines.append(f"{m1}: " + " ".join(str(v) for v in row))
         return 0, "\n".join(lines)
-    series = _direct_series(model)
-    coeffs = series.expand(window)
+    coeffs = direct_series(model.semigroup).expand(window)
     (lo, hi), = window.bounds
     values = [coeffs[(n,)] for n in range(lo, hi + 1)]
     if cmd.json_output:
@@ -309,117 +291,29 @@ def _run_expand(model: Model, cmd: Command):
                         for n, v in zip(range(lo, hi + 1), values))
 
 
-def _oracle_report(model: Model, window: Window) -> VerificationReport:
-    if model.fixture is None:
-        raise InputError("check 'oracle' needs a fixture input")
-    S = model.semigroup
-    region = interior_region(window)
-    # both sides read only the class (m1 + m2, m1 mod period) and agree
-    # outside the band (0 below, 2 above), so one ask per band class does
-    witnesses = tuple(S._where(
-        region, lambda m: S.dim_jump(m) != d_oracle(model.fixture, m)))
-    details = {"scan": region.bounds,
-               "family": model.fixture.family,
-               "period": model.fixture.period}
-    return VerificationReport("oracle", not witnesses, witnesses,
-                              window.bounds, details)
-
-
-def _onepoint_check(model: Model, check: str, window) -> VerificationReport:
-    S = model.semigroup
-    if check == "indicator":
-        win = _resolve_window(model, window)
-        series = _direct_series(model)
-        coeffs = series.expand(win)
-        witnesses = tuple(n for (n,) in win.points()
-                          if coeffs[(n,)] != int(S.contains(n)))
-        return VerificationReport("indicator", not witnesses, witnesses,
-                                  win.bounds, {}, series)
-    if check == "l_identity":
-        series = _direct_series(model)
-        lpoly = RationalGF.from_poly(l_polynomial(S, "direct"))
-        ok = (series * _ONE_MINUS_T).equals(lpoly)
-        return VerificationReport("l_identity", ok, (), None, {}, lpoly)
-    if check == "delta_product":
-        base = S.base.semigroup
-        series = poincare_delta_product(S.base)
-        win = Window((0, max(2 * base.conductor, 8)))
-        coeffs = series.expand(win)
-        witnesses = tuple(n for (n,) in win.points()
-                          if coeffs[(n,)] != int(base.contains(n)))
-        return VerificationReport("delta_product", not witnesses, witnesses,
-                                  win.bounds, {}, series)
-    if check == "symmetry":
-        witnesses = tuple(S.symmetry_witnesses())
-        details = {"conductor": S.conductor, "genus": S.genus}
-        return VerificationReport("symmetry", not witnesses, witnesses,
-                                  None, details, poincare_direct(S))
-    if check == "funceq":
-        if not S.is_symmetric():
-            witnesses = tuple(S.symmetry_witnesses())
-            return VerificationReport("funceq", False, witnesses, None,
-                                      {"symmetric": False})
-        signs = functional_equation_signs(S)
-        ok = signs.eps_l is not None and signs.eps_p is not None
-        details = {
-            "eps_l": signs.eps_l,
-            "eps_p": signs.eps_p,
-            "genus": signs.genus,
-            # the reflected identities close only with these signs; the
-            # opposite pair, often displayed, fails the exact algebra
-            "opposite_pair_fails": ok,
-        }
-        lpoly = RationalGF.from_poly(l_polynomial(S, "direct"))
-        return VerificationReport("funceq", ok, (), None, details, lpoly)
-    raise InputError(f"check {check!r} needs a two-point input")
-
-
 def _run_verify(model: Model, cmd: Command):
-    check = cmd.check
-    if check not in VERIFY_CHECKS:
-        raise UnknownCheck(
-            f"unknown check {check!r}; pick one of {VERIFY_CHECKS}")
-    if model.two_point:
-        window = _resolve_window(model, cmd.window)
-        if check == "all":
-            names = CHECKS + (("oracle",) if model.fixture else ())
-        else:
-            names = (check,)
-        reports = [
-            _oracle_report(model, window) if name == "oracle"
-            else model.semigroup.verify(name, window)
-            for name in names
-        ]
-    else:
-        if check == "all":
-            names = ["indicator", "l_identity"]
-            if model.kind == "delta":
-                names.append("delta_product")
-            names += ["symmetry", "funceq"]
-        elif check in ("symmetry", "funceq"):
-            names = [check]
-        else:
-            raise InputError(f"check {check!r} needs a two-point input")
-        reports = [_onepoint_check(model, name, cmd.window)
-                   for name in names]
+    S = model.semigroup
+    window = _resolve_window(model, cmd.window)
+    names = S.CHECKS if cmd.check == "all" else (cmd.check,)
+    reports = [S.verify(name, window) for name in names]
     passed = all(r.passed for r in reports)
     code = 0 if passed else 1
     if cmd.json_output:
-        if check == "all":
+        if cmd.check == "all":
             return code, _dump({"pass": passed,
                                 "checks": [r.to_json() for r in reports]})
         return code, _dump(reports[0].to_json())
     lines = []
     for rep in reports:
         lines.extend(_report_lines(rep))
-    if check == "all":
+    if cmd.check == "all":
         lines.append(f"overall: {'pass' if passed else 'fail'}")
     return code, "\n".join(lines)
 
 
 def _report_lines(rep: VerificationReport):
     head = f"{rep.check}: {'pass' if rep.passed else 'fail'}"
-    if rep.check == "funceq" and "eps_l" in rep.details:
+    if "eps_l" in rep.details:
         head += (f" (eps_l={rep.details['eps_l']}, "
                  f"eps_p={rep.details['eps_p']}; opposite signs fail)")
     if rep.witnesses:
@@ -531,4 +425,13 @@ def main(argv=None) -> int:
 
 
 def entry():
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed reader fails here, not at exit
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit; send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before all output was written",
+              file=sys.stderr)
+        code = 2
+    raise SystemExit(code)

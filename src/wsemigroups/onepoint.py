@@ -6,7 +6,8 @@ a = min(generators).  That table of a entries gives membership, the
 conductor, the genus and membership masks.  On top of that sit
 gcd-descent generator chains (delta sequences), optional extra pole
 orders, and the Poincare series P(t) = sum_{n in S} t^n together with
-L(t) = (1 - t) P(t) in its various closed forms.
+L(t) = (1 - t) P(t) in its various closed forms.  Both semigroup classes
+answer `verify(check)` for the checks named in their CHECKS.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import AxiomViolation, InvalidSemigroup, NotSymmetric
+from .errors import AxiomViolation, InputError, InvalidSemigroup, NotSymmetric
 from .series import LaurentPoly, RationalGF, Window
+from .twopoint import VerificationReport
 
 _ONE_MINUS_T = LaurentPoly({(0,): 1, (1,): -1})
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # swaps a mask's 0 and 1 bytes
@@ -41,6 +43,7 @@ class NumericalSemigroup:
     """
 
     __slots__ = ("generators", "apery", "conductor", "genus")
+    CHECKS = ("indicator", "l_identity", "symmetry", "funceq")
 
     def __init__(self, generators):
         gens = sorted({int(g) for g in generators})
@@ -102,6 +105,49 @@ class NumericalSemigroup:
         # every member n < c pairs with the gap c-1-n, so g >= c/2,
         # with equality exactly when no witness exists
         return self.conductor == 2 * self.genus
+
+    def default_window(self) -> Window:
+        return Window((0, max(3 * self.conductor, 8)))
+
+    def verify(self, check, window: Window | None = None) -> VerificationReport:
+        """Run one named check of CHECKS, the order `all` runs them in;
+        every other check name belongs to the two-point kinds.  Only
+        indicator reads the window (default_window() when None)."""
+        if check not in self.CHECKS:
+            raise InputError(f"check {check!r} needs a two-point input")
+        if window is None:
+            window = self.default_window()
+        return getattr(self, f"_check_{check}")(window)
+
+    def _check_indicator(self, window):
+        """The Poincare series expands to the membership indicator."""
+        return _indicator_report("indicator", direct_series(self), self, window)
+
+    def _check_l_identity(self, window):
+        """(1 - t) P(t) is the L-polynomial."""
+        lpoly = RationalGF.from_poly(l_polynomial(self, "direct"))
+        ok = (direct_series(self) * _ONE_MINUS_T).equals(lpoly)
+        return VerificationReport("l_identity", ok, (), None, {}, lpoly)
+
+    def _check_symmetry(self, window):
+        witnesses = tuple(self.symmetry_witnesses())
+        details = {"conductor": self.conductor, "genus": self.genus}
+        return VerificationReport("symmetry", not witnesses, witnesses,
+                                  None, details, poincare_direct(self))
+
+    def _check_funceq(self, window):
+        if not self.is_symmetric():
+            return VerificationReport("funceq", False,
+                                      tuple(self.symmetry_witnesses()), None,
+                                      {"symmetric": False})
+        signs = functional_equation_signs(self)
+        ok = signs.eps_l is not None and signs.eps_p is not None
+        # the reflected identities close only with these signs; the
+        # opposite pair, often displayed, fails the exact algebra
+        details = {"eps_l": signs.eps_l, "eps_p": signs.eps_p,
+                   "genus": signs.genus, "opposite_pair_fails": ok}
+        lpoly = RationalGF.from_poly(l_polynomial(self, "direct"))
+        return VerificationReport("funceq", ok, (), None, details, lpoly)
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.generators)
@@ -177,6 +223,7 @@ class OnePointSemigroup:
     """
 
     __slots__ = ("base", "extras", "conductor", "genus")
+    CHECKS = ("indicator", "l_identity", "delta_product", "symmetry", "funceq")
 
     def __init__(self, base, extras=()):
         if not isinstance(base, DeltaSequence):
@@ -228,9 +275,32 @@ class OnePointSemigroup:
     gaps = NumericalSemigroup.gaps
     symmetry_witnesses = NumericalSemigroup.symmetry_witnesses
     is_symmetric = NumericalSemigroup.is_symmetric
+    default_window = NumericalSemigroup.default_window
+    verify = NumericalSemigroup.verify
+    _check_indicator = NumericalSemigroup._check_indicator
+    _check_l_identity = NumericalSemigroup._check_l_identity
+    _check_symmetry = NumericalSemigroup._check_symmetry
+    _check_funceq = NumericalSemigroup._check_funceq
+
+    def _check_delta_product(self, window):
+        """The delta product expands to the base semigroup's indicator."""
+        base = self.base.semigroup
+        return _indicator_report(
+            "delta_product", poincare_delta_product(self.base), base,
+            Window((0, max(2 * base.conductor, 8))))
 
     def __repr__(self):
         return f"OnePointSemigroup({list(self.base.r)}, extras={list(self.extras)})"
+
+
+def _indicator_report(check, series, semigroup, window) -> VerificationReport:
+    """Where the expansion of series on the window is not the membership
+    indicator of semigroup."""
+    coeffs = series.expand(window)
+    witnesses = tuple(n for (n,) in window.points()
+                      if coeffs[(n,)] != int(semigroup.contains(n)))
+    return VerificationReport(check, not witnesses, witnesses, window.bounds,
+                              {}, series)
 
 
 def _head_polynomial(semigroup) -> LaurentPoly:
@@ -252,6 +322,14 @@ def _head_polynomial(semigroup) -> LaurentPoly:
 def poincare_direct(semigroup) -> RationalGF:
     """P(t) = sum_{n in S, n < c} t^n + t^c / (1 - t), over (1 - t)."""
     return RationalGF(_head_polynomial(semigroup), [(1,)])
+
+
+def direct_series(semigroup) -> RationalGF:
+    """P(t) from the members themselves: the direct form of a numerical
+    semigroup, the delta product plus the extras of a one-point one."""
+    if isinstance(semigroup, OnePointSemigroup):
+        return poincare_onepoint(semigroup, "finite_sum")
+    return poincare_direct(semigroup)
 
 
 def poincare_delta_product(ds: DeltaSequence) -> RationalGF:

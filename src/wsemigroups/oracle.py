@@ -4,7 +4,8 @@ These are the ground truth the combinatorial layer is checked against.
 For the projective line and for elliptic curves the dimension of every
 divisor supported on two points has a closed form, so the semigroup,
 the dimension jumps and the maximal points can all be recomputed from
-first principles without touching the strip machinery.
+first principles without touching the strip machinery.  A fixture's
+strip also answers the `oracle` check: dim_jump against d_oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .twopoint import TwoPointSemigroup
+from .twopoint import CHECKS, TwoPointSemigroup
 
 FAMILIES = ("projective_line", "elliptic")
 
@@ -71,19 +72,36 @@ def d_oracle(fixture: Fixture, m) -> int:
     return ell(fixture, m) - ell(fixture, (m[0] - 1, m[1] - 1))
 
 
-def semigroup_from_fixture(fixture: Fixture) -> TwoPointSemigroup:
+class FixtureSemigroup(TwoPointSemigroup):
+    """The strip of a fixture, which keeps it for the `oracle` check."""
+
+    __slots__ = ("fixture",)
+    CHECKS = CHECKS + ("oracle",)
+
+    def __init__(self, fixture: Fixture, rows):
+        super().__init__(fixture.genus, fixture.period, rows)
+        self.fixture = fixture
+
+    def _check_oracle(self, region):
+        # both sides read only the class (m1 + m2, m1 mod period) and agree
+        # outside the band (0 below, 2 above), so one ask per band class does
+        witnesses = self._where(
+            region, lambda m: self.dim_jump(m) != d_oracle(self.fixture, m))
+        return not witnesses, witnesses, {"family": self.fixture.family,
+                                           "period": self.fixture.period}
+
+
+def semigroup_from_fixture(fixture: Fixture) -> FixtureSemigroup:
     """Strip built from the pair-of-jumps membership test.
 
     m belongs to the semigroup iff both single-step jumps equal one:
     ell(m) - ell(m - e1) = 1 and ell(m) - ell(m - e2) = 1.
     """
-    g = fixture.genus
-    th = fixture.period
-
     def member(m):
         here = ell(fixture, m)
         return (here - ell(fixture, (m[0] - 1, m[1])) == 1
                 and here - ell(fixture, (m[0], m[1] - 1)) == 1)
 
-    rows = [[member((a, s - a)) for a in range(th)] for s in range(2 * g)]
-    return TwoPointSemigroup.from_strip(g, th, rows)
+    return FixtureSemigroup(fixture, [
+        [member((a, s - a)) for a in range(fixture.period)]
+        for s in range(2 * fixture.genus)])

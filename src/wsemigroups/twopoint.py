@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     AxiomViolation,
+    InputError,
     InvalidSemigroup,
     UnknownCheck,
     WindowTooSmall,
@@ -133,6 +134,7 @@ class TwoPointSemigroup:
     """
 
     __slots__ = ("genus", "period", "strip", "_corner", "_colmin", "_rowmin")
+    CHECKS = CHECKS
 
     def __init__(self, genus, period, rows):
         genus = int(genus)
@@ -304,15 +306,9 @@ class TwoPointSemigroup:
             return 0
         return 1 if self.is_maximal(m) else 2
 
-    def euler_c(self, m, d_variant="jump"):
-        """c(m) = d(m) - d(m-e1) - d(m-e2) + d(m-(1,1))."""
-        if d_variant == "jump":
-            d = self.dim_jump
-        elif d_variant == "nabla":
-            d = self.dim_nabla
-        else:
-            raise ValueError(f"unknown d variant {d_variant!r}")
-        m1, m2 = m
+    def euler_c(self, m):
+        """c(m) = d(m) - d(m-e1) - d(m-e2) + d(m-(1,1)) with d = dim_jump."""
+        d, (m1, m2) = self.dim_jump, m
         return d(m) - d((m1 - 1, m2)) - d((m1, m2 - 1)) + d((m1 - 1, m2 - 1))
 
     def dim_jump_rows(self, window: Window):
@@ -448,7 +444,7 @@ class TwoPointSemigroup:
     # verification
 
     def verify(self, check, window: Window | None = None) -> VerificationReport:
-        """Run one named check; see CHECKS for the ids.
+        """Run one named check of CHECKS, the order `all` runs them in.
 
         Pointwise checks scan the interior of the window, two cells in
         from each edge, so difference operators and reflections stay
@@ -458,8 +454,11 @@ class TwoPointSemigroup:
         period^2 for funceq, which also asks one period of sums on each
         side of the band.
         """
-        if check not in CHECKS:
-            raise UnknownCheck(f"unknown check {check!r}; pick one of {CHECKS}")
+        if check not in self.CHECKS:
+            if check == "oracle":  # only FixtureSemigroup has it
+                raise InputError("check 'oracle' needs a fixture input")
+            raise UnknownCheck(
+                f"unknown check {check!r}; pick one of {self.CHECKS}")
         if window is None:
             window = self.default_window()
         if window.arity != 2:
@@ -482,7 +481,7 @@ class TwoPointSemigroup:
     def _check_c_prop(self, region):
         """c(m) = -1 iff m-1 maximal, and c(m) = 1 iff m maximal."""
         def fails(m, only_stray=False):
-            c = self.euler_c(m, "jump")
+            c = self.euler_c(m)
             prev_max = self.is_maximal((m[0] - 1, m[1] - 1))
             here_max = self.is_maximal(m)
             return ((c == -1) != prev_max or (c == 1) != here_max) and \
@@ -498,7 +497,7 @@ class TwoPointSemigroup:
     def _check_c_identity(self, region):
         """c(m) with dim_jump equals 1_M(m) - 1_M(m-1)."""
         witnesses = self._where(
-            region, lambda m: self.euler_c(m, "jump") != self._step(m))
+            region, lambda m: self.euler_c(m) != self._step(m))
         return not witnesses, witnesses, {}
 
     def _check_corner_translates(self, region):

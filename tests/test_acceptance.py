@@ -97,7 +97,7 @@ def test_criterion_03_l_polynomial_functional_equation():
     # the verification report states how these signs relate to the
     # commonly displayed opposite pair
     model = cli.parse_input(b'{"kind":"numerical","generators":[4,6,7]}')
-    report = cli._onepoint_check(model, "funceq", None)
+    report = model.semigroup.verify("funceq")
     assert report.passed
     assert report.details["opposite_pair_fails"] is True
 

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from wsemigroups import (
     poincare_delta_product,
     poincare_direct,
 )
+import wsemigroups
 from wsemigroups import CHECKS, TwoPointSemigroup, VerificationReport, cli
 from wsemigroups.cli import parse_input
 from wsemigroups.oracle import d_oracle
@@ -58,7 +63,7 @@ def test_parse_numerical():
 def test_parse_fixture_elliptic():
     model = parse_input(b'{"kind":"fixture","name":"elliptic","period":2}')
     assert model.kind == "fixture"
-    assert model.fixture.period == 2
+    assert model.semigroup.fixture.period == 2
     assert model.two_point
     assert (model.semigroup.genus, model.semigroup.period) == (1, 2)
 
@@ -366,6 +371,38 @@ def test_verify_symmetry_failure_lists_witnesses(tmp_path, capsys):
     assert report["pass"] is False and report["witnesses"] == [1]
 
 
+@pytest.mark.parametrize("check", ["symmetry", "funceq"])
+@pytest.mark.parametrize("window", [["5", "0"], ["3"], ["-6", "6", "-6", "6"]])
+def test_verify_rejects_malformed_one_point_window(check, window, tmp_path,
+                                                   capsys):
+    # checks that read no window still reject a malformed one
+    path = write(tmp_path, "ns345.json",
+                 {"kind": "numerical", "generators": [3, 4, 5]})
+    code, out, err = invoke(["verify", path, "--check", check,
+                             "--window", *window], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_exits_2_without_traceback(tmp_path):
+    # the report (the head polynomial of <2, 200001>) outgrows the pipe
+    # buffer, so the writer is still writing when the reader goes away
+    path = write(tmp_path, "ns2.json",
+                 {"kind": "numerical", "generators": [2, 200001]})
+    src = str(Path(wsemigroups.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wsemigroups", "verify", path,
+         "--check", "symmetry", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(150)) == 150
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_window_needs_interior(elliptic2, capsys):
     code, _, err = invoke(["verify", elliptic2, "--check", "c_prop",
                            "--window", "-1", "2", "-6", "6"], capsys)
@@ -534,6 +571,90 @@ def test_two_point_stdout_is_pinned(key, tmp_path, capsys):
         _PINNED_STDOUT[key]
 
 
+# One-point inputs, <3, 4, 5> and <4, 6, 7> with extras 9 not symmetric;
+# the SHA-256 of stdout and the exit code of verify with each check
+ONE_POINT_INPUTS = {
+    "ns-3-5": {"kind": "numerical", "generators": [3, 5]},
+    "ns-4-6-7": {"kind": "numerical", "generators": [4, 6, 7]},
+    "ns-3-4-5": {"kind": "numerical", "generators": [3, 4, 5]},
+    "delta-4-6-7": {"kind": "delta", "r": [4, 6, 7]},
+    "delta-4-6-7+9": {"kind": "delta", "r": [4, 6, 7], "extras": [9]},
+}
+
+_PINNED_ONE_POINT_VERIFY = {
+    "ns-3-5 all":
+        (0, "d756d92b865fcb6beb83af5f62af00025e1304de016d6b3c84488a3866f60469"),
+    "ns-3-5 all --json":
+        (0, "c50b56fe6e4521928707995f52185469af1f941befbc7093f0f067362992cefd"),
+    "ns-3-5 symmetry":
+        (0, "ac54cd9ed5c62ad38b28037313ebf2a3112b381ab976fcd006ecd6d40adc37ce"),
+    "ns-3-5 symmetry --json":
+        (0, "48b8db5046ad650ba633d8db44e543b261510dc685fcaab5430beb4518d6b335"),
+    "ns-3-5 funceq":
+        (0, "e97e2afd84b169c66647293f6290d34b74e36a22d6aa9c1a933ddb0fca6d0f6e"),
+    "ns-3-5 funceq --json":
+        (0, "f6608bbb1c780e25687a4960e3614ae3fe11bb6e537c135c317ddb94beb09e9d"),
+    "ns-4-6-7 all":
+        (0, "d756d92b865fcb6beb83af5f62af00025e1304de016d6b3c84488a3866f60469"),
+    "ns-4-6-7 all --json":
+        (0, "cb489ff4960e7650358b33fb944a55c0f3f13387e8ac7d1b56f873e556e0e11a"),
+    "ns-4-6-7 symmetry":
+        (0, "ac54cd9ed5c62ad38b28037313ebf2a3112b381ab976fcd006ecd6d40adc37ce"),
+    "ns-4-6-7 symmetry --json":
+        (0, "80d2c075d68124315239c9c350f544efb970ffccb8c7ae3450a688eacb327592"),
+    "ns-4-6-7 funceq":
+        (0, "e97e2afd84b169c66647293f6290d34b74e36a22d6aa9c1a933ddb0fca6d0f6e"),
+    "ns-4-6-7 funceq --json":
+        (0, "b911c9b3d5f1f032f2d9c689b46efdab0635e0a768e1e2324cc5ac8606076748"),
+    "ns-3-4-5 all":
+        (1, "c314ed5586dcb4a1205ad0c256ed86989fa87398fdfc8c028f105f3b740d0c83"),
+    "ns-3-4-5 all --json":
+        (1, "f995e3b024465124dc72c27a4fe237f486cfd98cfcab376da4af8b6d0d866dee"),
+    "ns-3-4-5 symmetry":
+        (1, "1c51eda9fb8b2201ca8fb2e2bd0f62e64d752db03b8bb500a10443e742221ecc"),
+    "ns-3-4-5 symmetry --json":
+        (1, "521e9f4f3e67c19cfbf1091023f62d1277e3451d270325172db30641b08151a6"),
+    "ns-3-4-5 funceq":
+        (1, "d68d86b89cdaece57fa3ff18789b7d7f6fa9c425b6913829db30fa9a9122f9cd"),
+    "ns-3-4-5 funceq --json":
+        (1, "d8e3857fce4f418bef740b60f7be6a7259490b16c56b0652408c45acab0718d1"),
+    "delta-4-6-7 all":
+        (0, "b25f6cfcc7f6b8fec9d02f2681fdb4ed623bc8609a0ceb883d9b30c718b0db80"),
+    "delta-4-6-7 all --json":
+        (0, "e7e24a3fea131e3c424805b98c0fd3c4818308e7ebe700a5a843712bb3a657ea"),
+    "delta-4-6-7 symmetry":
+        (0, "ac54cd9ed5c62ad38b28037313ebf2a3112b381ab976fcd006ecd6d40adc37ce"),
+    "delta-4-6-7 symmetry --json":
+        (0, "80d2c075d68124315239c9c350f544efb970ffccb8c7ae3450a688eacb327592"),
+    "delta-4-6-7 funceq":
+        (0, "e97e2afd84b169c66647293f6290d34b74e36a22d6aa9c1a933ddb0fca6d0f6e"),
+    "delta-4-6-7 funceq --json":
+        (0, "b911c9b3d5f1f032f2d9c689b46efdab0635e0a768e1e2324cc5ac8606076748"),
+    "delta-4-6-7+9 all":
+        (1, "e73965e48a369d204b77827f827ba02625b620cb51678d78ad7e6effec668e49"),
+    "delta-4-6-7+9 all --json":
+        (1, "8c8eeaacde66ab26f92d97148b816db21629c18892cfa43f809acb9a6a31acfe"),
+    "delta-4-6-7+9 symmetry":
+        (1, "4d5ba1199076536a13071240a50e83226f4710cb2863d37317745a4dcbd94962"),
+    "delta-4-6-7+9 symmetry --json":
+        (1, "db92a4cfc0479a2ec843255c23d7f1aaeed3e13686987c6e5f4c6ac7a29ddf86"),
+    "delta-4-6-7+9 funceq":
+        (1, "2bc559fe1cbeba69c7b9dad15b0d80a0b68d4a8fb50b3ccee6d26b3896e808c3"),
+    "delta-4-6-7+9 funceq --json":
+        (1, "974fd8e1158267d38c6aab5ef38891b1b3ba412f9a291e8833329ba2c5453668"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_ONE_POINT_VERIFY))
+def test_one_point_verify_stdout_is_pinned(key, tmp_path, capsys):
+    name, check, *json_flag = key.split()
+    path = write(tmp_path, f"{name}.json", ONE_POINT_INPUTS[name])
+    code, out, _ = invoke(["verify", path, "--check", check, *json_flag],
+                          capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        _PINNED_ONE_POINT_VERIFY[key]
+
+
 @pytest.mark.parametrize("window", [
     (0, 10, 10**9, 10**9 + 10),
     (0, 10, -10**9 - 20, -10**9 - 10),
@@ -571,8 +692,8 @@ def test_oracle_report_matches_point_scan(name):
               Window((0, 10), (10**9, 10**9 + 10)),
               Window((-10**9 - 12, -10**9), (3, 15))):
         expected = tuple(m for m in interior_region(W).points()
-                         if S.dim_jump(m) != d_oracle(model.fixture, m))
-        rep = cli._oracle_report(model, W)
+                         if S.dim_jump(m) != d_oracle(S.fixture, m))
+        rep = S.verify("oracle", W)
         assert (rep.passed, rep.witnesses) == (not expected, expected), \
             W.bounds
 

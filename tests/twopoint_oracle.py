@@ -87,6 +87,13 @@ def dim_nabla(S, m):
     return 1 if is_maximal(S, m) else 2
 
 
+def euler_c_nabla(S, m):
+    """euler_c with dim_nabla in place of dim_jump."""
+    m1, m2 = m
+    return dim_nabla(S, m) - dim_nabla(S, (m1 - 1, m2)) - \
+        dim_nabla(S, (m1, m2 - 1)) + dim_nabla(S, (m1 - 1, m2 - 1))
+
+
 def order_independence_witnesses(S, window):
     """Points where the two dim_jump decompositions disagree."""
     return [m for m in window.points()
@@ -187,7 +194,7 @@ def _c_prop(S, region):
     witnesses = []
     stray = []
     for m in region.points():
-        c = S.euler_c(m, "jump")
+        c = S.euler_c(m)
         prev_max = S.is_maximal((m[0] - 1, m[1] - 1))
         here_max = S.is_maximal(m)
         if ((c == -1) != prev_max) or ((c == 1) != here_max):
@@ -202,7 +209,7 @@ def _c_prop(S, region):
 
 def _c_identity(S, region):
     return [m for m in region.points()
-            if S.euler_c(m, "jump") != _max_step(S, m)], {}
+            if S.euler_c(m) != _max_step(S, m)], {}
 
 
 def _corner_translates(S, region):

@@ -281,14 +281,12 @@ def _run_expand(model: Model, cmd: Command):
         for m1, row in zip(range(lo1, hi1 + 1), table):
             lines.append(f"{m1}: " + " ".join(str(v) for v in row))
         return 0, "\n".join(lines)
-    coeffs = direct_series(model.semigroup).expand(window)
-    (lo, hi), = window.bounds
-    values = [coeffs[(n,)] for n in range(lo, hi + 1)]
+    values = direct_series(model.semigroup).expand(window)
     if cmd.json_output:
         return 0, _dump({"window": _jsonable(window.bounds),
                          "coefficients": values})
     return 0, "\n".join(f"{n}: {v}"
-                        for n, v in zip(range(lo, hi + 1), values))
+                        for (n,), v in zip(window.points(), values))
 
 
 def _run_verify(model: Model, cmd: Command):

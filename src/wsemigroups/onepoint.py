@@ -4,10 +4,11 @@ A numerical semigroup is given by generators with gcd 1 and read off
 its Apery set: the least member in each residue class modulo
 a = min(generators).  That table of a entries gives membership, the
 conductor, the genus and membership masks.  On top of that sit
-gcd-descent generator chains (delta sequences), optional extra pole
-orders, and the Poincare series P(t) = sum_{n in S} t^n together with
-L(t) = (1 - t) P(t) in its various closed forms.  Both semigroup classes
-answer `verify(check)` for the checks named in their CHECKS.
+gcd-descent generator chains (delta sequences, proved free by h Apery
+tests of multiplicity <= r_0, so at no O(c) cost), optional extra pole
+orders, and the Poincare series P(t) = sum_{n in S} t^n with
+L(t) = (1 - t) P(t) in its closed forms.  Both semigroup classes answer
+`verify(check)` for the checks named in their CHECKS.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import AxiomViolation, InputError, InvalidSemigroup, NotSymmetric
+from .errors import (AxiomViolation, InputError, InvalidSemigroup,
+                     NotSymmetric, UnknownCheck)
 from .series import LaurentPoly, RationalGF, Window
-from .twopoint import VerificationReport
+from .twopoint import CHECKS as TWO_POINT_CHECKS, VerificationReport
 
 _ONE_MINUS_T = LaurentPoly({(0,): 1, (1,): -1})
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # swaps a mask's 0 and 1 bytes
@@ -111,10 +113,14 @@ class NumericalSemigroup:
 
     def verify(self, check, window: Window | None = None) -> VerificationReport:
         """Run one named check of CHECKS, the order `all` runs them in;
-        every other check name belongs to the two-point kinds.  Only
-        indicator reads the window (default_window() when None)."""
+        only indicator reads the window (default_window() when None)."""
         if check not in self.CHECKS:
-            raise InputError(f"check {check!r} needs a two-point input")
+            if check == "oracle":
+                raise InputError("check 'oracle' needs a fixture input")
+            if check in TWO_POINT_CHECKS:
+                raise InputError(f"check {check!r} needs a two-point input")
+            raise UnknownCheck(
+                f"unknown check {check!r}; pick one of {self.CHECKS}")
         if window is None:
             window = self.default_window()
         return getattr(self, f"_check_{check}")(window)
@@ -165,7 +171,7 @@ class DeltaSequence:
 
         n = a_0 r_0 + sum_i a_i r_i   with a_0 >= 0 and 0 <= a_i < d_i,
 
-    which is verified exhaustively up to conductor + r_0 * max(d).
+    which holds exactly when the chain is free (h Apery tests).
 
     >>> ds = DeltaSequence([4, 6, 7])
     >>> ds.theta, ds.d
@@ -200,16 +206,21 @@ class DeltaSequence:
         self._verify_unique_representation()
 
     def _verify_unique_representation(self):
-        # the delta product's coefficient at n counts the representations
+        # free (Kirfel & Pellikaan): d_i r_i/theta_i in <r_0..r_{i-1}>/theta_i
+        if all(NumericalSemigroup([x // t for x in self.r[:i]]).contains(
+                di * self.r[i] // t)
+               for i, (t, di) in enumerate(zip(self.theta[1:], self.d), 1)):
+            return
+        # the delta product's coefficient at n counts the representations;
+        # the least member with none lies below conductor + r_0
         bound = self.semigroup.conductor + self.r[0] * max(self.d, default=1)
         counts = poincare_delta_product(self).expand(Window((0, bound)))
-        bad = [(n, counts[(n,)]) for n in range(bound + 1)
-               if self.semigroup.contains(n) and counts[(n,)] != 1]
-        if bad:
-            raise AxiomViolation(
-                f"representation is not unique for {self.r}: "
-                f"first witness n={bad[0][0]} has {bad[0][1]} representations",
-                witnesses=bad)
+        bad = [(n, counts[n]) for n in range(bound + 1)
+               if self.semigroup.contains(n) and counts[n] != 1]
+        raise AxiomViolation(
+            f"representation is not unique for {self.r}: "
+            f"first witness n={bad[0][0]} has {bad[0][1]} representations",
+            witnesses=bad)
 
     def __repr__(self):
         return f"DeltaSequence({list(self.r)})"
@@ -238,7 +249,8 @@ class OnePointSemigroup:
         self.base = base
         self.extras = tuple(extra)
         # every extra is a gap of the base, so below its conductor
-        self.conductor = self.mask(base.semigroup.conductor).rfind(0) + 1
+        self.conductor = (self.mask(base.semigroup.conductor).rfind(0) + 1
+                          if extra else base.semigroup.conductor)
         self.genus = base.semigroup.genus - len(extra)
         self._check_closure()
 
@@ -296,9 +308,11 @@ class OnePointSemigroup:
 def _indicator_report(check, series, semigroup, window) -> VerificationReport:
     """Where the expansion of series on the window is not the membership
     indicator of semigroup."""
+    (lo, hi), = window.bounds
     coeffs = series.expand(window)
-    witnesses = tuple(n for (n,) in window.points()
-                      if coeffs[(n,)] != int(semigroup.contains(n)))
+    member = bytes(max(0, -lo)) + semigroup.mask(max(0, hi + 1))[max(0, lo):]
+    witnesses = tuple(itertools.compress(range(lo, hi + 1),
+                                         map(operator.ne, coeffs, member)))
     return VerificationReport(check, not witnesses, witnesses, window.bounds,
                               {}, series)
 
@@ -385,7 +399,7 @@ def series_modes_report(ops: OnePointSemigroup) -> SeriesModeReport:
     window = Window((0, hi))
     ef = poincare_onepoint(ops, "finite_sum").expand(window)
     ep = poincare_onepoint(ops, "paper_product").expand(window)
-    first = next((n for n in range(hi + 1) if ef[(n,)] != ep[(n,)]), None)
+    first = next((n for n, (x, y) in enumerate(zip(ef, ep)) if x != y), None)
     return SeriesModeReport(first is None, first, (0, hi))
 
 

@@ -418,21 +418,21 @@ class RationalGF:
         in lexicographic order, one denominator factor at a time; every
         v is nonnegative and nonzero, so u - v is always visited first.
         In one variable with v = (1,) this is a prefix sum.  Window
-        points below lo lie outside the support and read 0.
+        points below lo lie outside the support and read 0; a zero
+        numerator leaves a one-cell grid at the top corner, empty.
 
         Cost: O(|box| * |den|) additions plus O(|window|) reads, where
         |box| is the number of grid cells; the numerator is touched
-        once.  Returns a dict mapping every window point to its
-        coefficient.
+        once.  Returns a flat list of the coefficients in the order of
+        window.points(): each row along the last variable is a slice of
+        the grid, after as many zeros as the row has points below lo.
         """
         if not isinstance(window, Window):
             raise TypeError("expand needs a Window")
         if window.arity != self.arity:
             raise ArityMismatch("window arity does not match the series")
-        if self._num.is_zero():
-            return dict.fromkeys(window.points(), 0)
-        lo = self._num.min_exponents()
         top = [hi for _, hi in window.bounds]
+        lo = self._num.min_exponents() or top
         sizes = [max(0, hi - x) + 1 for hi, x in zip(top, lo)]
         strides = [1] * self.arity
         for i in range(self.arity - 1, 0, -1):
@@ -459,10 +459,18 @@ class RationalGF:
                     for r in range(base, base + min(step, n)):
                         grid[r:base + n:step] = itertools.accumulate(
                             grid[r:base + n:step])
-        axes = [[(x - y) * s if x >= y else None for x in range(a, hi + 1)]
-                for (a, hi), y, s in zip(window.bounds, lo, strides)]
-        return {m: 0 if None in flat else grid[sum(flat)]
-                for m, flat in zip(window.points(), itertools.product(*axes))}
+        *outer, (a, hi) = window.bounds
+        pad = [0] * min(max(0, lo[-1] - a), hi - a + 1)
+        first, end = max(0, a - lo[-1]), max(0, hi - lo[-1] + 1)
+        out = []
+        for row in itertools.product(*[range(x, y + 1) for x, y in outer]):
+            if any(map(operator.lt, row, lo)):
+                out += [0] * (hi - a + 1)
+                continue
+            i = sum(map(operator.mul, strides, map(operator.sub, row, lo)))
+            out += pad
+            out += grid[i + first:i + end]
+        return out
 
     def evaluate(self, point):
         """Exact rational value; every factor must evaluate away from 1."""

@@ -190,12 +190,11 @@ def test_resource_exhaustion_exits_2(ns23, capsys, monkeypatch, exhausted):
     assert err == f"error: input too large ({exhausted.__name__})\n"
 
 
-def test_validate_delta_with_huge_conductor_exits_2(tmp_path, capsys,
-                                                    monkeypatch):
-    # unlike a numerical input, a delta chain costs O(c): its uniqueness
-    # count expands the delta product on [0, c + r_0 max(d)], here a dense
-    # grid of about 10^12 cells; the stub fails that allocation at once
-    expand = RationalGF.expand
+def test_validate_delta_with_huge_conductor(tmp_path, capsys, monkeypatch):
+    # a free chain is proved free by h Apery tests and its conductor is the
+    # base one, so nothing of size c is built; the stubs fail any expansion
+    # or membership mask above 10^7 cells, which a dense count would need
+    expand, mask = RationalGF.expand, NumericalSemigroup.mask
 
     def bounded_expand(self, window):
         ((lo, hi),) = window.bounds
@@ -203,10 +202,19 @@ def test_validate_delta_with_huge_conductor_exits_2(tmp_path, capsys,
             raise MemoryError
         return expand(self, window)
 
+    def bounded_mask(self, hi):
+        if hi > 10**7:
+            raise MemoryError
+        return mask(self, hi)
+
     monkeypatch.setattr(RationalGF, "expand", bounded_expand)
+    monkeypatch.setattr(NumericalSemigroup, "mask", bounded_mask)
     path = write(tmp_path, "huge.json", {"kind": "delta", "r": [2, 10**12 + 1]})
     code, out, err = invoke(["validate", path], capsys)
-    assert (code, out, err) == (2, "", "error: input too large (MemoryError)\n")
+    assert (code, err) == (0, "")
+    assert out == ("valid one-point semigroup: r (2, 1000000000001), "
+                   "extras (), conductor 1000000000000, "
+                   "genus 500000000000\n")
 
 
 # ------------------------------------------------------------------- analyze
@@ -289,7 +297,7 @@ def test_poincare_corner_two_point(elliptic2, capsys):
     assert code == 0
     gf = RationalGF.from_json(json.loads(out))
     window = Window((-2, 2), (-2, 2))
-    coeffs = gf.expand(window)
+    coeffs = dict(zip(window.points(), gf.expand(window), strict=True))
     assert coeffs[(1, 1)] == 1 and coeffs[(2, -2)] == 1
     assert coeffs[(0, 0)] == 0 and coeffs[(1, 0)] == 0
 
@@ -349,6 +357,17 @@ def test_verify_oracle_needs_fixture(tmp_path, capsys):
         "strip": [[True, False], [False, False]]})
     code, _, err = invoke(["verify", path, "--check", "oracle"], capsys)
     assert code == 2 and "fixture" in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "numerical", "generators": [3, 5]},
+    {"kind": "delta", "r": [4, 6, 7], "extras": [9]},
+])
+def test_verify_oracle_on_one_point_needs_fixture(payload, tmp_path, capsys):
+    path = write(tmp_path, "input.json", payload)
+    code, out, err = invoke(["verify", path, "--check", "oracle"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: check 'oracle' needs a fixture input\n"
 
 
 def test_verify_one_point_checks(tmp_path, capsys):
@@ -579,6 +598,7 @@ ONE_POINT_INPUTS = {
     "ns-3-4-5": {"kind": "numerical", "generators": [3, 4, 5]},
     "delta-4-6-7": {"kind": "delta", "r": [4, 6, 7]},
     "delta-4-6-7+9": {"kind": "delta", "r": [4, 6, 7], "extras": [9]},
+    "delta-10-4-3": {"kind": "delta", "r": [10, 4, 3]},
 }
 
 _PINNED_ONE_POINT_VERIFY = {
@@ -653,6 +673,104 @@ def test_one_point_verify_stdout_is_pinned(key, tmp_path, capsys):
                           capsys)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
         _PINNED_ONE_POINT_VERIFY[key]
+
+
+# The SHA-256 of stdout and the exit code of validate, analyze and expand
+# on the one-point inputs; [10, 4, 3] is not a free chain and exits 2
+_PINNED_ONE_POINT_OUTPUT = {
+    "ns-3-5 validate":
+        (0, "35d3941ee6ff11c5983382d9b9440ef748dfcc00c0cf3e1331af038b6133f1e9"),
+    "ns-3-5 validate --json":
+        (0, "5f4bafda27fb19a6666597c66ab29e3e42d6b7c7d878975d9679ce14d749342f"),
+    "ns-3-5 analyze":
+        (0, "473f9c55f118346039efa16d4815d99b57c14db8b7b1285ae041cede4866c11a"),
+    "ns-3-5 analyze --json":
+        (0, "6a3336281021795cd26b16fc435e070796f46f7a742502dfe8426cb48bec58bc"),
+    "ns-3-5 expand":
+        (0, "79f62de93efceb2e0d7f1b695491b4d9cf4a77fae9ec0e7a62238b8a30f67cec"),
+    "ns-3-5 expand --json":
+        (0, "c19b1e17e68b9aab0d74d37939f501a6052c02e365bf21c09d2097ef8a1493fd"),
+    "ns-3-5 expand --window -3 40":
+        (0, "a381d27f2c7c80fc2a8521a0e22376c8d21979753ee1c55968d04774ec240158"),
+    "ns-3-5 expand --window -3 40 --json":
+        (0, "5686e213f678c649a68a0e7eb697c351ce11a7b7eaa960aff45636b771b1f1e1"),
+    "ns-4-6-7 validate":
+        (0, "5a1c3477fe69f4bf8cf8cba74e20099f098269936d25d454680a410dde17f91b"),
+    "ns-4-6-7 validate --json":
+        (0, "5f4bafda27fb19a6666597c66ab29e3e42d6b7c7d878975d9679ce14d749342f"),
+    "ns-4-6-7 analyze":
+        (0, "215f28b1edf55fb93d0cf565184697912a738222d4bda97d055e8ef345cdfaf7"),
+    "ns-4-6-7 analyze --json":
+        (0, "34f129f1f706d53068e3f38a1ee1c3e1f0ca95e07c31a4097ab32868825fe755"),
+    "ns-4-6-7 expand":
+        (0, "bb38dbf58a5354b22511f25ed1fd769bfafdf0c4048c1a74ee0e7a225f65b028"),
+    "ns-4-6-7 expand --json":
+        (0, "5da4d77caffc2e227efddaae0045cdf6d07e0ab99691238aa3302e88fc311498"),
+    "ns-4-6-7 expand --window -3 40":
+        (0, "1101e7d9a9f3b1fac11de2b90ba2e7bb0afa42ca349e34296c41f7dc2459e0c8"),
+    "ns-4-6-7 expand --window -3 40 --json":
+        (0, "b7e26ce8f42462a386449526f482ee603172165e8b7fb73e488664d7a5a3d459"),
+    "delta-4-6-7 validate":
+        (0, "f568f0e704f5dafe8f96ffcc2f68fc3294b61867fc5a8d73a8c641af57d764c5"),
+    "delta-4-6-7 validate --json":
+        (0, "c41e4f8744210f6f502666269d748b1732c14d8e994a2314ace817b36eae9ce2"),
+    "delta-4-6-7 analyze":
+        (0, "e8aa57f0a3452b81dba53d9a80c04481d405c0eb359e04816e8afe62c2c665f6"),
+    "delta-4-6-7 analyze --json":
+        (0, "4ddf601b8dcfe88f56ae51be75ddb65ce93db24feec5f795af26914ff2baba9d"),
+    "delta-4-6-7 expand":
+        (0, "bb38dbf58a5354b22511f25ed1fd769bfafdf0c4048c1a74ee0e7a225f65b028"),
+    "delta-4-6-7 expand --json":
+        (0, "5da4d77caffc2e227efddaae0045cdf6d07e0ab99691238aa3302e88fc311498"),
+    "delta-4-6-7 expand --window -3 40":
+        (0, "1101e7d9a9f3b1fac11de2b90ba2e7bb0afa42ca349e34296c41f7dc2459e0c8"),
+    "delta-4-6-7 expand --window -3 40 --json":
+        (0, "b7e26ce8f42462a386449526f482ee603172165e8b7fb73e488664d7a5a3d459"),
+    "delta-4-6-7+9 validate":
+        (0, "1ce204179f9af3945dfac8d715b5199d1dbb1e38eae191d3b1aedff0f557b5af"),
+    "delta-4-6-7+9 validate --json":
+        (0, "c41e4f8744210f6f502666269d748b1732c14d8e994a2314ace817b36eae9ce2"),
+    "delta-4-6-7+9 analyze":
+        (0, "6ff24f28245c37773fbc5e00d3e5e121037a8c238db776549be47966c9cafceb"),
+    "delta-4-6-7+9 analyze --json":
+        (0, "7f926bf6755e7b54f16329dab37aefef58e336588224c7fbac01f45dd22d5e88"),
+    "delta-4-6-7+9 expand":
+        (0, "b137c2e4c91adee246be2eb5d58644c6bd6ab6cc804259807f6de5fd8ec1a336"),
+    "delta-4-6-7+9 expand --json":
+        (0, "50c1cc2709022c754753fa8cc20fc8acb718e50ec1e759491e419ce2c9214751"),
+    "delta-4-6-7+9 expand --window -3 40":
+        (0, "49e11d260558f74afec4945cb13f08f9d199b324fb4fb8760e7459dc680214a2"),
+    "delta-4-6-7+9 expand --window -3 40 --json":
+        (0, "e99581f607fa0a46ae04fd41131e5fc856edd9de91ddbd7e5b17f95b1ac3ae6d"),
+    "delta-10-4-3 validate":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "delta-10-4-3 validate --json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "delta-10-4-3 analyze":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "delta-10-4-3 analyze --json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "delta-10-4-3 expand":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "delta-10-4-3 expand --json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "delta-10-4-3 expand --window -3 40":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "delta-10-4-3 expand --window -3 40 --json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+_REJECTED_10_4_3 = ("error: representation is not unique for (10, 4, 3): "
+                    "first witness n=6 has 0 representations\n")
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_ONE_POINT_OUTPUT))
+def test_one_point_expand_stdout_is_pinned(key, tmp_path, capsys):
+    name, verb, *args = key.split()
+    path = write(tmp_path, f"{name}.json", ONE_POINT_INPUTS[name])
+    code, out, err = invoke([verb, path, *args], capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        _PINNED_ONE_POINT_OUTPUT[key]
+    assert err == (_REJECTED_10_4_3 if name == "delta-10-4-3" else "")
 
 
 @pytest.mark.parametrize("window", [

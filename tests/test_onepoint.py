@@ -10,21 +10,25 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wsemigroups import (
     AxiomViolation,
+    InputError,
     InvalidSemigroup,
     LaurentPoly,
     NotSymmetric,
     RationalGF,
+    UnknownCheck,
     Window,
 )
 from wsemigroups.onepoint import (
     DeltaSequence,
     NumericalSemigroup,
     OnePointSemigroup,
+    _indicator_report,
+    direct_series,
     functional_equation_signs,
     l_polynomial,
     l_polynomial_comparison,
@@ -182,6 +186,35 @@ def test_mask_readers_match_membership_scans(s):
         {e: v for e, v in jumps.items() if v}, arity=1)
 
 
+@st.composite
+def indicator_cases(draw):
+    """A semigroup, its direct series with a few coefficients changed
+    (negative exponents included) and a window that starts below 0, cuts
+    the conductor or lies wholly above it."""
+    s = draw(st.one_of(numerical_semigroups(), delta_semigroups_with_extras()))
+    c = s.conductor
+    changes = draw(st.dictionaries(st.integers(-6, c + 12),
+                                   st.integers(-2, 2), max_size=3))
+    series = direct_series(s) + LaurentPoly(
+        {(e,): v for e, v in changes.items()}, arity=1)
+    lo, hi = draw(st.sampled_from([(-12, -1), (0, c - 1), (c, c + 10)]))
+    lo = draw(st.integers(lo, max(lo, hi)))
+    hi = draw(st.integers(max(lo, c), max(lo, c) + c + 12))
+    return s, series, Window((lo, hi))
+
+
+@settings(max_examples=150)
+@given(indicator_cases())
+def test_indicator_witnesses_match_point_scan(case):
+    # the per-point scan the mask comparison replaced; expand itself is
+    # checked against the convolution oracle in test_series.py
+    s, series, window = case
+    coeffs = dict(zip(window.points(), series.expand(window), strict=True))
+    scan = tuple(n for (n,) in window.points()
+                 if coeffs[(n,)] != int(s.contains(n)))
+    assert _indicator_report("indicator", series, s, window).witnesses == scan
+
+
 def test_symmetric_means_conductor_twice_genus():
     for gens in ([2, 3], [2, 5], [3, 4], [3, 5], [4, 6, 7], [1]):
         s = NumericalSemigroup(gens)
@@ -236,6 +269,8 @@ def strict_descent_chains(draw):
 
 @settings(max_examples=200)
 @given(strict_descent_chains())
+@example([10, 4, 3])
+@example([12, 18, 8, 3])
 def test_delta_sequence_accepts_exactly_the_free_chains(r):
     # free (telescopic, Kirfel & Pellikaan 1995): for every i >= 1,
     # d_i r_i lies in <r_0, ..., r_{i-1}>, all divided by theta_i
@@ -258,6 +293,18 @@ def test_delta_sequence_accepts_exactly_the_free_chains(r):
         assert exc.witnesses == tuple(bad) and bad
     else:
         assert not bad
+
+
+def test_rejected_chain_names_the_counted_witnesses():
+    # <10, 4, 3> is not free: 2 * 3 / 2 = 3 is not in <5, 2>; the count
+    # then names 6 = 2 * 3, a member with no admissible representation
+    with pytest.raises(AxiomViolation) as info:
+        DeltaSequence([10, 4, 3])
+    counts = representation_counts([10, 4, 3], [5, 2], 6 + 10 * 5)
+    member = closure_sieve([10, 4, 3], 56)
+    assert info.value.witnesses == tuple(
+        (n, counts[n]) for n in range(57) if member[n] and counts[n] != 1)
+    assert info.value.witnesses[0] == (6, 0)
 
 
 def test_delta_representation_uniqueness_verified():
@@ -291,7 +338,7 @@ def test_poincare_direct_expansion_is_indicator():
         hi = 3 * max(s.conductor, 1)
         got = gf.expand(Window((0, hi)))
         for n in range(hi + 1):
-            assert got[(n,)] == int(s.contains(n)), (gens, n)
+            assert got[n] == int(s.contains(n)), (gens, n)
 
 
 def test_delta_product_2_3():
@@ -305,8 +352,7 @@ def test_delta_product_4_6_7():
     assert gf.num == LaurentPoly({(0,): 1, (12,): -1}) * LaurentPoly(
         {(0,): 1, (14,): -1})
     assert gf.den == ((4,), (6,), (7,))
-    got = gf.expand(Window((0, 12)))
-    assert [got[(n,)] for n in range(13)] == \
+    assert gf.expand(Window((0, 12))) == \
         [1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 1]
 
 
@@ -323,7 +369,28 @@ def test_delta_product_expansion_matches_closure_sieve():
         hi = 2 * max(s.conductor, 1)
         ref = closure_sieve(r, hi)
         got = poincare_delta_product(ds).expand(Window((0, hi)))
-        assert [got[(n,)] for n in range(hi + 1)] == [int(b) for b in ref], r
+        assert got == [int(b) for b in ref], r
+
+
+@pytest.mark.parametrize("semigroup", [
+    NumericalSemigroup([3, 5]),
+    OnePointSemigroup([4, 6, 7], [9]),
+], ids=["numerical", "delta-extras"])
+@pytest.mark.parametrize("check, error, message", [
+    ("oracle", InputError, "check 'oracle' needs a fixture input"),
+    ("c_prop", InputError, "check 'c_prop' needs a two-point input"),
+    ("lemma4", InputError, "check 'lemma4' needs a two-point input"),
+    ("all", UnknownCheck, "unknown check 'all'; pick one of "),
+    ("indicatr", UnknownCheck, "unknown check 'indicatr'; pick one of "),
+])
+def test_verify_names_outside_the_one_point_checks(semigroup, check, error,
+                                                   message):
+    with pytest.raises(error) as info:
+        semigroup.verify(check)
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
+    assert str(info.value).endswith(
+        "input" if error is InputError else str(semigroup.CHECKS))
 
 
 def test_one_point_semigroup_validation():
@@ -348,10 +415,10 @@ def test_poincare_onepoint_modes_disagree_beyond_first_extra():
     got = finite.expand(Window((0, 20)))
     # the finite-sum form stays a 0/1 indicator
     for n in range(21):
-        assert got[(n,)] == int(ops.contains(n))
+        assert got[n] == int(ops.contains(n))
     gp = product.expand(Window((0, 20)))
-    assert gp[(9,)] == 1
-    assert gp[(18,)] == 2  # 18 in S and 9+9 counted again
+    assert gp[9] == 1
+    assert gp[18] == 2  # 18 in S and 9+9 counted again
 
 
 def test_poincare_onepoint_no_extras_modes_coincide():

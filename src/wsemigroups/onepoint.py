@@ -7,8 +7,13 @@ conductor, the genus and membership masks.  On top of that sit
 gcd-descent generator chains (delta sequences, proved free by h Apery
 tests of multiplicity <= r_0, so at no O(c) cost), optional extra pole
 orders, and the Poincare series P(t) = sum_{n in S} t^n with
-L(t) = (1 - t) P(t) in its closed forms.  Both semigroup classes answer
-`verify(check)` for the checks named in their CHECKS.
+L(t) = (1 - t) P(t) in its closed forms.  Both semigroup classes keep
+one Apery set (a one-point semigroup lowers its base's by the extras)
+and answer `verify(check)` for the checks named in their CHECKS.  The
+`funceq` signs are decided on the Apery form
+P(t) = sum_{w in Ap} t^w / (1 - t^a), with a numerator terms instead of
+c, in O(a); `l_identity` compares it with the L-polynomial in one pass
+over L's terms.
 """
 
 from __future__ import annotations
@@ -130,10 +135,14 @@ class NumericalSemigroup:
         return _indicator_report("indicator", direct_series(self), self, window)
 
     def _check_l_identity(self, window):
-        """(1 - t) P(t) is the L-polynomial."""
-        lpoly = RationalGF.from_poly(l_polynomial(self, "direct"))
-        ok = (direct_series(self) * _ONE_MINUS_T).equals(lpoly)
-        return VerificationReport("l_identity", ok, (), None, {}, lpoly)
+        """(1 - t) P(t) is the L-polynomial, decided on the Apery form
+        as (1 - t) sum_w t^w = L(t) (1 - t^a), one pass over L."""
+        lpoly = l_polynomial(self, "direct")
+        p = apery_series(self)
+        (a,), = p.den
+        ok = (p * _ONE_MINUS_T).num == lpoly - lpoly.shift((a,))
+        return VerificationReport("l_identity", ok, (), None, {},
+                                  RationalGF.from_poly(lpoly))
 
     def _check_symmetry(self, window):
         witnesses = tuple(self.symmetry_witnesses())
@@ -231,9 +240,12 @@ class OnePointSemigroup:
 
     The full member set is S union extras; it must still be closed
     under addition, and the extras must genuinely lie outside S.
+    `apery[r]` is its least member congruent to r modulo the base's
+    multiplicity a: the base's, lowered to the least extra of the class
+    (valid because a is a member and the set is closed).
     """
 
-    __slots__ = ("base", "extras", "conductor", "genus")
+    __slots__ = ("base", "extras", "apery", "conductor", "genus")
     CHECKS = ("indicator", "l_identity", "delta_product", "symmetry", "funceq")
 
     def __init__(self, base, extras=()):
@@ -248,22 +260,26 @@ class OnePointSemigroup:
                     f"extra member {x} already lies in the base semigroup")
         self.base = base
         self.extras = tuple(extra)
-        # every extra is a gap of the base, so below its conductor
-        self.conductor = (self.mask(base.semigroup.conductor).rfind(0) + 1
-                          if extra else base.semigroup.conductor)
-        self.genus = base.semigroup.genus - len(extra)
         self._check_closure()
+        apery = list(base.semigroup.apery)
+        a = len(apery)
+        for x in extra:
+            apery[x % a] = min(apery[x % a], x)
+        self.apery = tuple(apery)
+        self.conductor = max(apery) - a + 1
+        self.genus = sum(w // a for w in apery)
 
     def _check_closure(self):
         if not self.extras:
             return
-        bound = self.conductor + self.extras[-1] + max(self.base.r)
         # sums inside the base semigroup are closed already, so only
-        # sums involving at least one extra member need checking
-        member = self.mask(bound + 1)
+        # sums involving at least one extra member need checking, and
+        # every missing sum is a gap of the base, below its conductor
+        bound = self.base.semigroup.conductor
+        member = self.mask(bound)
         witnesses = [
             (e, n, e + n) for e in self.extras
-            for n in itertools.compress(range(bound - e + 1),
+            for n in itertools.compress(range(bound - e),
                                         map(operator.gt, member, member[e:]))]
         if witnesses:
             raise AxiomViolation(
@@ -336,6 +352,14 @@ def _head_polynomial(semigroup) -> LaurentPoly:
 def poincare_direct(semigroup) -> RationalGF:
     """P(t) = sum_{n in S, n < c} t^n + t^c / (1 - t), over (1 - t)."""
     return RationalGF(_head_polynomial(semigroup), [(1,)])
+
+
+def apery_series(semigroup) -> RationalGF:
+    """P(t) = sum_{w in Ap} t^w / (1 - t^a) over the semigroup's Apery
+    set modulo a: a numerator terms, not c."""
+    apery = semigroup.apery
+    return RationalGF(LaurentPoly._trusted({(w,): 1 for w in apery}, 1),
+                      [(len(apery),)])
 
 
 def direct_series(semigroup) -> RationalGF:
@@ -438,9 +462,9 @@ def l_polynomial_comparison(semigroup) -> LComparison:
 
 @dataclass(frozen=True)
 class FunctionalEquationSigns:
-    """Empirical signs in L(t) = eps_l t^{2g} L(1/t) and
-    P(t) = eps_p t^{2g-1} P(1/t); None when neither sign closes the
-    identity."""
+    """The signs in L(t) = eps_l t^{2g} L(1/t) and
+    P(t) = eps_p t^{2g-1} P(1/t), decided by exact algebra; None when
+    neither sign closes the identity."""
 
     eps_l: int | None
     eps_p: int | None
@@ -460,18 +484,21 @@ def functional_equation_signs(semigroup) -> FunctionalEquationSigns:
 
     Exact one-sided algebra forces eps_l = +1 and eps_p = -1 on every
     symmetric semigroup; the commonly displayed opposite signs do not
-    hold in this representation.  Raises NotSymmetric otherwise.
+    hold in this representation.  Both identities are decided on the
+    Apery form, P = sum_w t^w / (1 - t^a) and L = (1 - t) P, whose
+    numerators have a and at most 2a terms, so the cost is O(a) for
+    multiplicity a, not O(c).  Raises NotSymmetric otherwise.
     """
     if not semigroup.is_symmetric():
         raise NotSymmetric(
             f"functional equation needs a symmetric semigroup; "
             f"witnesses {semigroup.symmetry_witnesses()}")
     g = semigroup.genus
-    lpoly = RationalGF.from_poly(l_polynomial(semigroup, "direct"))
-    rhs_l = lpoly.reciprocal() * LaurentPoly.monomial((2 * g,))
-    p = poincare_direct(semigroup)
+    p = apery_series(semigroup)
+    lgf = p * _ONE_MINUS_T
+    rhs_l = lgf.reciprocal() * LaurentPoly.monomial((2 * g,))
     rhs_p = p.reciprocal() * LaurentPoly.monomial((2 * g - 1,))
     return FunctionalEquationSigns(
-        eps_l=_matching_sign(lpoly, rhs_l),
+        eps_l=_matching_sign(lgf, rhs_l),
         eps_p=_matching_sign(p, rhs_p),
         genus=g)

@@ -13,9 +13,23 @@ tests in test_onepoint.py check the two against each other.
 literally, by looping over every admissible coefficient tuple.
 `DeltaSequence` reads the same counts off the expansion of the delta
 product.
+
+`l_identity_by_cross_multiplication` and `signs_by_cross_multiplication`
+decide the `l_identity` check and the functional-equation signs on the
+direct series, whose numerator has O(c) terms, by `RationalGF.equals`,
+which cross-multiplies sparse polynomials.  The library decides both on
+the Apery form, with a numerator terms, instead; test_onepoint.py checks
+the two against each other.
 """
 
 import itertools
+
+from wsemigroups import (FunctionalEquationSigns, LaurentPoly, RationalGF,
+                         VerificationReport)
+from wsemigroups.onepoint import (_matching_sign, direct_series,
+                                  l_polynomial, poincare_direct)
+
+_ONE_MINUS_T = LaurentPoly({(0,): 1, (1,): -1})
 
 
 def closure_sieve(gens, bound):
@@ -49,3 +63,25 @@ def representation_counts(r, d, bound):
         for a0 in range((bound - base) // r[0] + 1):
             counts[base + a0 * r[0]] += 1
     return counts
+
+
+def l_identity_by_cross_multiplication(semigroup):
+    """The l_identity report: (1 - t) times the direct series `equals`
+    the L-polynomial."""
+    lpoly = RationalGF.from_poly(l_polynomial(semigroup, "direct"))
+    ok = (direct_series(semigroup) * _ONE_MINUS_T).equals(lpoly)
+    return VerificationReport("l_identity", ok, (), None, {}, lpoly)
+
+
+def signs_by_cross_multiplication(semigroup):
+    """The reflection signs of a symmetric semigroup, decided on the
+    L-polynomial and the direct series."""
+    g = semigroup.genus
+    lpoly = RationalGF.from_poly(l_polynomial(semigroup, "direct"))
+    rhs_l = lpoly.reciprocal() * LaurentPoly.monomial((2 * g,))
+    p = poincare_direct(semigroup)
+    rhs_p = p.reciprocal() * LaurentPoly.monomial((2 * g - 1,))
+    return FunctionalEquationSigns(
+        eps_l=_matching_sign(lpoly, rhs_l),
+        eps_p=_matching_sign(p, rhs_p),
+        genus=g)

@@ -22,12 +22,14 @@ from wsemigroups import (
     RationalGF,
     UnknownCheck,
     Window,
+    onepoint,
 )
 from wsemigroups.onepoint import (
     DeltaSequence,
     NumericalSemigroup,
     OnePointSemigroup,
     _indicator_report,
+    apery_series,
     direct_series,
     functional_equation_signs,
     l_polynomial,
@@ -37,7 +39,9 @@ from wsemigroups.onepoint import (
     poincare_onepoint,
     series_modes_report,
 )
-from onepoint_oracle import closure_sieve, representation_counts, sieved
+from onepoint_oracle import (closure_sieve, l_identity_by_cross_multiplication,
+                             representation_counts, sieved,
+                             signs_by_cross_multiplication)
 
 
 def sieve_membership(gens):
@@ -492,3 +496,117 @@ def test_symmetric_membership_pairing():
         g = s.genus
         for n in range(-5, 2 * g + 6):
             assert s.contains(n) != s.contains(2 * g - 1 - n), (gens, n)
+
+
+# (chain, extras) whose unions <2, 3>, <3, 4>, <3, 4> and <4, 5, 6> are
+# symmetric
+SYMMETRIC_WITH_EXTRAS = [((2, 5), (3,)), ((3, 7), (4, 8, 11)),
+                         ((4, 6, 7), (3, 9)), ((4, 5), (6, 11))]
+
+
+def random_free_chain(rng):
+    """A delta sequence with descent quotients d in {2, 3}: r_0 = prod d
+    and r_i = theta_{i+1} * k with k prime to d_i, redrawn until free."""
+    d = [rng.choice((2, 3)) for _ in range(rng.randint(1, 3))]
+    while True:
+        r = [math.prod(d)] + [
+            math.prod(d[i + 1:]) * rng.choice(
+                [k for k in range(2, 16) if math.gcd(k, di) == 1])
+            for i, di in enumerate(d)]
+        try:
+            return DeltaSequence(r)
+        except AxiomViolation:
+            continue
+
+
+def seeded_one_point_inputs(seed, count):
+    """Numerical semigroups (two generators are symmetric), delta
+    sequences (free, so symmetric) and delta sequences with extras; the
+    symmetric unions of SYMMETRIC_WITH_EXTRAS come first."""
+    rng = random.Random(seed)
+    out = [OnePointSemigroup(r, e) for r, e in SYMMETRIC_WITH_EXTRAS]
+    out += [NumericalSemigroup([1]), OnePointSemigroup([1])]
+    while len(out) < count:
+        kind = rng.choice(("numerical", "delta", "extras"))
+        if kind == "numerical":
+            gens = rng.sample(range(2, 40), rng.randint(2, 4))
+            if math.gcd(*gens) == 1:
+                out.append(NumericalSemigroup(gens))
+            continue
+        base = random_free_chain(rng)
+        gaps = base.semigroup.gaps
+        if kind == "delta" or not gaps:
+            out.append(OnePointSemigroup(base))
+            continue
+        try:
+            out.append(OnePointSemigroup(
+                base, rng.sample(gaps, rng.randint(1, min(3, len(gaps))))))
+        except AxiomViolation:
+            # every gap from some point on is always a closed enlargement
+            k = rng.randint(0, base.semigroup.conductor)
+            out.append(OnePointSemigroup(base, [n for n in gaps if n >= k]))
+    return out
+
+
+ONE_POINT_INPUTS = seeded_one_point_inputs(11, 120)
+
+
+def test_seeded_inputs_cover_every_kind():
+    def kind(s):
+        if isinstance(s, NumericalSemigroup):
+            return "numerical"
+        return "extras" if s.extras else "delta"
+    assert all(s.is_symmetric()
+               for s in ONE_POINT_INPUTS[:len(SYMMETRIC_WITH_EXTRAS)])
+    kinds = {(kind(s), s.is_symmetric()) for s in ONE_POINT_INPUTS}
+    assert kinds == {(k, sym) for k in ("numerical", "delta", "extras")
+                     for sym in (True, False)} - {("delta", False)}
+
+
+@pytest.mark.parametrize("s", ONE_POINT_INPUTS, ids=repr)
+def test_apery_checks_match_cross_multiplication_oracle(s, monkeypatch):
+    new = s.verify("l_identity")
+    old = l_identity_by_cross_multiplication(s)
+    assert new.passed and old.passed
+    assert new.to_json() == old.to_json()
+    if s.is_symmetric():
+        signs = functional_equation_signs(s)
+        assert signs == signs_by_cross_multiplication(s)
+        assert (signs.eps_l, signs.eps_p) == (1, -1)
+    new = s.verify("funceq")
+    monkeypatch.setattr(onepoint, "functional_equation_signs",
+                        signs_by_cross_multiplication)
+    old = s.verify("funceq")
+    assert new.passed == old.passed == s.is_symmetric()
+    assert new.to_json() == old.to_json()
+
+
+@pytest.mark.parametrize("s", ONE_POINT_INPUTS, ids=repr)
+def test_apery_form_is_the_poincare_series(s):
+    assert apery_series(s).equals(direct_series(s))
+    a = len(s.apery)
+    if isinstance(s, OnePointSemigroup):
+        # the conductor and genus as they were read before the Apery set
+        base = s.base.semigroup
+        assert s.conductor == (s.mask(base.conductor).rfind(0) + 1
+                               if s.extras else base.conductor)
+        assert s.genus == base.genus - len(s.extras)
+    member = s.mask(s.conductor + a)
+    assert s.apery == tuple(next(n for n in range(r, s.conductor + a, a)
+                                 if member[n]) for r in range(a))
+
+
+@pytest.mark.parametrize("s", ONE_POINT_INPUTS, ids=repr)
+def test_symmetry_is_the_apery_involution(s):
+    top = max(s.apery)
+    assert top == (s.conductor - 1) + len(s.apery)  # max Ap = F + a
+    assert s.is_symmetric() == (
+        sorted(s.apery) == sorted(top - w for w in s.apery))
+
+
+def test_north_star_signs_and_l_identity():
+    s = NumericalSemigroup([997, 1009])
+    rep = functional_equation_signs(s)
+    assert (rep.eps_l, rep.eps_p) == (1, -1)
+    assert rep.genus == 996 * 1008 // 2
+    assert s.verify("l_identity").passed

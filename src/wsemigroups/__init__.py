@@ -12,13 +12,11 @@ from .errors import (
 from .onepoint import (
     DeltaSequence,
     FunctionalEquationSigns,
-    LComparison,
     NumericalSemigroup,
     OnePointSemigroup,
     SeriesModeReport,
     functional_equation_signs,
     l_polynomial,
-    l_polynomial_comparison,
     poincare_delta_product,
     poincare_direct,
     poincare_onepoint,
@@ -49,14 +47,12 @@ __all__ = [
     "DeltaSequence",
     "OnePointSemigroup",
     "SeriesModeReport",
-    "LComparison",
     "FunctionalEquationSigns",
     "poincare_direct",
     "poincare_delta_product",
     "poincare_onepoint",
     "series_modes_report",
     "l_polynomial",
-    "l_polynomial_comparison",
     "functional_equation_signs",
     "TwoPointSemigroup",
     "CornerData",

@@ -126,7 +126,7 @@ def parse_input(data: bytes) -> Model:
             base = DeltaSequence(obj["r"])
             return Model(kind, OnePointSemigroup(base, obj.get("extras", ())))
         if kind == "two_point_strip":
-            return Model(kind, TwoPointSemigroup.from_strip(
+            return Model(kind, TwoPointSemigroup(
                 obj["genus"], obj["period"], obj["strip"]))
         if kind == "two_point":
             return Model(kind, TwoPointSemigroup.from_members(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
 
 from .errors import ArityMismatch, InputError
 
@@ -75,10 +74,6 @@ class LaurentPoly:
         return p
 
     @classmethod
-    def zero(cls, arity):
-        return cls({}, arity=arity)
-
-    @classmethod
     def one(cls, arity):
         return cls({(0,) * arity: 1})
 
@@ -99,9 +94,6 @@ class LaurentPoly:
 
     def support(self):
         return sorted(self._terms)
-
-    def is_zero(self):
-        return not self._terms
 
     def __bool__(self):
         return bool(self._terms)
@@ -189,27 +181,6 @@ class LaurentPoly:
         return tuple(min(e[i] for e in self._terms)
                      for i in range(self._arity))
 
-    def max_exponents(self):
-        if not self._terms:
-            return None
-        return tuple(max(e[i] for e in self._terms)
-                     for i in range(self._arity))
-
-    def evaluate(self, point):
-        """Exact value at a tuple of nonzero rationals."""
-        if len(point) != self._arity:
-            raise ArityMismatch("evaluation point has wrong length")
-        pt = [Fraction(x) for x in point]
-        if any(x == 0 for x in pt):
-            raise ZeroDivisionError("Laurent terms cannot be evaluated at 0")
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            term = Fraction(c)
-            for x, k in zip(pt, e):
-                term *= x ** k
-            total += term
-        return total
-
     def __repr__(self):
         return f"LaurentPoly({self})"
 
@@ -288,6 +259,17 @@ class Window:
         return f"Window({inside})"
 
 
+def _json_ints(values):
+    """values as a tuple when it is a JSON list of JSON integers (not
+    bools or floats); TypeError naming the first offender otherwise."""
+    if type(values) is not list:
+        raise TypeError(f"expected a list, got {values!r}")
+    for x in values:
+        if type(x) is not int:
+            raise TypeError(f"expected an integer, got {x!r}")
+    return tuple(values)
+
+
 def _factor_poly(v, arity):
     """The Laurent polynomial 1 - t^v."""
     return LaurentPoly({(0,) * arity: 1, v: -1}, arity=arity)
@@ -317,10 +299,6 @@ class RationalGF:
             factors.append(v)
         self._num = num
         self._den = tuple(sorted(factors))
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p, ())
 
     @classmethod
     def geometric(cls, *vectors):
@@ -472,20 +450,6 @@ class RationalGF:
             out += grid[i + first:i + end]
         return out
 
-    def evaluate(self, point):
-        """Exact rational value; every factor must evaluate away from 1."""
-        num = self._num.evaluate(point)
-        den = Fraction(1)
-        pt = [Fraction(x) for x in point]
-        for v in self._den:
-            factor = Fraction(1)
-            for x, k in zip(pt, v):
-                factor *= x ** k
-            if factor == 1:
-                raise ZeroDivisionError(f"factor (1 - t^{v}) vanishes at {point}")
-            den *= 1 - factor
-        return num / den
-
     def to_json(self):
         """Canonical JSON form, numerator terms in lexicographic order."""
         return {
@@ -495,11 +459,13 @@ class RationalGF:
 
     @classmethod
     def from_json(cls, obj):
+        """The inverse of to_json; nothing is coerced."""
         if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
             raise InputError("series JSON needs 'num' and 'den' fields")
         try:
-            terms = [(tuple(t["e"]), int(t["c"])) for t in obj["num"]]
-            den = [tuple(v) for v in obj["den"]]
+            terms = [(_json_ints(t["e"]), t["c"]) for t in obj["num"]]
+            den = [_json_ints(v) for v in obj["den"]]
+            _json_ints([c for _, c in terms])
         except (TypeError, KeyError) as exc:
             raise InputError(f"malformed series JSON: {exc}") from exc
         arity = None

@@ -128,7 +128,7 @@ class VerificationReport:
 class TwoPointSemigroup:
     """A validated two-point semigroup on the quotient strip.
 
-    >>> S = TwoPointSemigroup.from_strip(1, 2, [[True, False], [False, False]])
+    >>> S = TwoPointSemigroup(1, 2, [[True, False], [False, False]])
     >>> S.contains((2, -2)), S.contains((1, 0)), S.contains((1, 1))
     (True, False, True)
     """
@@ -172,10 +172,6 @@ class TwoPointSemigroup:
             next((s for s in range(top) if self.strip[s][(s - b) % period]),
                  top)
             for b in range(period))
-
-    @classmethod
-    def from_strip(cls, genus, period, rows):
-        return cls(genus, period, rows)
 
     @classmethod
     def from_members(cls, genus, period, gens):

@@ -20,14 +20,28 @@ direct series, whose numerator has O(c) terms, by `RationalGF.equals`,
 which cross-multiplies sparse polynomials.  The library decides both on
 the Apery form, with a numerator terms, instead; test_onepoint.py checks
 the two against each other.
+
+`base_plus_extras_mask` and `base_or_extra` are the membership of a
+one-point semigroup as it was read before it shared the Apery-set class:
+the base's mask with the extras set, and "in the base or an extra".
+
+`series_modes_by_expansion` finds the first difference of the two modes
+of `poincare_onepoint` by expanding both on the report's window; the
+library reads it off the extras in closed form.
+
+`l_polynomial_paper` is the published display of the L-polynomial,
+kept verbatim, and `l_polynomial_comparison` sets it beside the
+library's L-polynomial with their difference.
 """
 
 import itertools
+from dataclasses import dataclass
 
 from wsemigroups import (FunctionalEquationSigns, LaurentPoly, RationalGF,
-                         VerificationReport)
+                         SeriesModeReport, VerificationReport, Window)
 from wsemigroups.onepoint import (_matching_sign, direct_series,
-                                  l_polynomial, poincare_direct)
+                                  l_polynomial, poincare_direct,
+                                  poincare_onepoint)
 
 _ONE_MINUS_T = LaurentPoly({(0,): 1, (1,): -1})
 
@@ -68,7 +82,7 @@ def representation_counts(r, d, bound):
 def l_identity_by_cross_multiplication(semigroup):
     """The l_identity report: (1 - t) times the direct series `equals`
     the L-polynomial."""
-    lpoly = RationalGF.from_poly(l_polynomial(semigroup, "direct"))
+    lpoly = RationalGF(l_polynomial(semigroup))
     ok = (direct_series(semigroup) * _ONE_MINUS_T).equals(lpoly)
     return VerificationReport("l_identity", ok, (), None, {}, lpoly)
 
@@ -77,7 +91,7 @@ def signs_by_cross_multiplication(semigroup):
     """The reflection signs of a symmetric semigroup, decided on the
     L-polynomial and the direct series."""
     g = semigroup.genus
-    lpoly = RationalGF.from_poly(l_polynomial(semigroup, "direct"))
+    lpoly = RationalGF(l_polynomial(semigroup))
     rhs_l = lpoly.reciprocal() * LaurentPoly.monomial((2 * g,))
     p = poincare_direct(semigroup)
     rhs_p = p.reciprocal() * LaurentPoly.monomial((2 * g - 1,))
@@ -85,3 +99,48 @@ def signs_by_cross_multiplication(semigroup):
         eps_l=_matching_sign(lpoly, rhs_l),
         eps_p=_matching_sign(p, rhs_p),
         genus=g)
+
+
+def base_plus_extras_mask(ops, hi):
+    """The base semigroup's membership mask on [0, hi) with the extras set."""
+    member = ops.base.semigroup.mask(hi)
+    for e in ops.extras:
+        if e < hi:
+            member[e] = 1
+    return member
+
+
+def base_or_extra(ops, n):
+    return ops.base.semigroup.contains(n) or n in ops.extras
+
+
+def series_modes_by_expansion(ops):
+    """The series_modes_report of ops, from the expansions of both modes."""
+    hi = ops.conductor + (ops.extras[-1] if ops.extras else 0) + 10
+    window = Window((0, hi))
+    ef = poincare_onepoint(ops, "finite_sum").expand(window)
+    ep = poincare_onepoint(ops, "paper_product").expand(window)
+    first = next((n for n, (x, y) in enumerate(zip(ef, ep)) if x != y), None)
+    return SeriesModeReport(first is None, first, (0, hi))
+
+
+def l_polynomial_paper(semigroup):
+    """The published display 1 - t + t^c + (1 - t) sum_{n in S, n < c} t^n,
+    which exceeds the L-polynomial by exactly (1 - t)."""
+    return l_polynomial(semigroup) + _ONE_MINUS_T
+
+
+@dataclass(frozen=True)
+class LComparison:
+    direct: LaurentPoly
+    paper: LaurentPoly
+    differ: bool
+    difference: LaurentPoly
+
+
+def l_polynomial_comparison(semigroup):
+    """Both L forms side by side, with their (polynomial) difference."""
+    direct = l_polynomial(semigroup)
+    paper = l_polynomial_paper(semigroup)
+    diff = paper - direct
+    return LComparison(direct, paper, bool(diff), diff)

@@ -6,15 +6,22 @@ then convolves the whole numerator against it at every window point.
 It costs O(|window| * |num|) on top of the table, which is why
 `RationalGF.expand` no longer works this way; the property tests in
 test_series.py check the fast expansion against it.
+
+`evaluate` gives the exact rational value of a LaurentPoly or a
+RationalGF at a point; the tests use it to check identities such as
+the reciprocal numerically.
 """
 
 import itertools
+from fractions import Fraction
+
+from wsemigroups import ArityMismatch, LaurentPoly
 
 
 def expand_by_convolution(gf, window):
     """Coefficients of gf's one-sided expansion at every window point."""
     num, den = gf.num, gf.den
-    if num.is_zero():
+    if not num:
         return {m: 0 for m in window.points()}
     lo_e = num.min_exponents()
     box = tuple(max(0, hi - lo_e[i])
@@ -38,3 +45,31 @@ def expand_by_convolution(gf, window):
                 total += c * dp.get(u, 0)
         out[m] = total
     return out
+
+
+def evaluate(f, point):
+    """Exact value of f at a tuple of nonzero rationals; every factor of
+    a RationalGF's denominator must evaluate away from 1."""
+    num = f if isinstance(f, LaurentPoly) else f.num
+    if len(point) != num.arity:
+        raise ArityMismatch("evaluation point has wrong length")
+    pt = [Fraction(x) for x in point]
+    if any(x == 0 for x in pt):
+        raise ZeroDivisionError("Laurent terms cannot be evaluated at 0")
+    total = Fraction(0)
+    for e, c in num.terms():
+        term = Fraction(c)
+        for x, k in zip(pt, e):
+            term *= x ** k
+        total += term
+    if isinstance(f, LaurentPoly):
+        return total
+    den = Fraction(1)
+    for v in f.den:
+        factor = Fraction(1)
+        for x, k in zip(pt, v):
+            factor *= x ** k
+        if factor == 1:
+            raise ZeroDivisionError(f"factor (1 - t^{v}) vanishes at {point}")
+        den *= 1 - factor
+    return total / den

@@ -20,6 +20,7 @@ from wsemigroups import (
 import wsemigroups
 from wsemigroups import CHECKS, TwoPointSemigroup, VerificationReport, cli
 from wsemigroups.cli import parse_input
+from wsemigroups.onepoint import _AperySemigroup
 from wsemigroups.oracle import d_oracle
 from wsemigroups.twopoint import interior_region
 
@@ -194,7 +195,7 @@ def test_validate_delta_with_huge_conductor(tmp_path, capsys, monkeypatch):
     # a free chain is proved free by h Apery tests and its conductor is the
     # base one, so nothing of size c is built; the stubs fail any expansion
     # or membership mask above 10^7 cells, which a dense count would need
-    expand, mask = RationalGF.expand, NumericalSemigroup.mask
+    expand, mask = RationalGF.expand, _AperySemigroup.mask
 
     def bounded_expand(self, window):
         ((lo, hi),) = window.bounds
@@ -208,7 +209,8 @@ def test_validate_delta_with_huge_conductor(tmp_path, capsys, monkeypatch):
         return mask(self, hi)
 
     monkeypatch.setattr(RationalGF, "expand", bounded_expand)
-    monkeypatch.setattr(NumericalSemigroup, "mask", bounded_mask)
+    # mask is defined once, for both one-point classes
+    monkeypatch.setattr(_AperySemigroup, "mask", bounded_mask)
     path = write(tmp_path, "huge.json", {"kind": "delta", "r": [2, 10**12 + 1]})
     code, out, err = invoke(["validate", path], capsys)
     assert (code, err) == (0, "")
@@ -773,6 +775,44 @@ def test_one_point_expand_stdout_is_pinned(key, tmp_path, capsys):
     assert err == (_REJECTED_10_4_3 if name == "delta-10-4-3" else "")
 
 
+# analyze reports where the two series modes first differ, 2 min(extras),
+# or null when the window [0, c + max(extras) + 10] stops short of it
+MODES_INPUTS = {
+    "delta-4-6-7+9": {"kind": "delta", "r": [4, 6, 7], "extras": [9]},
+    "delta-8-9+55": {"kind": "delta", "r": [8, 9], "extras": [55]},
+    "delta-12-13+131": {"kind": "delta", "r": [12, 13], "extras": [131]},
+    "delta-20-21+379": {"kind": "delta", "r": [20, 21], "extras": [379]},
+}
+_PINNED_MODES_ANALYZE = {
+    "delta-4-6-7+9 analyze":
+        (0, "6ff24f28245c37773fbc5e00d3e5e121037a8c238db776549be47966c9cafceb"),
+    "delta-4-6-7+9 analyze --json":
+        (0, "7f926bf6755e7b54f16329dab37aefef58e336588224c7fbac01f45dd22d5e88"),
+    "delta-8-9+55 analyze":
+        (0, "6e91cd6d9ceb535281811018e3edb4ad55b8bd43b25f10be0b4dc72be90d56e5"),
+    "delta-8-9+55 analyze --json":
+        (0, "3437c77d80addd8111b87fc240778bac0f5a033f90b5d8029063e3fadeb6b376"),
+    "delta-12-13+131 analyze":
+        (0, "1e75c726230d96147299538d81ecf608e36b760d193273c983e92d4fe112ffae"),
+    "delta-12-13+131 analyze --json":
+        (0, "638ca67028f63dcc3f95066b5e406fb31f1d2333bacee0309578c5ec2dbf43ad"),
+    "delta-20-21+379 analyze":
+        (0, "4104670b3ac67f89416bca1d02f8a25c34091db3798f02a30dc10e0d63a0a203"),
+    "delta-20-21+379 analyze --json":
+        (0, "e0000be385d3a679951b85107bf48536f1f7e844331fc714e092b86125ffe7f7"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_MODES_ANALYZE))
+def test_series_modes_analyze_is_pinned(key, tmp_path, capsys):
+    name, verb, *args = key.split()
+    path = write(tmp_path, f"{name}.json", MODES_INPUTS[name])
+    code, out, err = invoke([verb, path, *args], capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        _PINNED_MODES_ANALYZE[key]
+    assert err == ""
+
+
 @pytest.mark.parametrize("window", [
     (0, 10, 10**9, 10**9 + 10),
     (0, 10, -10**9 - 20, -10**9 - 10),
@@ -785,7 +825,7 @@ def test_verify_far_window_matches_point_scans(window, tmp_path, capsys):
     path = write(tmp_path, "strip-4x5.json", GUARD_INPUTS["strip-4x5"])
     code, out, _ = invoke(["verify", path, "--check", "all", "--window",
                            *map(str, window), "--json"], capsys)
-    S = TwoPointSemigroup.from_strip(4, 5, GUARD_INPUTS["strip-4x5"]["strip"])
+    S = TwoPointSemigroup(4, 5, GUARD_INPUTS["strip-4x5"]["strip"])
     W = Window((window[0], window[1]), (window[2], window[3]))
     expected = []
     for check in CHECKS[1:]:  # all but closure, which scans no window

@@ -33,15 +33,16 @@ from wsemigroups.onepoint import (
     direct_series,
     functional_equation_signs,
     l_polynomial,
-    l_polynomial_comparison,
     poincare_delta_product,
     poincare_direct,
     poincare_onepoint,
     series_modes_report,
 )
-from onepoint_oracle import (closure_sieve, l_identity_by_cross_multiplication,
-                             representation_counts, sieved,
-                             signs_by_cross_multiplication)
+from onepoint_oracle import (base_or_extra, base_plus_extras_mask,
+                             closure_sieve, l_identity_by_cross_multiplication,
+                             l_polynomial_comparison, l_polynomial_paper,
+                             representation_counts, series_modes_by_expansion,
+                             sieved, signs_by_cross_multiplication)
 
 
 def sieve_membership(gens):
@@ -434,6 +435,22 @@ def test_poincare_onepoint_no_extras_modes_coincide():
     assert report.agree and report.first_difference is None
 
 
+@pytest.mark.parametrize("r, extras, first", [
+    ([4, 6, 7], [9], 18),
+    ([8, 9], [55], 110),
+    ([11, 12], [109], 218),  # the window ends at 99 + 109 + 10 = 218
+    ([12, 13], [131], None),  # 2 * 131 lies beyond the window end 260
+    ([20, 21], [379], None),
+])
+def test_series_modes_report_cases(r, extras, first):
+    ops = OnePointSemigroup(r, extras)
+    report = series_modes_report(ops)
+    assert report.first_difference == first
+    assert report.agree == (first is None)
+    assert report.window == (0, ops.conductor + extras[-1] + 10)
+    assert report == series_modes_by_expansion(ops)
+
+
 def test_l_polynomial_2_3():
     assert l_polynomial(NumericalSemigroup([2, 3])) == LaurentPoly(
         {(0,): 1, (1,): -1, (2,): 1})
@@ -441,8 +458,8 @@ def test_l_polynomial_2_3():
 
 def test_l_polynomial_paper_form_2_5():
     s = NumericalSemigroup([2, 5])
-    direct = l_polynomial(s, "direct")
-    paper = l_polynomial(s, "paper")
+    direct = l_polynomial(s)
+    paper = l_polynomial_paper(s)
     assert direct == LaurentPoly({(0,): 1, (1,): -1, (2,): 1, (3,): -1, (4,): 1})
     assert paper == LaurentPoly({(0,): 2, (1,): -2, (2,): 1, (3,): -1, (4,): 1})
     cmp = l_polynomial_comparison(s)
@@ -458,7 +475,7 @@ def test_l_is_one_minus_t_times_poincare():
     one_minus_t = LaurentPoly({(0,): 1, (1,): -1})
     for gens in ([2, 3], [2, 5], [3, 4], [4, 6, 7], [3, 4, 5]):
         s = NumericalSemigroup(gens)
-        lhs = RationalGF.from_poly(l_polynomial(s))
+        lhs = RationalGF(l_polynomial(s))
         rhs = poincare_direct(s) * one_minus_t
         assert lhs.equals(rhs), gens
 
@@ -588,12 +605,35 @@ def test_apery_form_is_the_poincare_series(s):
     if isinstance(s, OnePointSemigroup):
         # the conductor and genus as they were read before the Apery set
         base = s.base.semigroup
-        assert s.conductor == (s.mask(base.conductor).rfind(0) + 1
-                               if s.extras else base.conductor)
+        assert s.conductor == (
+            base_plus_extras_mask(s, base.conductor).rfind(0) + 1
+            if s.extras else base.conductor)
         assert s.genus == base.genus - len(s.extras)
     member = s.mask(s.conductor + a)
     assert s.apery == tuple(next(n for n in range(r, s.conductor + a, a)
                                  if member[n]) for r in range(a))
+
+
+SEEDED_DELTA_INPUTS = [s for s in ONE_POINT_INPUTS
+                       if isinstance(s, OnePointSemigroup)]
+
+
+# the oracle multiplies out one denominator factor per extra, which takes
+# seconds beyond a few dozen extras; the closed form costs O(1) on all
+@pytest.mark.parametrize(
+    "s", [s for s in SEEDED_DELTA_INPUTS if 0 < len(s.extras) <= 30],
+    ids=repr)
+def test_seeded_series_modes_report_matches_expansion(s):
+    assert series_modes_report(s) == series_modes_by_expansion(s)
+
+
+@pytest.mark.parametrize("s", SEEDED_DELTA_INPUTS, ids=repr)
+def test_apery_membership_is_base_or_extra(s):
+    # a closed enlargement's Apery set answers as the base plus the extras
+    hi = s.base.semigroup.conductor + len(s.apery) + 7
+    assert s.mask(hi) == base_plus_extras_mask(s, hi)
+    assert [s.contains(n) for n in range(-3, hi)] == [
+        base_or_extra(s, n) for n in range(-3, hi)]
 
 
 @pytest.mark.parametrize("s", ONE_POINT_INPUTS, ids=repr)

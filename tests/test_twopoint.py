@@ -21,15 +21,15 @@ T, F = True, False
 
 
 def projective_line():
-    return TwoPointSemigroup.from_strip(0, 1, [])
+    return TwoPointSemigroup(0, 1, [])
 
 
 def elliptic2():
-    return TwoPointSemigroup.from_strip(1, 2, [[T, F], [F, F]])
+    return TwoPointSemigroup(1, 2, [[T, F], [F, F]])
 
 
 def elliptic3():
-    return TwoPointSemigroup.from_strip(1, 3, [[T, F, F], [F, F, T]])
+    return TwoPointSemigroup(1, 3, [[T, F, F], [F, F, T]])
 
 
 def genus2_line():
@@ -39,13 +39,13 @@ def genus2_line():
 def all_sum_zero_strip():
     # valid strip whose corner maximals all have sum 0, so no symmetry
     # point candidate with sum 2g exists
-    return TwoPointSemigroup.from_strip(1, 2, [[T, T], [F, F]])
+    return TwoPointSemigroup(1, 2, [[T, T], [F, F]])
 
 
 def order_dependent_strip():
     # (1,0) has a column member only above sum 0, so the two jump
     # decompositions disagree there
-    return TwoPointSemigroup.from_strip(1, 2, [[T, F], [F, T]])
+    return TwoPointSemigroup(1, 2, [[T, F], [F, T]])
 
 
 @st.composite
@@ -80,7 +80,7 @@ def fixture(name, period=1):
 
 def strip_4x5():
     # its maximal_count_coefficient above sum 2g takes values other than 2
-    return TwoPointSemigroup.from_strip(4, 5, [
+    return TwoPointSemigroup(4, 5, [
         [c == "1" for c in row] for row in (
             "10000", "00000", "00000", "10000",
             "00001", "10000", "10000", "00001")])
@@ -142,24 +142,24 @@ def test_from_strip_elliptic_membership():
 
 def test_from_strip_rejects_missing_origin():
     with pytest.raises(AxiomViolation, match="origin"):
-        TwoPointSemigroup.from_strip(1, 2, [[F, T], [F, F]])
+        TwoPointSemigroup(1, 2, [[F, T], [F, F]])
 
 
 def test_from_strip_rejects_closure_violation():
     with pytest.raises(AxiomViolation, match="closure") as exc:
-        TwoPointSemigroup.from_strip(2, 1, [[T], [T], [F], [F]])
+        TwoPointSemigroup(2, 1, [[T], [T], [F], [F]])
     assert ((1, 0), (1, 0), (2, 0)) in exc.value.witnesses
 
 
 def test_from_strip_shape_errors():
     with pytest.raises(InvalidSemigroup):
-        TwoPointSemigroup.from_strip(1, 2, [[T, F]])
+        TwoPointSemigroup(1, 2, [[T, F]])
     with pytest.raises(InvalidSemigroup):
-        TwoPointSemigroup.from_strip(1, 2, [[T], [F]])
+        TwoPointSemigroup(1, 2, [[T], [F]])
     with pytest.raises(InvalidSemigroup):
-        TwoPointSemigroup.from_strip(-1, 2, [])
+        TwoPointSemigroup(-1, 2, [])
     with pytest.raises(InvalidSemigroup):
-        TwoPointSemigroup.from_strip(1, 0, [[], []])
+        TwoPointSemigroup(1, 0, [[], []])
 
 
 def test_from_members_elliptic():

@@ -26,7 +26,6 @@ from .oracle import Fixture, d_oracle, ell, semigroup_from_fixture
 from .series import LaurentPoly, RationalGF, Window
 from .twopoint import (
     CHECKS,
-    CornerData,
     SymmetryReport,
     TwoPointSemigroup,
     VerificationReport,
@@ -55,7 +54,6 @@ __all__ = [
     "l_polynomial",
     "functional_equation_signs",
     "TwoPointSemigroup",
-    "CornerData",
     "SymmetryReport",
     "VerificationReport",
     "CHECKS",

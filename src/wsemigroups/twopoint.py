@@ -58,24 +58,6 @@ def interior_region(window: Window) -> Window:
     return Window(*bounds)
 
 
-def _jsonable(value):
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    raise TypeError(f"not JSON-serialisable: {value!r}")
-
-
-@dataclass(frozen=True)
-class CornerData:
-    """Maximal points in the fundamental corner 0 < m1 <= period,
-    0 <= m1 + m2 <= 2g, sorted lexicographically."""
-
-    points: tuple
-
-
 @dataclass(frozen=True)
 class SymmetryReport:
     """Outcome of the symmetry-point search.
@@ -92,14 +74,6 @@ class SymmetryReport:
     point_symmetry_ok: bool
     witnesses: tuple
 
-    def to_json(self):
-        return {
-            "sigma": _jsonable(self.sigma),
-            "involution_ok": self.involution_ok,
-            "point_symmetry_ok": self.point_symmetry_ok,
-            "witnesses": _jsonable(self.witnesses),
-        }
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -114,14 +88,14 @@ class VerificationReport:
         out = {
             "check": self.check,
             "pass": self.passed,
-            "witnesses": _jsonable(self.witnesses),
+            "witnesses": self.witnesses,
         }
         if self.window is not None:
-            out["window"] = _jsonable(self.window)
+            out["window"] = self.window
         if self.series is not None:
             out["series"] = self.series.to_json()
         if self.details:
-            out["details"] = _jsonable(self.details)
+            out["details"] = self.details
         return out
 
 
@@ -249,10 +223,12 @@ class TwoPointSemigroup:
         return [(s, a) for a, s in enumerate(self._colmin)
                 if s <= self._rowmin[(s - a) % self.period]]
 
-    def corner_maximals(self) -> CornerData:
+    def corner_maximals(self) -> tuple:
+        """Maximal points in the fundamental corner 0 < m1 <= period,
+        0 <= m1 + m2 <= 2g, sorted lexicographically."""
         if self._corner is None:
-            self._corner = CornerData(tuple(sorted(
-                self.normalize((a, s - a)) for s, a in self._maximal_classes())))
+            self._corner = tuple(sorted(
+                self.normalize((a, s - a)) for s, a in self._maximal_classes()))
         return self._corner
 
     def normalize(self, p):
@@ -265,16 +241,10 @@ class TwoPointSemigroup:
         return self._points_of(window, self._maximal_classes())
 
     def corner_translates_in(self, window: Window):
-        """Period translates of the corner maximals inside the window."""
-        (lo1, hi1), (lo2, hi2) = window.bounds
-        th = self.period
-        out = set()
-        for p1, p2 in self.corner_maximals().points:
-            lo = max(-((p1 - lo1) // th), -((hi2 - p2) // th))
-            hi = min((hi1 - p1) // th, (p2 - lo2) // th)
-            for lam in range(lo, hi + 1):
-                out.add((p1 + lam * th, p2 - lam * th))
-        return sorted(out)
+        """Period translates of the corner maximals inside the window; a
+        translate by lambda (period, -period) keeps the class of its point."""
+        return self._points_of(window, [(p1 + p2, p1 % self.period)
+                                        for p1, p2 in self.corner_maximals()])
 
     def maximal_count_coefficient(self, m):
         """Coefficient of t^m in (1 - t1 t2) * sum over all maximal points.
@@ -331,7 +301,7 @@ class TwoPointSemigroup:
         (1 - t1)(1 - t2).  Valid only modulo the two-sided telescoping
         convention; never asserted coefficientwise against dim_jump.
         """
-        corner_sum = LaurentPoly({m: 1 for m in self.corner_maximals().points},
+        corner_sum = LaurentPoly({m: 1 for m in self.corner_maximals()},
                                  arity=2)
         one_minus_tt = LaurentPoly({(0, 0): 1, (1, 1): -1})
         return RationalGF(one_minus_tt * corner_sum, [(1, 0), (0, 1)])
@@ -343,7 +313,7 @@ class TwoPointSemigroup:
     def _sigma_candidate(self):
         """First corner maximal with sum 2g whose reflection preserves
         the corner maximals; None if no candidate works."""
-        corner = self.corner_maximals().points
+        corner = self.corner_maximals()
         corner_set = set(corner)
         for cand in corner:
             if cand[0] + cand[1] != 2 * self.genus:
@@ -395,21 +365,10 @@ class TwoPointSemigroup:
         points.sort()
         return points
 
-    def _where(self, window, pred, periodic=False):
-        """Window points of the band classes where pred(m) holds.  With
-        periodic, pred is also asked on one period of sums on each side
-        of the band, and its answers repeat beyond it."""
-        points = self._points_of(window, [
+    def _where(self, window, pred):
+        """Window points of the band classes where pred(m) holds."""
+        return self._points_of(window, [
             (s, a) for s, a in self._band(window) if pred((a, s - a))])
-        if periodic:
-            top, th = 2 * self.genus, self.period
-            for s in (*range(-2 - th, -2), *range(top + 3, top + 3 + th)):
-                for a in range(th):
-                    if pred((a, s - a)):
-                        points.extend(
-                            self._residue_points(window, a, s - a, s > 0))
-            points.sort()
-        return points
 
     def _residue_points(self, window, a, b, above):
         """Window points with m1 = a and m2 = b mod period and sum at
@@ -476,15 +435,15 @@ class TwoPointSemigroup:
 
     def _check_c_prop(self, region):
         """c(m) = -1 iff m-1 maximal, and c(m) = 1 iff m maximal."""
-        def fails(m, only_stray=False):
+        def fails(m):
             c = self.euler_c(m)
-            prev_max = self.is_maximal((m[0] - 1, m[1] - 1))
-            here_max = self.is_maximal(m)
-            return ((c == -1) != prev_max or (c == 1) != here_max) and \
-                not (only_stray and prev_max and here_max)
+            return (c == -1) != self.is_maximal((m[0] - 1, m[1] - 1)) or \
+                (c == 1) != self.is_maximal(m)
 
         witnesses = self._where(region, fails)
-        stray = self._where(region, lambda m: fails(m, only_stray=True))
+        # the violations where m and m - (1, 1) are not both maximal
+        stray = [m for m in witnesses if not (
+            self.is_maximal(m) and self.is_maximal((m[0] - 1, m[1] - 1)))]
         details = {"violations_both_maximal": not stray}
         if stray:
             details["stray"] = stray
@@ -526,8 +485,7 @@ class TwoPointSemigroup:
 
     def _check_symmetry(self, region):
         rep = self.find_symmetry_point(region)
-        passed = rep.sigma is not None and rep.involution_ok \
-            and rep.point_symmetry_ok
+        passed = rep.sigma is not None and rep.point_symmetry_ok
         details = {"sigma": rep.sigma, "involution_ok": rep.involution_ok}
         return passed, list(rep.witnesses), details
 
@@ -550,8 +508,16 @@ class TwoPointSemigroup:
             return mcc(m) + mcc(refl) != 2 or \
                 self._step(m) != -self._step((refl[0] + 1, refl[1] + 1))
 
-        # beyond the band mcc repeats with period `period` in s, not 2
-        witnesses = self._where(region, fails, periodic=True)
+        witnesses = self._where(region, fails)
+        # beyond the band mcc repeats with period `period` in s, not 2, so
+        # fails is asked on one period of sums on each side of the band
+        top, th = 2 * self.genus, self.period
+        for s in (*range(-2 - th, -2), *range(top + 3, top + 3 + th)):
+            for a in range(th):
+                if fails((a, s - a)):
+                    witnesses.extend(
+                        self._residue_points(region, a, s - a, s > 0))
+        witnesses.sort()
         details = {"sigma": sigma, "involution_ok": True}
         return not witnesses, witnesses, details
 

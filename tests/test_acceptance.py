@@ -165,9 +165,9 @@ def test_criterion_07_corner_theorem_set_level():
         window = sg.default_window()
         assert set(sg.maximal_points_in(window)) == set(sg.corner_translates_in(window))
     e2 = semigroup_from_fixture(Fixture("elliptic", 2))
-    assert set(e2.corner_maximals().points) == {(1, 1), (2, -2)}
+    assert set(e2.corner_maximals()) == {(1, 1), (2, -2)}
     proj = semigroup_from_fixture(Fixture("projective_line"))
-    assert set(proj.corner_maximals().points) == {(1, -1)}
+    assert set(proj.corner_maximals()) == {(1, -1)}
 
 
 def test_criterion_08_coefficient_corollary():

@@ -267,7 +267,7 @@ def test_maximals_default_window_scan(elliptic2, capsys):
     # every listed point is a period translate of a corner maximal
     sg = parse_input(
         b'{"kind":"fixture","name":"elliptic","period":2}').semigroup
-    corner = set(sg.corner_maximals().points)
+    corner = set(sg.corner_maximals())
     assert all(sg.normalize(tuple(p)) in corner for p in data["maximals"])
     assert [1, 1] in data["maximals"] and [2, -2] in data["maximals"]
     assert [3, -1] in data["maximals"] and [-1, 3] in data["maximals"]
@@ -813,6 +813,35 @@ def test_series_modes_analyze_is_pinned(key, tmp_path, capsys):
     assert err == ""
 
 
+# --json writes only integers, strings, booleans and null; a float, NaN or
+# Infinity anywhere in the output trips these parse hooks
+def _not_an_integer(text):
+    raise AssertionError(f"--json wrote the non-integer {text}")
+
+
+_JSON_COMMANDS = [("validate",), ("analyze",), ("maximals",),
+                  ("maximals", "--corner"), ("expand",),
+                  ("verify", "--check", "all"),
+                  *(("poincare", "--form", form) for form in cli.FORMS)]
+
+
+@pytest.mark.parametrize("name", [*GUARD_INPUTS, *ONE_POINT_INPUTS])
+def test_json_output_holds_no_floats(name, tmp_path, capsys):
+    payload = {**GUARD_INPUTS, **ONE_POINT_INPUTS}[name]
+    path = write(tmp_path, f"{name}.json", payload)
+    parsed = 0
+    for verb, *args in _JSON_COMMANDS:
+        code, out, _ = invoke([verb, path, *args, "--json"], capsys)
+        if code == 2:  # a verb or form this input does not take
+            assert out == ""
+            continue
+        json.loads(out, parse_float=_not_an_integer,
+                   parse_constant=_not_an_integer)
+        parsed += 1
+    # every input but the rejected chain [10, 4, 3] answers some verbs
+    assert parsed or name == "delta-10-4-3"
+
+
 @pytest.mark.parametrize("window", [
     (0, 10, 10**9, 10**9 + 10),
     (0, 10, -10**9 - 20, -10**9 - 10),
@@ -830,9 +859,9 @@ def test_verify_far_window_matches_point_scans(window, tmp_path, capsys):
     expected = []
     for check in CHECKS[1:]:  # all but closure, which scans no window
         passed, witnesses, details = oracle.verify(S, check, W)
-        expected.append(VerificationReport(
+        expected.append(json.loads(json.dumps(VerificationReport(
             check=check, passed=passed, witnesses=witnesses,
-            window=W.bounds, details=details).to_json())
+            window=W.bounds, details=details).to_json())))
     got = json.loads(out)["checks"]
     assert got[1:] == expected
     assert code == 1 and any(r["witnesses"] for r in got)

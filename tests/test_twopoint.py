@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,6 @@ from wsemigroups import (
 )
 
 from wsemigroups.oracle import Fixture, semigroup_from_fixture
-from wsemigroups.twopoint import CornerData
 
 import twopoint_oracle as oracle
 
@@ -229,16 +230,16 @@ def test_is_maximal_examples():
 
 
 def test_corner_maximals_fixtures():
-    assert projective_line().corner_maximals().points == ((1, -1),)
-    assert elliptic2().corner_maximals().points == ((1, 1), (2, -2))
-    assert elliptic3().corner_maximals().points == ((1, 1), (2, -1), (3, -3))
-    assert genus2_line().corner_maximals().points == ((1, -1),)
+    assert projective_line().corner_maximals() == ((1, -1),)
+    assert elliptic2().corner_maximals() == ((1, 1), (2, -2))
+    assert elliptic3().corner_maximals() == ((1, 1), (2, -1), (3, -3))
+    assert genus2_line().corner_maximals() == ((1, -1),)
 
 
 @settings(max_examples=40)
 @given(random_semigroups())
 def test_corner_points_are_maximal_corner_representatives(S):
-    for p in S.corner_maximals().points:
+    for p in S.corner_maximals():
         assert S.is_maximal(p)
         assert 0 < p[0] <= S.period
         assert 0 <= p[0] + p[1] <= 2 * S.genus
@@ -317,7 +318,7 @@ def test_class_loops_match_point_scans(S, data):
                    Window((-reach - 1, reach + 2), (-reach, reach + 3)),
                    Window((3, 7), (10**9, 10**9 + 4)),
                    Window((-10**9 - 9, -10**9 + 3), (-4, 13)))
-    assert S.corner_maximals().points == oracle.corner_maximals(S)
+    assert S.corner_maximals() == oracle.corner_maximals(S)
     for m in windows[4].points():  # the window wider than the band
         assert S.maximal_count_coefficient(m) == \
             oracle.maximal_count_coefficient(S, m), m
@@ -340,7 +341,7 @@ def test_corner_translates_check_compares_two_derivations(monkeypatch):
     # reads the corner maximals; a corner missing a point must fail it
     S = fixture("elliptic", 2)
     assert S.verify("corner_translates").passed
-    dropped = CornerData(S.corner_maximals().points[1:])
+    dropped = S.corner_maximals()[1:]
     monkeypatch.setattr(TwoPointSemigroup, "corner_maximals",
                         lambda self: dropped)
     rep = S.verify("corner_translates")
@@ -543,14 +544,8 @@ def test_c_identity_holds_on_order_independent_semigroups(S):
 
 def test_verification_report_to_json():
     rep = elliptic2().verify("c_prop", Window((-6, 6), (-6, 6)))
-    out = rep.to_json()
+    out = json.loads(json.dumps(rep.to_json()))
     assert out["check"] == "c_prop"
     assert out["pass"] is False
     assert out["witnesses"] == [[-1, 3], [1, 1], [3, -1]]
     assert out["window"] == [[-6, 6], [-6, 6]]
-
-
-def test_symmetry_report_to_json():
-    out = elliptic2().find_symmetry_point().to_json()
-    assert out == {"sigma": [1, 1], "involution_ok": True,
-                   "point_symmetry_ok": True, "witnesses": []}

@@ -11,22 +11,19 @@ from .errors import (
 )
 from .onepoint import (
     DeltaSequence,
-    FunctionalEquationSigns,
     NumericalSemigroup,
     OnePointSemigroup,
-    SeriesModeReport,
     functional_equation_signs,
     l_polynomial,
     poincare_delta_product,
     poincare_direct,
     poincare_onepoint,
-    series_modes_report,
+    series_first_difference,
 )
 from .oracle import Fixture, d_oracle, ell, semigroup_from_fixture
 from .series import LaurentPoly, RationalGF, Window
 from .twopoint import (
     CHECKS,
-    SymmetryReport,
     TwoPointSemigroup,
     VerificationReport,
 )
@@ -45,16 +42,13 @@ __all__ = [
     "NumericalSemigroup",
     "DeltaSequence",
     "OnePointSemigroup",
-    "SeriesModeReport",
-    "FunctionalEquationSigns",
     "poincare_direct",
     "poincare_delta_product",
     "poincare_onepoint",
-    "series_modes_report",
+    "series_first_difference",
     "l_polynomial",
     "functional_equation_signs",
     "TwoPointSemigroup",
-    "SymmetryReport",
     "VerificationReport",
     "CHECKS",
     "Fixture",

@@ -24,7 +24,7 @@ from .onepoint import (
     direct_series,
     poincare_delta_product,
     poincare_onepoint,
-    series_modes_report,
+    series_first_difference,
 )
 from .oracle import Fixture, FixtureSemigroup, semigroup_from_fixture
 from .series import LaurentPoly, RationalGF, Window
@@ -146,7 +146,7 @@ def _summary(model: Model) -> dict:
             "symmetric": S.is_symmetric(),
         }
     if model.kind == "delta":
-        modes = series_modes_report(S)
+        first = series_first_difference(S)
         return {
             "kind": model.kind,
             "r": list(S.base.r),
@@ -157,8 +157,8 @@ def _summary(model: Model) -> dict:
             "genus": S.genus,
             "gaps": S.gaps,
             "symmetric": S.is_symmetric(),
-            "series_modes_agree": modes.agree,
-            "series_first_difference": modes.first_difference,
+            "series_modes_agree": first is None,
+            "series_first_difference": first,
         }
     out = {"kind": model.kind}
     if model.kind == "fixture":
@@ -167,9 +167,9 @@ def _summary(model: Model) -> dict:
     out["period"] = S.period
     out["gap_classes"] = S.gap_class_count()
     out["corner_maximals"] = S.corner_maximals()
-    rep = S.find_symmetry_point()
-    out["sigma"] = rep.sigma
-    out["symmetric"] = rep.sigma is not None and rep.point_symmetry_ok
+    sigma, witnesses = S.find_symmetry_point()
+    out["sigma"] = sigma
+    out["symmetric"] = sigma is not None and not witnesses
     return out
 
 

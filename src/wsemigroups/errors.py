@@ -1,7 +1,10 @@
 """Shared exception types.
 
 Everything raised on bad input derives from ValueError so callers can
-catch one base class; the CLI maps all of these to exit code 2.
+catch one base class; the CLI maps all of these to exit code 2.  A
+value of the wrong type is not coerced: a float or a string where the
+constructors take an integer raises TypeError (from operator.index), as
+RationalGF and expand do for their arguments.
 """
 
 

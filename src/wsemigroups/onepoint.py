@@ -22,7 +22,6 @@ import heapq
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import (AxiomViolation, InputError, InvalidSemigroup,
                      NotSymmetric, UnknownCheck)
@@ -126,12 +125,12 @@ class _AperySemigroup:
             return VerificationReport("funceq", False,
                                       tuple(self.symmetry_witnesses()), None,
                                       {"symmetric": False})
-        signs = functional_equation_signs(self)
-        ok = signs.eps_l is not None and signs.eps_p is not None
+        eps_l, eps_p = functional_equation_signs(self)
+        ok = eps_l is not None and eps_p is not None
         # the reflected identities close only with these signs; the
         # opposite pair, often displayed, fails the exact algebra
-        details = {"eps_l": signs.eps_l, "eps_p": signs.eps_p,
-                   "genus": signs.genus, "opposite_pair_fails": ok}
+        details = {"eps_l": eps_l, "eps_p": eps_p,
+                   "genus": self.genus, "opposite_pair_fails": ok}
         return VerificationReport("funceq", ok, (), None, details,
                                   RationalGF(l_polynomial(self)))
 
@@ -154,7 +153,7 @@ class NumericalSemigroup(_AperySemigroup):
     CHECKS = ("indicator", "l_identity", "symmetry", "funceq")
 
     def __init__(self, generators):
-        gens = sorted({int(g) for g in generators})
+        gens = sorted(set(map(operator.index, generators)))
         if not gens:
             raise InvalidSemigroup("at least one generator is required")
         if gens[0] < 1:
@@ -207,7 +206,7 @@ class DeltaSequence:
     __slots__ = ("r", "theta", "d", "semigroup")
 
     def __init__(self, r):
-        r = tuple(int(x) for x in r)
+        r = tuple(map(operator.index, r))
         if not r:
             raise InvalidSemigroup("a delta sequence needs at least one entry")
         if any(x < 1 for x in r):
@@ -268,7 +267,7 @@ class OnePointSemigroup(_AperySemigroup):
     def __init__(self, base, extras=()):
         if not isinstance(base, DeltaSequence):
             base = DeltaSequence(base)
-        extra = sorted({int(x) for x in extras})
+        extra = sorted(set(map(operator.index, extras)))
         if extra and extra[0] < 1:
             raise InvalidSemigroup("extra members must be positive")
         for x in extra:
@@ -381,15 +380,6 @@ def poincare_delta_product(ds: DeltaSequence) -> RationalGF:
     return RationalGF(num, [(ri,) for ri in ds.r])
 
 
-@dataclass(frozen=True)
-class SeriesModeReport:
-    """Whether two closed forms expand identically on [0, hi]."""
-
-    agree: bool
-    first_difference: int | None
-    window: tuple[int, int]
-
-
 def poincare_onepoint(ops: OnePointSemigroup, mode="finite_sum") -> RationalGF:
     """Poincare series of a one-point semigroup with extra members.
 
@@ -410,29 +400,16 @@ def poincare_onepoint(ops: OnePointSemigroup, mode="finite_sum") -> RationalGF:
     return base_gf + RationalGF(LaurentPoly.one(1) - geo.den_poly(), geo.den)
 
 
-def series_modes_report(ops: OnePointSemigroup) -> SeriesModeReport:
-    """Where the expansions of the two modes of poincare_onepoint first
-    differ on [0, conductor + max(extras) + 10] ([0, conductor + 10]
-    without extras, where the modes coincide).  The paper product
-    exceeds the finite sum at n by the number of ways to write n as a
-    sum of two or more extras, so the first difference is 2 min(extras)
-    when the window reaches it; nothing is expanded."""
-    if not ops.extras:
-        return SeriesModeReport(True, None, (0, ops.conductor + 10))
-    hi = ops.conductor + ops.extras[-1] + 10
-    first = 2 * ops.extras[0] if 2 * ops.extras[0] <= hi else None
-    return SeriesModeReport(first is None, first, (0, hi))
-
-
-@dataclass(frozen=True)
-class FunctionalEquationSigns:
-    """The signs in L(t) = eps_l t^{2g} L(1/t) and
-    P(t) = eps_p t^{2g-1} P(1/t), decided by exact algebra; None when
-    neither sign closes the identity."""
-
-    eps_l: int | None
-    eps_p: int | None
-    genus: int
+def series_first_difference(ops: OnePointSemigroup) -> int | None:
+    """The first exponent where the expansions of the two modes of
+    poincare_onepoint differ on [0, conductor + max(extras) + 10], or
+    None when they agree there (always without extras).  The paper
+    product exceeds the finite sum at n by the number of ways to write n
+    as a sum of two or more extras, so the first difference is
+    2 min(extras) when the window reaches it; nothing is expanded."""
+    if ops.extras and 2 * ops.extras[0] <= ops.conductor + ops.extras[-1] + 10:
+        return 2 * ops.extras[0]
+    return None
 
 
 def _matching_sign(lhs: RationalGF, rhs: RationalGF):
@@ -443,8 +420,10 @@ def _matching_sign(lhs: RationalGF, rhs: RationalGF):
     return None
 
 
-def functional_equation_signs(semigroup) -> FunctionalEquationSigns:
-    """Determine the unique reflection signs of a symmetric semigroup.
+def functional_equation_signs(semigroup) -> tuple:
+    """The signs (eps_l, eps_p) in L(t) = eps_l t^{2g} L(1/t) and
+    P(t) = eps_p t^{2g-1} P(1/t) of a symmetric semigroup, decided by
+    exact algebra; a sign is None when neither closes its identity.
 
     Exact one-sided algebra forces eps_l = +1 and eps_p = -1 on every
     symmetric semigroup; the commonly displayed opposite signs do not
@@ -462,7 +441,4 @@ def functional_equation_signs(semigroup) -> FunctionalEquationSigns:
     lgf = p * _ONE_MINUS_T
     rhs_l = lgf.reciprocal() * LaurentPoly.monomial((2 * g,))
     rhs_p = p.reciprocal() * LaurentPoly.monomial((2 * g - 1,))
-    return FunctionalEquationSigns(
-        eps_l=_matching_sign(lgf, rhs_l),
-        eps_p=_matching_sign(p, rhs_p),
-        genus=g)
+    return _matching_sign(lgf, rhs_l), _matching_sign(p, rhs_p)

@@ -17,12 +17,11 @@ import operator
 
 from .errors import ArityMismatch, InputError
 
-_VAR_NAMES = {1: ("t",), 2: ("t1", "t2")}
-
 
 def _check_exponent(e, arity=None):
-    """Coerce e to a tuple of ints and check its length."""
-    vec = tuple(int(x) for x in e)
+    """e as a tuple of ints (TypeError for any other entry), checked
+    for length."""
+    vec = tuple(map(operator.index, e))
     if not vec:
         raise ArityMismatch("exponent vectors must have at least one entry")
     if arity is not None and len(vec) != arity:
@@ -53,7 +52,7 @@ class LaurentPoly:
                 e = _check_exponent(e, arity)
                 if arity is None:
                     arity = len(e)
-                c = int(c)
+                c = operator.index(c)
                 if c == 0:
                     continue
                 data[e] = data.get(e, 0) + c
@@ -103,9 +102,6 @@ class LaurentPoly:
             return NotImplemented
         return self._arity == other._arity and self._terms == other._terms
 
-    def __hash__(self):
-        return hash((self._arity, frozenset(self._terms.items())))
-
     def _check_same_arity(self, other):
         if self._arity != other._arity:
             raise ArityMismatch(
@@ -126,8 +122,6 @@ class LaurentPoly:
                 data.pop(e, None)
         return LaurentPoly._trusted(data, self._arity)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentPoly._trusted(
             {e: -c for e, c in self._terms.items()}, self._arity)
@@ -136,9 +130,6 @@ class LaurentPoly:
         if isinstance(other, int):
             other = LaurentPoly({(0,) * self._arity: other}, arity=self._arity)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -182,33 +173,7 @@ class LaurentPoly:
                      for i in range(self._arity))
 
     def __repr__(self):
-        return f"LaurentPoly({self})"
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        names = _VAR_NAMES.get(self._arity)
-        parts = []
-        for e, c in self.terms():
-            powers = []
-            for name, k in zip(names, e):
-                if k == 0:
-                    continue
-                powers.append(name if k == 1 else f"{name}^{k}")
-            mono = "*".join(powers)
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return f"LaurentPoly({dict(self.terms())}, arity={self._arity})"
 
 
 class Window:
@@ -224,7 +189,7 @@ class Window:
     def __init__(self, *bounds):
         checked = []
         for b in bounds:
-            lo, hi = int(b[0]), int(b[1])
+            lo, hi = operator.index(b[0]), operator.index(b[1])
             if lo > hi:
                 raise ValueError(f"empty window bound ({lo}, {hi})")
             checked.append((lo, hi))
@@ -248,15 +213,8 @@ class Window:
         return len(point) == len(self._bounds) and all(
             lo <= x <= hi for x, (lo, hi) in zip(point, self._bounds))
 
-    def __eq__(self, other):
-        return isinstance(other, Window) and self._bounds == other._bounds
-
-    def __hash__(self):
-        return hash(self._bounds)
-
     def __repr__(self):
-        inside = ", ".join(str(b) for b in self._bounds)
-        return f"Window({inside})"
+        return f"Window({', '.join(map(str, self._bounds))})"
 
 
 def _json_ints(values):
@@ -338,8 +296,6 @@ class RationalGF:
         num = self._num * other.den_poly() + other._num * self.den_poly()
         return RationalGF(num, self._den + other._den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RationalGF(-self._num, self._den)
 
@@ -353,8 +309,6 @@ class RationalGF:
         if self.arity != other.arity:
             raise ArityMismatch("mixed arities in rational function product")
         return RationalGF(self._num * other._num, self._den + other._den)
-
-    __rmul__ = __mul__
 
     def reciprocal(self):
         """Substitute t -> 1/t and renormalise the factors.
@@ -482,19 +436,5 @@ class RationalGF:
             return NotImplemented
         return self._num == other._num and self._den == other._den
 
-    def __hash__(self):
-        return hash((self._num, self._den))
-
     def __repr__(self):
-        if not self._den:
-            return f"RationalGF({self._num})"
-        names = _VAR_NAMES.get(self.arity)
-        factors = []
-        for v in self._den:
-            powers = []
-            for name, k in zip(names, v):
-                if k == 0:
-                    continue
-                powers.append(name if k == 1 else f"{name}^{k}")
-            factors.append(f"(1 - {'*'.join(powers)})")
-        return f"RationalGF(({self._num}) / {''.join(factors)})"
+        return f"RationalGF({self._num!r}, {self._den})"

@@ -20,6 +20,7 @@ measures that instead of hiding it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -59,23 +60,6 @@ def interior_region(window: Window) -> Window:
 
 
 @dataclass(frozen=True)
-class SymmetryReport:
-    """Outcome of the symmetry-point search.
-
-    sigma is the corner maximal with coordinate sum 2g whose reflection
-    m -> normalize(sigma - m) maps the corner maximals into themselves,
-    or None when no candidate works.  point_symmetry_ok records the
-    windowed test n in semigroup <=> nabla(sigma - n) empty, with the
-    failing n listed as witnesses.
-    """
-
-    sigma: tuple | None
-    involution_ok: bool
-    point_symmetry_ok: bool
-    witnesses: tuple
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     check: str
     passed: bool
@@ -111,8 +95,8 @@ class TwoPointSemigroup:
     CHECKS = CHECKS
 
     def __init__(self, genus, period, rows):
-        genus = int(genus)
-        period = int(period)
+        genus = operator.index(genus)
+        period = operator.index(period)
         if genus < 0:
             raise InvalidSemigroup(f"genus must be >= 0, got {genus}")
         if period < 1:
@@ -150,13 +134,13 @@ class TwoPointSemigroup:
     @classmethod
     def from_members(cls, genus, period, gens):
         """Additive closure of {gens} + origin on the quotient classes."""
-        genus = int(genus)
-        period = int(period)
+        genus = operator.index(genus)
+        period = operator.index(period)
         if genus < 0 or period < 1:
             raise InvalidSemigroup("need genus >= 0 and period >= 1")
         seeds = {(0, 0)}
         for g in gens:
-            m1, m2 = int(g[0]), int(g[1])
+            m1, m2 = operator.index(g[0]), operator.index(g[1])
             s = m1 + m2
             if s < 0:
                 raise InvalidSemigroup(
@@ -324,21 +308,25 @@ class TwoPointSemigroup:
                 return cand
         return None
 
-    def find_symmetry_point(self, window: Window | None = None) -> SymmetryReport:
-        """Search for sigma and run the pointwise symmetry test.
+    def find_symmetry_point(self, window: Window | None = None) -> tuple:
+        """(sigma, witnesses) of the symmetry-point search.
 
-        The pointwise test is n in S <=> nabla(sigma - n) = empty for
-        every n in the window.
+        sigma is the corner maximal with coordinate sum 2g whose
+        reflection m -> normalize(sigma - m) maps the corner maximals
+        into themselves, or None when no candidate works.  The witnesses
+        are the points n of the window (default_window() when None)
+        where n in S <=> nabla(sigma - n) = empty fails; () without
+        sigma.  The semigroup is point-symmetric when sigma is not None
+        and there are no witnesses.
         """
         if window is None:
             window = self.default_window()
         sigma = self._sigma_candidate()
         if sigma is None:
-            return SymmetryReport(None, False, False, ())
-        witnesses = self._where(window, lambda n: self.contains(n) !=
-                                self._nabla_empty((sigma[0] - n[0],
-                                                   sigma[1] - n[1])))
-        return SymmetryReport(sigma, True, not witnesses, tuple(witnesses))
+            return None, ()
+        return sigma, tuple(self._where(
+            window, lambda n: self.contains(n) != self._nabla_empty(
+                (sigma[0] - n[0], sigma[1] - n[1]))))
 
     # class loops: a pointwise predicate reads only the class (s, a) of a
     # point, s = m1 + m2 and a = m1 mod period, so it is asked once per
@@ -370,28 +358,6 @@ class TwoPointSemigroup:
         return self._points_of(window, [
             (s, a) for s, a in self._band(window) if pred((a, s - a))])
 
-    def _residue_points(self, window, a, b, above):
-        """Window points with m1 = a and m2 = b mod period and sum at
-        least 2g + 3 (above) or at most -3, in O(1 + output): only the
-        m1 whose clipped m2 range still holds such a point are visited."""
-        (lo1, hi1), (lo2, hi2) = window.bounds
-        th = self.period
-        first2, last2 = lo2 + (b - lo2) % th, hi2 - (hi2 - b) % th
-        if first2 > hi2:
-            return []
-        cut = 2 * self.genus + 3 if above else -3
-        if above:
-            lo1 = max(lo1, cut - last2)
-        else:
-            hi1 = min(hi1, cut - first2)
-        points = []
-        for m1 in range(lo1 + (a - lo1) % th, hi1 + 1, th):
-            lo = max(first2, cut - m1) if above else first2
-            hi = last2 if above else min(last2, cut - m1)
-            points.extend((m1, m2) for m2 in range(lo + (b - lo) % th,
-                                                   hi + 1, th))
-        return points
-
     def _step(self, m):
         """1_M(m) - 1_M(m - (1, 1)) for the maximal set M."""
         return self.is_maximal(m) - self.is_maximal((m[0] - 1, m[1] - 1))
@@ -407,7 +373,8 @@ class TwoPointSemigroup:
         band class, not once per point, and expand only failing classes
         into points: O(g * period + witnesses) whatever the window, plus
         period^2 for funceq, which also asks one period of sums on each
-        side of the band.
+        side of the band and walks a failing class there across the
+        window's sums, one step per period.
         """
         if check not in self.CHECKS:
             if check == "oracle":  # only FixtureSemigroup has it
@@ -484,10 +451,9 @@ class TwoPointSemigroup:
         return not witnesses, witnesses, {}
 
     def _check_symmetry(self, region):
-        rep = self.find_symmetry_point(region)
-        passed = rep.sigma is not None and rep.point_symmetry_ok
-        details = {"sigma": rep.sigma, "involution_ok": rep.involution_ok}
-        return passed, list(rep.witnesses), details
+        sigma, witnesses = self.find_symmetry_point(region)
+        details = {"sigma": sigma, "involution_ok": sigma is not None}
+        return sigma is not None and not witnesses, witnesses, details
 
     def _check_funceq(self, region):
         """Reflection identities for the corner coefficient functions.
@@ -508,16 +474,20 @@ class TwoPointSemigroup:
             return mcc(m) + mcc(refl) != 2 or \
                 self._step(m) != -self._step((refl[0] + 1, refl[1] + 1))
 
-        witnesses = self._where(region, fails)
+        classes = [(s, a) for s, a in self._band(region) if fails((a, s - a))]
         # beyond the band mcc repeats with period `period` in s, not 2, so
-        # fails is asked on one period of sums on each side of the band
+        # fails is asked on one period of sums on each side of the band,
+        # and a failing class (s, a) fails at the window's sums t = s mod
+        # period on its side, clipped to the window's sum range
+        (lo1, hi1), (lo2, hi2) = region.bounds
         top, th = 2 * self.genus, self.period
         for s in (*range(-2 - th, -2), *range(top + 3, top + 3 + th)):
-            for a in range(th):
-                if fails((a, s - a)):
-                    witnesses.extend(
-                        self._residue_points(region, a, s - a, s > 0))
-        witnesses.sort()
+            lo, hi = ((max(s, lo1 + lo2), hi1 + hi2) if s > 0
+                      else (lo1 + lo2, min(s, hi1 + hi2)))
+            sums = range(lo + (s - lo) % th, hi + 1, th)
+            classes += [(t, a) for a in range(th) if fails((a, s - a))
+                        for t in sums]
+        witnesses = self._points_of(region, classes)
         details = {"sigma": sigma, "involution_ok": True}
         return not witnesses, witnesses, details
 

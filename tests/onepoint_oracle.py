@@ -26,8 +26,8 @@ one-point semigroup as it was read before it shared the Apery-set class:
 the base's mask with the extras set, and "in the base or an extra".
 
 `series_modes_by_expansion` finds the first difference of the two modes
-of `poincare_onepoint` by expanding both on the report's window; the
-library reads it off the extras in closed form.
+of `poincare_onepoint` by expanding both on [0, c + max(extras) + 10];
+the library reads it off the extras in closed form.
 
 `l_polynomial_paper` is the published display of the L-polynomial,
 kept verbatim, and `l_polynomial_comparison` sets it beside the
@@ -37,8 +37,7 @@ library's L-polynomial with their difference.
 import itertools
 from dataclasses import dataclass
 
-from wsemigroups import (FunctionalEquationSigns, LaurentPoly, RationalGF,
-                         SeriesModeReport, VerificationReport, Window)
+from wsemigroups import LaurentPoly, RationalGF, VerificationReport, Window
 from wsemigroups.onepoint import (_matching_sign, direct_series,
                                   l_polynomial, poincare_direct,
                                   poincare_onepoint)
@@ -95,10 +94,7 @@ def signs_by_cross_multiplication(semigroup):
     rhs_l = lpoly.reciprocal() * LaurentPoly.monomial((2 * g,))
     p = poincare_direct(semigroup)
     rhs_p = p.reciprocal() * LaurentPoly.monomial((2 * g - 1,))
-    return FunctionalEquationSigns(
-        eps_l=_matching_sign(lpoly, rhs_l),
-        eps_p=_matching_sign(p, rhs_p),
-        genus=g)
+    return _matching_sign(lpoly, rhs_l), _matching_sign(p, rhs_p)
 
 
 def base_plus_extras_mask(ops, hi):
@@ -115,13 +111,13 @@ def base_or_extra(ops, n):
 
 
 def series_modes_by_expansion(ops):
-    """The series_modes_report of ops, from the expansions of both modes."""
+    """The series_first_difference of ops, from the expansions of both
+    modes."""
     hi = ops.conductor + (ops.extras[-1] if ops.extras else 0) + 10
     window = Window((0, hi))
     ef = poincare_onepoint(ops, "finite_sum").expand(window)
     ep = poincare_onepoint(ops, "paper_product").expand(window)
-    first = next((n for n, (x, y) in enumerate(zip(ef, ep)) if x != y), None)
-    return SeriesModeReport(first is None, first, (0, hi))
+    return next((n for n, (x, y) in enumerate(zip(ef, ep)) if x != y), None)
 
 
 def l_polynomial_paper(semigroup):

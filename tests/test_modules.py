@@ -1,4 +1,6 @@
-"""How the package's modules depend on each other."""
+"""How the package's modules depend on each other, and what the package
+promises every caller: its exports, its error classes, and no coercion
+of a value of the wrong type."""
 
 import ast
 import inspect
@@ -7,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import wsemigroups
-from wsemigroups import errors
+from wsemigroups import (DeltaSequence, LaurentPoly, NumericalSemigroup,
+                         OnePointSemigroup, TwoPointSemigroup, Window, errors)
 
 SOURCES = sorted(Path(wsemigroups.__file__).parent.glob("*.py"))
 
@@ -30,3 +33,49 @@ def test_every_library_error_is_a_value_error():
                if c.__module__ == errors.__name__]
     assert classes
     assert all(issubclass(c, ValueError) for c in classes)
+
+
+def test_every_exported_name_exists_once():
+    names = wsemigroups.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(wsemigroups, n)] == []
+
+
+_ROWS = [[True, False], [False, False]]
+
+# every integer slot of a library constructor, as (build, good, check):
+# build(x) puts x in the slot, and check holds of build(good)
+INTEGER_SLOTS = {
+    "exponent": (lambda x: LaurentPoly({(x,): 2}), 1,
+                 lambda p: p.terms() == [((1,), 2)]),
+    "coefficient": (lambda x: LaurentPoly({(1,): x}), 2,
+                    lambda p: p.terms() == [((1,), 2)]),
+    "window bound": (lambda x: Window((0, x)), 4,
+                     lambda w: w.bounds == ((0, 4),)),
+    "generator": (lambda x: NumericalSemigroup([x, 5]), 3,
+                  lambda s: (s.generators, s.genus) == ((3, 5), 4)),
+    "delta entry": (lambda x: DeltaSequence([4, 6, x]), 7,
+                    lambda ds: ds.r == (4, 6, 7)),
+    "extra": (lambda x: OnePointSemigroup([4, 6, 7], [x]), 9,
+              lambda s: (s.extras, s.genus) == ((9,), 4)),
+    "genus": (lambda x: TwoPointSemigroup(x, 2, _ROWS), 1,
+              lambda s: s.genus == 1),
+    "period": (lambda x: TwoPointSemigroup(1, x, _ROWS), 2,
+               lambda s: s.period == 2),
+    "members genus": (lambda x: TwoPointSemigroup.from_members(x, 2, []), 1,
+                      lambda s: s.strip == ((True, False), (False, False))),
+    "members period": (lambda x: TwoPointSemigroup.from_members(1, x, []), 2,
+                       lambda s: s.strip == ((True, False), (False, False))),
+    "member": (lambda x: TwoPointSemigroup.from_members(1, 2, [(x, 0)]), 1,
+               lambda s: s.strip == ((True, False), (False, True))),
+}
+
+
+@pytest.mark.parametrize("slot", INTEGER_SLOTS)
+@pytest.mark.parametrize("bad", [
+    lambda n: n + 0.5, float, str], ids=["float", "integral float", "string"])
+def test_integer_slots_refuse_other_types(slot, bad):
+    build, good, check = INTEGER_SLOTS[slot]
+    assert check(build(good))
+    with pytest.raises(TypeError):
+        build(bad(good))

@@ -36,7 +36,7 @@ from wsemigroups.onepoint import (
     poincare_delta_product,
     poincare_direct,
     poincare_onepoint,
-    series_modes_report,
+    series_first_difference,
 )
 from onepoint_oracle import (base_or_extra, base_plus_extras_mask,
                              closure_sieve, l_identity_by_cross_multiplication,
@@ -413,10 +413,9 @@ def test_poincare_onepoint_modes_disagree_beyond_first_extra():
     ops = OnePointSemigroup(DeltaSequence([4, 6, 7]), extras=[9])
     finite = poincare_onepoint(ops, "finite_sum")
     product = poincare_onepoint(ops, "paper_product")
-    report = series_modes_report(ops)
-    assert not report.agree
-    assert report.first_difference == 18
-    assert report.window == (0, ops.conductor + 9 + 10)
+    first = series_first_difference(ops)
+    assert first is not None
+    assert first == 18
     got = finite.expand(Window((0, 20)))
     # the finite-sum form stays a 0/1 indicator
     for n in range(21):
@@ -431,8 +430,7 @@ def test_poincare_onepoint_no_extras_modes_coincide():
     a = poincare_onepoint(ops, "finite_sum")
     b = poincare_onepoint(ops, "paper_product")
     assert a.equals(b)
-    report = series_modes_report(ops)
-    assert report.agree and report.first_difference is None
+    assert series_first_difference(ops) is None
 
 
 @pytest.mark.parametrize("r, extras, first", [
@@ -444,11 +442,9 @@ def test_poincare_onepoint_no_extras_modes_coincide():
 ])
 def test_series_modes_report_cases(r, extras, first):
     ops = OnePointSemigroup(r, extras)
-    report = series_modes_report(ops)
-    assert report.first_difference == first
-    assert report.agree == (first is None)
-    assert report.window == (0, ops.conductor + extras[-1] + 10)
-    assert report == series_modes_by_expansion(ops)
+    got = series_first_difference(ops)
+    assert got == first
+    assert got == series_modes_by_expansion(ops)
 
 
 def test_l_polynomial_2_3():
@@ -490,15 +486,15 @@ def test_l_direct_palindromic_when_symmetric():
 
 
 def test_functional_equation_signs_2_3():
-    rep = functional_equation_signs(NumericalSemigroup([2, 3]))
-    assert rep.eps_l == 1
-    assert rep.eps_p == -1
+    eps_l, eps_p = functional_equation_signs(NumericalSemigroup([2, 3]))
+    assert eps_l == 1
+    assert eps_p == -1
 
 
 def test_functional_equation_signs_constant_across_fixtures():
     for gens in ([2, 3], [2, 5], [3, 4], [3, 5], [4, 6, 7], [1]):
-        rep = functional_equation_signs(NumericalSemigroup(gens))
-        assert (rep.eps_l, rep.eps_p) == (1, -1), gens
+        assert functional_equation_signs(
+            NumericalSemigroup(gens)) == (1, -1), gens
 
 
 def test_functional_equation_requires_symmetry():
@@ -589,7 +585,7 @@ def test_apery_checks_match_cross_multiplication_oracle(s, monkeypatch):
     if s.is_symmetric():
         signs = functional_equation_signs(s)
         assert signs == signs_by_cross_multiplication(s)
-        assert (signs.eps_l, signs.eps_p) == (1, -1)
+        assert signs == (1, -1)
     new = s.verify("funceq")
     monkeypatch.setattr(onepoint, "functional_equation_signs",
                         signs_by_cross_multiplication)
@@ -624,7 +620,7 @@ SEEDED_DELTA_INPUTS = [s for s in ONE_POINT_INPUTS
     "s", [s for s in SEEDED_DELTA_INPUTS if 0 < len(s.extras) <= 30],
     ids=repr)
 def test_seeded_series_modes_report_matches_expansion(s):
-    assert series_modes_report(s) == series_modes_by_expansion(s)
+    assert series_first_difference(s) == series_modes_by_expansion(s)
 
 
 @pytest.mark.parametrize("s", SEEDED_DELTA_INPUTS, ids=repr)
@@ -646,7 +642,6 @@ def test_symmetry_is_the_apery_involution(s):
 
 def test_north_star_signs_and_l_identity():
     s = NumericalSemigroup([997, 1009])
-    rep = functional_equation_signs(s)
-    assert (rep.eps_l, rep.eps_p) == (1, -1)
-    assert rep.genus == 996 * 1008 // 2
+    assert functional_equation_signs(s) == (1, -1)
+    assert s.genus == 996 * 1008 // 2
     assert s.verify("l_identity").passed

@@ -324,3 +324,23 @@ def test_expand_window_edges_match_oracle(f, bounds):
     window = Window(*bounds)
     got = dict(zip(window.points(), f.expand(window), strict=True))
     assert got == expand_by_convolution(f, window)
+
+
+@pytest.mark.parametrize("x", [
+    L({(0,): 1, (3,): -2}),
+    LaurentPoly({}, arity=1),
+    L({(1, -2): 5, (0, 0): 1}),
+    LaurentPoly({}, arity=2),
+    RationalGF(L({(0,): 1, (2,): -1}), [(1,), (3,), (1,)]),
+    RationalGF(LaurentPoly({}, arity=2), [(1, 0)]),
+    RationalGF(L({(-1, 1): 3})),
+], ids=repr)
+def test_repr_evals_back(x):
+    names = {"LaurentPoly": LaurentPoly, "RationalGF": RationalGF}
+    assert eval(repr(x), names) == x
+
+
+@pytest.mark.parametrize("w", [Window((0, 4)), Window((-3, -3)),
+                               Window((-6, 6), (2, 9))], ids=repr)
+def test_window_repr_evals_back(w):
+    assert eval(repr(w), {"Window": Window}).bounds == w.bounds

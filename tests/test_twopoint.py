@@ -287,10 +287,7 @@ def test_line_minima_match_scanning_oracle(S):
         assert S.dim_jump(m) == oracle.dim_jump(S, m), m
         assert S.is_maximal(m) == oracle.is_maximal(S, m), m
         assert S.dim_nabla(m) == oracle.dim_nabla(S, m), m
-    rep = S.find_symmetry_point()
-    assert (rep.sigma, rep.witnesses) == oracle.find_symmetry_point(S, W)
-    assert rep.point_symmetry_ok == (rep.sigma is not None
-                                     and not rep.witnesses)
+    assert S.find_symmetry_point() == oracle.find_symmetry_point(S, W)
     lemma4 = S.verify("lemma4", W)
     scan = Window(*lemma4.details["scan"])
     assert lemma4.witnesses == tuple(
@@ -329,10 +326,10 @@ def test_class_loops_match_point_scans(S, data):
                 oracle.verify(S, check, W), (check, W.bounds)
         assert S.maximal_points_in(W) == oracle.maximal_points_in(S, W)
         assert S.dim_jump_rows(W) == oracle.dim_jump_rows(S, W)
-        rep = S.find_symmetry_point(W)
+        got_sigma, witnesses = S.find_symmetry_point(W)
         sigma = oracle.symmetry_point(S)
-        assert rep.sigma == sigma
-        assert rep.witnesses == (
+        assert got_sigma == sigma
+        assert witnesses == (
             () if sigma is None else oracle.symmetry_witnesses(S, sigma, W))
 
 
@@ -413,34 +410,34 @@ def test_poincare_corner_projective():
 # symmetry
 
 def test_find_symmetry_point_elliptic():
-    rep = elliptic2().find_symmetry_point()
-    assert rep.sigma == (1, 1)
-    assert rep.involution_ok and rep.point_symmetry_ok
-    assert rep.witnesses == ()
+    sigma, witnesses = elliptic2().find_symmetry_point()
+    assert sigma == (1, 1)
+    assert sigma is not None and not witnesses
+    assert witnesses == ()
 
 
 def test_find_symmetry_point_projective():
-    rep = projective_line().find_symmetry_point()
-    assert rep.sigma == (1, -1)
-    assert rep.involution_ok and rep.point_symmetry_ok
+    sigma, witnesses = projective_line().find_symmetry_point()
+    assert sigma == (1, -1)
+    assert sigma is not None and not witnesses
 
 
 def test_find_symmetry_point_elliptic_period_three():
-    rep = elliptic3().find_symmetry_point()
-    assert rep.sigma == (1, 1)
-    assert rep.point_symmetry_ok
+    sigma, witnesses = elliptic3().find_symmetry_point()
+    assert sigma == (1, 1)
+    assert sigma is not None and not witnesses
 
 
 def test_find_symmetry_point_none_without_sum_2g_candidate():
-    assert all_sum_zero_strip().find_symmetry_point().sigma is None
-    assert genus2_line().find_symmetry_point().sigma is None
+    assert all_sum_zero_strip().find_symmetry_point()[0] is None
+    assert genus2_line().find_symmetry_point()[0] is None
 
 
 def test_symmetry_sigma_has_sum_2g():
     for S in (projective_line(), elliptic2(), elliptic3()):
-        rep = S.find_symmetry_point()
-        assert rep.sigma[0] + rep.sigma[1] == 2 * S.genus
-        assert S.is_maximal(rep.sigma)
+        sigma, _ = S.find_symmetry_point()
+        assert sigma[0] + sigma[1] == 2 * S.genus
+        assert S.is_maximal(sigma)
 
 
 # verification

@@ -298,8 +298,9 @@ def _report_lines(rep: VerificationReport):
     return [head] + [f"  {w}" for w in rep.witnesses]
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+# one encoder for every dump; library values are fresh acyclic trees, and a
+# cycle would end in the RecursionError that main reports as exit 2
+_dump = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 _HANDLERS = {

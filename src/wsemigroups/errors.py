@@ -2,10 +2,19 @@
 
 Everything raised on bad input derives from ValueError so callers can
 catch one base class; the CLI maps all of these to exit code 2.  A
-value of the wrong type is not coerced: a float or a string where the
-constructors take an integer raises TypeError (from operator.index), as
+value of the wrong type is not coerced: a float, a string or a bool where
+the constructors take an integer raises TypeError (from strict_index), as
 RationalGF and expand do for their arguments.
 """
+
+import operator
+
+
+def strict_index(x):
+    """operator.index(x), refusing a bool as well."""
+    if type(x) is bool:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return operator.index(x)
 
 
 class ArityMismatch(ValueError):

@@ -24,7 +24,7 @@ import math
 import operator
 
 from .errors import (AxiomViolation, InputError, InvalidSemigroup,
-                     NotSymmetric, UnknownCheck)
+                     NotSymmetric, UnknownCheck, strict_index)
 from .series import LaurentPoly, RationalGF, Window
 from .twopoint import CHECKS as TWO_POINT_CHECKS, VerificationReport
 
@@ -153,7 +153,7 @@ class NumericalSemigroup(_AperySemigroup):
     CHECKS = ("indicator", "l_identity", "symmetry", "funceq")
 
     def __init__(self, generators):
-        gens = sorted(set(map(operator.index, generators)))
+        gens = sorted(set(map(strict_index, generators)))
         if not gens:
             raise InvalidSemigroup("at least one generator is required")
         if gens[0] < 1:
@@ -206,7 +206,7 @@ class DeltaSequence:
     __slots__ = ("r", "theta", "d", "semigroup")
 
     def __init__(self, r):
-        r = tuple(map(operator.index, r))
+        r = tuple(map(strict_index, r))
         if not r:
             raise InvalidSemigroup("a delta sequence needs at least one entry")
         if any(x < 1 for x in r):
@@ -267,7 +267,7 @@ class OnePointSemigroup(_AperySemigroup):
     def __init__(self, base, extras=()):
         if not isinstance(base, DeltaSequence):
             base = DeltaSequence(base)
-        extra = sorted(set(map(operator.index, extras)))
+        extra = sorted(set(map(strict_index, extras)))
         if extra and extra[0] < 1:
             raise InvalidSemigroup("extra members must be positive")
         for x in extra:

@@ -15,13 +15,13 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .errors import ArityMismatch, InputError
+from .errors import ArityMismatch, InputError, strict_index
 
 
 def _check_exponent(e, arity=None):
     """e as a tuple of ints (TypeError for any other entry), checked
     for length."""
-    vec = tuple(map(operator.index, e))
+    vec = tuple(map(strict_index, e))
     if not vec:
         raise ArityMismatch("exponent vectors must have at least one entry")
     if arity is not None and len(vec) != arity:
@@ -52,7 +52,7 @@ class LaurentPoly:
                 e = _check_exponent(e, arity)
                 if arity is None:
                     arity = len(e)
-                c = operator.index(c)
+                c = strict_index(c)
                 if c == 0:
                     continue
                 data[e] = data.get(e, 0) + c
@@ -189,7 +189,7 @@ class Window:
     def __init__(self, *bounds):
         checked = []
         for b in bounds:
-            lo, hi = operator.index(b[0]), operator.index(b[1])
+            lo, hi = strict_index(b[0]), strict_index(b[1])
             if lo > hi:
                 raise ValueError(f"empty window bound ({lo}, {hi})")
             checked.append((lo, hi))

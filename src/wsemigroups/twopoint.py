@@ -7,7 +7,8 @@ is recorded in a (2g) x period boolean table indexed by the class
 (sum, m1 mod period).  Two line-minimum tables, the least member sum on
 each column class and on each row class, answer every question about
 the members below a point on its column or row.  Every pointwise
-predicate thus reads only a point's class, so window scans and checks
+predicate thus reads only a point's class, and the checks read them
+from per-class tables built on first use, so window scans and checks
 cost O(g * period + witnesses + output), not the window's area.
 
 Two dimension functions are deliberately kept side by side: dim_jump
@@ -20,7 +21,6 @@ measures that instead of hiding it.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -29,6 +29,7 @@ from .errors import (
     InvalidSemigroup,
     UnknownCheck,
     WindowTooSmall,
+    strict_index,
 )
 from .series import LaurentPoly, RationalGF, Window
 
@@ -91,12 +92,13 @@ class TwoPointSemigroup:
     (True, False, True)
     """
 
-    __slots__ = ("genus", "period", "strip", "_corner", "_colmin", "_rowmin")
+    __slots__ = ("genus", "period", "strip", "_corner", "_colmin", "_rowmin",
+                 "_tables")
     CHECKS = CHECKS
 
     def __init__(self, genus, period, rows):
-        genus = operator.index(genus)
-        period = operator.index(period)
+        genus = strict_index(genus)
+        period = strict_index(period)
         if genus < 0:
             raise InvalidSemigroup(f"genus must be >= 0, got {genus}")
         if period < 1:
@@ -111,6 +113,7 @@ class TwoPointSemigroup:
         self.period = period
         self.strip = tuple(rows)
         self._corner = None
+        self._tables = {}
         if genus > 0 and not self.strip[0][0]:
             raise AxiomViolation("origin (0,0) is not a member",
                                  witnesses=[((0, 0),)])
@@ -134,13 +137,13 @@ class TwoPointSemigroup:
     @classmethod
     def from_members(cls, genus, period, gens):
         """Additive closure of {gens} + origin on the quotient classes."""
-        genus = operator.index(genus)
-        period = operator.index(period)
+        genus = strict_index(genus)
+        period = strict_index(period)
         if genus < 0 or period < 1:
             raise InvalidSemigroup("need genus >= 0 and period >= 1")
         seeds = {(0, 0)}
         for g in gens:
-            m1, m2 = operator.index(g[0]), operator.index(g[1])
+            m1, m2 = strict_index(g[0]), strict_index(g[1])
             s = m1 + m2
             if s < 0:
                 raise InvalidSemigroup(
@@ -254,21 +257,21 @@ class TwoPointSemigroup:
         """0 outside the semigroup, 1 for maximal members, else 2."""
         if not self.contains(m):
             return 0
-        return 1 if self.is_maximal(m) else 2
+        return 1 if self._nabla_empty(m) else 2
 
     def euler_c(self, m):
-        """c(m) = d(m) - d(m-e1) - d(m-e2) + d(m-(1,1)) with d = dim_jump."""
-        d, (m1, m2) = self.dim_jump, m
-        return d(m) - d((m1 - 1, m2)) - d((m1, m2 - 1)) + d((m1 - 1, m2 - 1))
+        """c(m) = d(m) - d(m-e1) - d(m-e2) + d(m-(1,1)) with d = dim_jump,
+        read off its table; c = 0 at the sums -2 and 2g + 4 and beyond."""
+        s = min(max(m[0] + m[1], -2), 2 * self.genus + 4)
+        return self._c(self._table("dim_jump"), s, m[0] % self.period)
 
     def dim_jump_rows(self, window: Window):
         """dim_jump on the window, one list per m1 (m2 ascending): a slice
         of the column class's values on the sums [0, 2g], padded with 0
         below sum 0 and 2 above sum 2g."""
         (lo1, hi1), (lo2, hi2) = window.bounds
-        top = 2 * self.genus
-        band = [[self.dim_jump((a, s - a)) for s in range(top + 1)]
-                for a in range(self.period)]
+        top, d = 2 * self.genus, self._table("dim_jump")
+        band = [[d[s][a] for s in range(top + 1)] for a in range(self.period)]
         return [[0] * max(0, min(-1, m1 + hi2) - m1 - lo2 + 1)
                 + band[m1 % self.period][max(0, m1 + lo2):
                                          max(0, min(top, m1 + hi2) + 1)]
@@ -325,8 +328,8 @@ class TwoPointSemigroup:
         if sigma is None:
             return None, ()
         return sigma, tuple(self._where(
-            window, lambda n: self.contains(n) != self._nabla_empty(
-                (sigma[0] - n[0], sigma[1] - n[1]))))
+            window, lambda s, a: self.contains((a, s - a)) != self._nabla_empty(
+                (sigma[0] - a, sigma[1] - s + a))))
 
     # class loops: a pointwise predicate reads only the class (s, a) of a
     # point, s = m1 + m2 and a = m1 mod period, so it is asked once per
@@ -354,13 +357,34 @@ class TwoPointSemigroup:
         return points
 
     def _where(self, window, pred):
-        """Window points of the band classes where pred(m) holds."""
+        """Window points of the band classes (s, a) where pred(s, a) holds."""
         return self._points_of(window, [
-            (s, a) for s, a in self._band(window) if pred((a, s - a))])
+            (s, a) for s, a in self._band(window) if pred(s, a)])
 
-    def _step(self, m):
-        """1_M(m) - 1_M(m - (1, 1)) for the maximal set M."""
-        return self.is_maximal(m) - self.is_maximal((m[0] - 1, m[1] - 1))
+    def _table(self, name, reach=0):
+        """Rows t[s][a] of the point method `name` at (a, s - a) for the
+        sums [-4 - period, 2g + 4 + period], asked once on [-2 - reach, 2g
+        + 2 + reach], past which it is constant and the edge rows repeat.
+        t[s - 1][a - 1] is m - e1's class: a - 1 = -1 reads the last one."""
+        rows = self._tables.get(name)
+        if rows is None:
+            f, top, th = getattr(self, name), 2 * self.genus, self.period
+            lo, hi = -2 - reach, top + 2 + reach
+            asked = {s: [f((a, s - a)) for a in range(th)]
+                     for s in range(lo, hi + 1)}
+            rows = self._tables[name] = {s: asked[min(max(s, lo), hi)]
+                                         for s in range(-4 - th, top + 5 + th)}
+        return rows
+
+    @staticmethod
+    def _c(d, s, a):
+        """euler_c on the class (s, a), from the dim_jump table d."""
+        return d[s][a] - d[s - 1][a - 1] - d[s - 1][a] + d[s - 2][a - 1]
+
+    @staticmethod
+    def _step(mx, s, a):
+        """1_M(m) - 1_M(m - (1, 1)) on the class (s, a), from table mx."""
+        return mx[s][a] - mx[s - 2][a - 1]
 
     # verification
 
@@ -369,11 +393,11 @@ class TwoPointSemigroup:
 
         Pointwise checks scan the interior of the window, two cells in
         from each edge, so difference operators and reflections stay
-        honest near the boundary.  They ask their predicate once per
-        band class, not once per point, and expand only failing classes
-        into points: O(g * period + witnesses) whatever the window, plus
-        period^2 for funceq, which also asks one period of sums on each
-        side of the band and walks a failing class there across the
+        honest near the boundary.  They read the per-class tables
+        once per band class, not once per point, and expand only failing
+        classes into points: O(g * period + witnesses) whatever the window,
+        plus period^2 for funceq, which also reads one period of sums on
+        each side of the band and walks a failing class there across the
         window's sums, one step per period.
         """
         if check not in self.CHECKS:
@@ -402,10 +426,11 @@ class TwoPointSemigroup:
 
     def _check_c_prop(self, region):
         """c(m) = -1 iff m-1 maximal, and c(m) = 1 iff m maximal."""
-        def fails(m):
-            c = self.euler_c(m)
-            return (c == -1) != self.is_maximal((m[0] - 1, m[1] - 1)) or \
-                (c == 1) != self.is_maximal(m)
+        d, mx = self._table("dim_jump"), self._table("is_maximal")
+
+        def fails(s, a):
+            c = self._c(d, s, a)
+            return (c == -1) != mx[s - 2][a - 1] or (c == 1) != mx[s][a]
 
         witnesses = self._where(region, fails)
         # the violations where m and m - (1, 1) are not both maximal
@@ -418,14 +443,16 @@ class TwoPointSemigroup:
 
     def _check_c_identity(self, region):
         """c(m) with dim_jump equals 1_M(m) - 1_M(m-1)."""
-        witnesses = self._where(
-            region, lambda m: self.euler_c(m) != self._step(m))
+        d, mx = self._table("dim_jump"), self._table("is_maximal")
+        witnesses = self._where(region, lambda s, a: self._c(d, s, a) !=
+                                self._step(mx, s, a))
         return not witnesses, witnesses, {}
 
     def _check_corner_translates(self, region):
-        # is_maximal asked per band class, not the line-minimum shortcut
+        # is_maximal tabled per band class, not the line-minimum shortcut
         # behind maximal_points_in and the corner, so the two can disagree
-        scanned = set(self._where(region, self.is_maximal))
+        mx = self._table("is_maximal")
+        scanned = set(self._where(region, lambda s, a: mx[s][a]))
         translated = set(self.corner_translates_in(region))
         witnesses = sorted(scanned ^ translated)
         details = {"scanned": len(scanned), "translates": len(translated)}
@@ -439,15 +466,16 @@ class TwoPointSemigroup:
         likewise m2 along axis 2 with its row minimum.  On a class the
         premise clips m1 to [max(1, colmin), s - max(1, rowmin)].
         """
-        witnesses = self._points_of(region, [
-            (s, a, max(1, self._colmin[a]),
-             s - max(1, self._rowmin[(s - a) % self.period]))
-            for s, a in self._band(region) if self.dim_jump((a, s - a)) != 2])
+        d = self._table("dim_jump")
+        clips = [(s, a, max(1, self._colmin[a]),
+                  s - max(1, self._rowmin[(s - a) % self.period]))
+                 for s, a in self._band(region) if d[s][a] != 2]
+        witnesses = self._points_of(region, [c for c in clips if c[2] <= c[3]])
         return not witnesses, witnesses, {}
 
     def _check_d_agreement(self, region):
-        witnesses = self._where(
-            region, lambda m: self.dim_jump(m) != self.dim_nabla(m))
+        d, dn = self._table("dim_jump"), self._table("dim_nabla")
+        witnesses = self._where(region, lambda s, a: d[s][a] != dn[s][a])
         return not witnesses, witnesses, {}
 
     def _check_symmetry(self, region):
@@ -467,25 +495,26 @@ class TwoPointSemigroup:
         sigma = self._sigma_candidate()
         if sigma is None:
             return False, [], {"sigma": None, "involution_ok": False}
-        mcc = self.maximal_count_coefficient
+        top, th, mx = 2 * self.genus, self.period, self._table("is_maximal")
+        # not constant past the band, so asked on every tabulated sum
+        mcc = self._table("maximal_count_coefficient", th + 2)
 
-        def fails(m):
-            refl = (sigma[0] - m[0], sigma[1] - m[1])
-            return mcc(m) + mcc(refl) != 2 or \
-                self._step(m) != -self._step((refl[0] + 1, refl[1] + 1))
+        def fails(s, a):  # sigma - m has the class (2g - s, b)
+            r, b = top - s, (sigma[0] - a) % th
+            return mcc[s][a] + mcc[r][b] != 2 or \
+                self._step(mx, s, a) != -self._step(mx, r + 2, (b + 1) % th)
 
-        classes = [(s, a) for s, a in self._band(region) if fails((a, s - a))]
+        classes = [(s, a) for s, a in self._band(region) if fails(s, a)]
         # beyond the band mcc repeats with period `period` in s, not 2, so
         # fails is asked on one period of sums on each side of the band,
         # and a failing class (s, a) fails at the window's sums t = s mod
         # period on its side, clipped to the window's sum range
         (lo1, hi1), (lo2, hi2) = region.bounds
-        top, th = 2 * self.genus, self.period
         for s in (*range(-2 - th, -2), *range(top + 3, top + 3 + th)):
             lo, hi = ((max(s, lo1 + lo2), hi1 + hi2) if s > 0
                       else (lo1 + lo2, min(s, hi1 + hi2)))
             sums = range(lo + (s - lo) % th, hi + 1, th)
-            classes += [(t, a) for a in range(th) if fails((a, s - a))
+            classes += [(t, a) for a in range(th) if fails(s, a)
                         for t in sums]
         witnesses = self._points_of(region, classes)
         details = {"sigma": sigma, "involution_ok": True}

@@ -592,6 +592,63 @@ def test_two_point_stdout_is_pinned(key, tmp_path, capsys):
         _PINNED_STDOUT[key]
 
 
+# Larger strips for the checks that read the per-class tables: a (16, 20)
+# strip from a seeded search, with c_prop, c_identity and d_agreement
+# witnesses, and the symmetric period-2 strip of genus 12, on which
+# symmetry and funceq scan every reflection.  The hashes were taken from
+# the implementation that asked the point methods once per class and check.
+TABLE_INPUTS = {
+    "members-16x20": {"kind": "two_point", "genus": 16, "period": 20,
+                      "members": [[10, 3], [-2, 17], [-6, 20]]},
+    "sym-12x2": {"kind": "two_point_strip", "genus": 12, "period": 2,
+                 "strip": [[c == "1" for c in row]
+                           for row in ("10", "00") * 12]},
+}
+TABLE_VERBS = {"expand": (), "verify": ("--check", "all")}
+
+_PINNED_TABLE_STDOUT = {
+    "members-16x20 expand":
+        (0, "08588207c96f2e470557e617325ab7923388940edd4d76af640c6292bb32db1f"),
+    "members-16x20 expand --json":
+        (0, "88d097d8ee5570c1dc80f6ecc96867ad05003a8ba6df2998c7fb0c4959eba361"),
+    "members-16x20 verify":
+        (1, "c555f76ff6e55a4adc7361bf47a691124c631d29f31fdc0eeb62ef3c59d26944"),
+    "members-16x20 verify --json":
+        (1, "0ffae0a13b7a46d61836a524ff4f1c8918bff3ab728dfa53abf8b38fbdd83022"),
+    "sym-12x2 expand":
+        (0, "f0b872189dfbaa5278d47bdcad9748afade8193e6bc81f730b2636ed506a0b70"),
+    "sym-12x2 expand --json":
+        (0, "ddea89bbe9f2580ea4749b367c8e2a9c01933bf6ed0fed21ae2876f9be2bfffd"),
+    "sym-12x2 verify":
+        (1, "9bbc2209c475c76ab531163537c031796641a63b69207270445b3a8cd0815e5a"),
+    "sym-12x2 verify --json":
+        (1, "a2b573717737e348d3ac2d2063cc62d10164d30ac66b453db771bb30b91b7142"),
+}
+
+
+def test_table_inputs_have_the_witnesses_they_stand_for(tmp_path, capsys):
+    paths = {name: write(tmp_path, f"{name}.json", payload)
+             for name, payload in TABLE_INPUTS.items()}
+    _, out, _ = invoke(["verify", paths["members-16x20"], "--check", "all",
+                        "--json"], capsys)
+    failing = {r["check"] for r in json.loads(out)["checks"] if r["witnesses"]}
+    assert {"c_prop", "c_identity", "d_agreement"} <= failing
+    _, out, _ = invoke(["verify", paths["sym-12x2"], "--check", "all",
+                        "--json"], capsys)
+    passed = {r["check"] for r in json.loads(out)["checks"] if r["pass"]}
+    assert {"symmetry", "funceq"} <= passed
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_TABLE_STDOUT))
+def test_table_checks_stdout_is_pinned(key, tmp_path, capsys):
+    name, verb, *json_flag = key.split()
+    path = write(tmp_path, f"{name}.json", TABLE_INPUTS[name])
+    code, out, _ = invoke([verb, path, *TABLE_VERBS[verb], *json_flag],
+                          capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        _PINNED_TABLE_STDOUT[key]
+
+
 # One-point inputs, <3, 4, 5> and <4, 6, 7> with extras 9 not symmetric;
 # the SHA-256 of stdout and the exit code of verify with each check
 ONE_POINT_INPUTS = {

@@ -73,7 +73,8 @@ INTEGER_SLOTS = {
 
 @pytest.mark.parametrize("slot", INTEGER_SLOTS)
 @pytest.mark.parametrize("bad", [
-    lambda n: n + 0.5, float, str], ids=["float", "integral float", "string"])
+    lambda n: n + 0.5, float, str, bool],
+    ids=["float", "integral float", "string", "bool"])
 def test_integer_slots_refuse_other_types(slot, bad):
     build, good, check = INTEGER_SLOTS[slot]
     assert check(build(good))

@@ -346,6 +346,50 @@ def test_corner_translates_check_compares_two_derivations(monkeypatch):
     assert rep.details["scanned"] > rep.details["translates"]
 
 
+def test_corner_translates_fails_without_a_maximal_class(monkeypatch):
+    # the scanned side reads the is_maximal table, built from membership
+    # and an empty nabla; the corner comes from _maximal_classes, so a
+    # table built from _maximal_classes would drop the class as well
+    S = strip_4x5()
+    classes = S._maximal_classes()
+    assert len(classes) > 1
+    monkeypatch.setattr(TwoPointSemigroup, "_maximal_classes",
+                        lambda self: classes[1:])
+    rep = S.verify("corner_translates")
+    assert not rep.passed
+    assert rep.details["scanned"] > rep.details["translates"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(strip_semigroups())
+@example(fixture("projective_line"))
+@example(fixture("elliptic", 1))
+@example(fixture("elliptic", 2))
+@example(fixture("elliptic", 3))
+@example(strip_4x5())
+@example(TwoPointSemigroup.from_members(3, 2, [(-2, 4)]))
+def test_tables_match_point_methods(S):
+    # the tables as the checks and dim_jump_rows build them: every entry,
+    # the repeated edge rows included, is its point method at (a, s - a)
+    top, th = 2 * S.genus, S.period
+    W = Window((-th - 3, top + th + 3), (-th - 3, top + th + 3))
+    for check in CHECKS:
+        S.verify(check)
+    S.dim_jump_rows(W)
+    tabled = {"dim_jump", "dim_nabla", "is_maximal"}
+    if S.find_symmetry_point()[0] is not None:  # funceq got past sigma
+        tabled.add("maximal_count_coefficient")
+    assert set(S._tables) == tabled
+    for name, table in S._tables.items():
+        assert sorted(table) == list(range(-4 - th, top + 5 + th)), name
+        method = getattr(S, name)
+        for s, row in table.items():
+            assert row == [method((a, s - a)) for a in range(th)], (name, s)
+    # euler_c reads the dim_jump table, also far outside the band
+    for m in (*W.points(), (10**9, 3), (-10**9, -7)):
+        assert S.euler_c(m) == oracle.euler_c(S, m), m
+
+
 def test_maximal_count_coefficient_above_the_band_is_periodic():
     # above sum 2g+1 the coefficient is the number of maximal points on
     # the column plus on the row: periodic in the sum, not constant 2,

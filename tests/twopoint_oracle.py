@@ -87,6 +87,14 @@ def dim_nabla(S, m):
     return 1 if is_maximal(S, m) else 2
 
 
+def euler_c(S, m):
+    """c(m) from the point method dim_jump at m and its three lower
+    neighbours, without the semigroup's dim_jump table."""
+    m1, m2 = m
+    d = S.dim_jump
+    return d(m) - d((m1 - 1, m2)) - d((m1, m2 - 1)) + d((m1 - 1, m2 - 1))
+
+
 def euler_c_nabla(S, m):
     """euler_c with dim_nabla in place of dim_jump."""
     m1, m2 = m
@@ -194,7 +202,7 @@ def _c_prop(S, region):
     witnesses = []
     stray = []
     for m in region.points():
-        c = S.euler_c(m)
+        c = euler_c(S, m)
         prev_max = S.is_maximal((m[0] - 1, m[1] - 1))
         here_max = S.is_maximal(m)
         if ((c == -1) != prev_max) or ((c == 1) != here_max):
@@ -209,7 +217,7 @@ def _c_prop(S, region):
 
 def _c_identity(S, region):
     return [m for m in region.points()
-            if S.euler_c(m) != _max_step(S, m)], {}
+            if euler_c(S, m) != _max_step(S, m)], {}
 
 
 def _corner_translates(S, region):

@@ -31,8 +31,10 @@ from .series import LaurentPoly, RationalGF, Window
 from .twopoint import TwoPointSemigroup, VerificationReport
 
 FORMS = ("direct", "closed", "corner", "paper")
-# the checks a user can name: the two-point ones, then the fixtures' oracle
-VERIFY_CHECKS = FixtureSemigroup.CHECKS + ("all",)
+# the checks a user can name: the two-point ones, the fixtures' oracle,
+# then the one-point ones
+VERIFY_CHECKS = tuple(dict.fromkeys(
+    FixtureSemigroup.CHECKS + OnePointSemigroup.CHECKS)) + ("all",)
 
 
 @dataclass
@@ -252,13 +254,15 @@ def _run_expand(model: Model, cmd):
     if model.two_point:
         S = model.semigroup
         (lo1, hi1), (lo2, hi2) = window.bounds
-        table = S.dim_jump_rows(window)
+        # one digit per cell, so both forms join the digit strings as text
+        rows = S.dim_jump_digits(window)
         if cmd.json_output:
-            return 0, _dump({"window": window.bounds,
-                             "dim_jump": table})
+            return 0, ('{"window":' + _dump(window.bounds) + ',"dim_jump":['
+                       + ",".join("[" + ",".join(r) + "]" for r in rows)
+                       + "]}")
         lines = [f"dim_jump on m1 in [{lo1}, {hi1}], m2 in [{lo2}, {hi2}]"]
-        for m1, row in zip(range(lo1, hi1 + 1), table):
-            lines.append(f"{m1}: " + " ".join(str(v) for v in row))
+        for m1, row in zip(range(lo1, hi1 + 1), rows):
+            lines.append(f"{m1}: " + " ".join(row))
         return 0, "\n".join(lines)
     values = direct_series(model.semigroup).expand(window)
     if cmd.json_output:

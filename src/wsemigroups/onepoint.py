@@ -23,10 +23,10 @@ import itertools
 import math
 import operator
 
-from .errors import (AxiomViolation, InputError, InvalidSemigroup,
-                     NotSymmetric, UnknownCheck, strict_index)
+from .errors import (AxiomViolation, InvalidSemigroup, NotSymmetric,
+                     strict_index)
 from .series import LaurentPoly, RationalGF, Window
-from .twopoint import CHECKS as TWO_POINT_CHECKS, VerificationReport
+from .twopoint import VerificationReport, refuse_check
 
 _ONE_MINUS_T = LaurentPoly({(0,): 1, (1,): -1})
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # swaps a mask's 0 and 1 bytes
@@ -90,12 +90,7 @@ class _AperySemigroup:
         """Run one named check of CHECKS, the order `all` runs them in;
         only indicator reads the window (default_window() when None)."""
         if check not in self.CHECKS:
-            if check == "oracle":
-                raise InputError("check 'oracle' needs a fixture input")
-            if check in TWO_POINT_CHECKS:
-                raise InputError(f"check {check!r} needs a two-point input")
-            raise UnknownCheck(
-                f"unknown check {check!r}; pick one of {self.CHECKS}")
+            raise refuse_check(check, self.CHECKS)
         if window is None:
             window = self.default_window()
         return getattr(self, f"_check_{check}")(window)

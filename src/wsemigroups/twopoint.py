@@ -9,7 +9,8 @@ each column class and on each row class, answer every question about
 the members below a point on its column or row.  Every pointwise
 predicate thus reads only a point's class, and the checks read them
 from per-class tables built on first use, so window scans and checks
-cost O(g * period + witnesses + output), not the window's area.
+cost O(g * period + witnesses + output), not the window's area; expand
+slices one digit string per column class, O(g * period + output bytes).
 
 Two dimension functions are deliberately kept side by side: dim_jump
 mirrors the sheaf dimension ell(m) - ell(m-1) through one-sided jumps
@@ -43,6 +44,17 @@ CHECKS = (
     "symmetry",
     "funceq",
 )
+# the input each check needs (every kind has symmetry and funceq)
+_NEEDS = {**dict.fromkeys(CHECKS, "two-point"), "oracle": "fixture",
+          "indicator": "one-point", "l_identity": "one-point",
+          "delta_product": "delta"}
+
+
+def refuse_check(check, checks):
+    """InputError naming the input `check` needs, else UnknownCheck."""
+    if check in _NEEDS:
+        return InputError(f"check {check!r} needs a {_NEEDS[check]} input")
+    return UnknownCheck(f"unknown check {check!r}; pick one of {checks}")
 
 
 def interior_region(window: Window) -> Window:
@@ -265,18 +277,23 @@ class TwoPointSemigroup:
         s = min(max(m[0] + m[1], -2), 2 * self.genus + 4)
         return self._c(self._table("dim_jump"), s, m[0] % self.period)
 
-    def dim_jump_rows(self, window: Window):
-        """dim_jump on the window, one list per m1 (m2 ascending): a slice
-        of the column class's values on the sums [0, 2g], padded with 0
-        below sum 0 and 2 above sum 2g."""
+    def dim_jump_digits(self, window: Window):
+        """dim_jump on the window, one string per m1 (m2 ascending): every
+        value is one digit 0-2, and a row slices its column class's digits
+        on the sums [0, 2g], padded with 0 below sum 0 and 2 above 2g."""
         (lo1, hi1), (lo2, hi2) = window.bounds
         top, d = 2 * self.genus, self._table("dim_jump")
-        band = [[d[s][a] for s in range(top + 1)] for a in range(self.period)]
-        return [[0] * max(0, min(-1, m1 + hi2) - m1 - lo2 + 1)
+        band = ["".join(["012"[d[s][a]] for s in range(top + 1)])
+                for a in range(self.period)]
+        return ["0" * max(0, min(-1, m1 + hi2) - m1 - lo2 + 1)
                 + band[m1 % self.period][max(0, m1 + lo2):
                                          max(0, min(top, m1 + hi2) + 1)]
-                + [2] * max(0, m1 + hi2 - max(top + 1, m1 + lo2) + 1)
+                + "2" * max(0, m1 + hi2 - max(top + 1, m1 + lo2) + 1)
                 for m1 in range(lo1, hi1 + 1)]
+
+    def dim_jump_rows(self, window: Window):
+        """dim_jump_digits as lists of ints."""
+        return [list(map(int, r)) for r in self.dim_jump_digits(window)]
 
     def gap_class_count(self):
         return sum(1 for row in self.strip for x in row if not x)
@@ -401,10 +418,7 @@ class TwoPointSemigroup:
         window's sums, one step per period.
         """
         if check not in self.CHECKS:
-            if check == "oracle":  # only FixtureSemigroup has it
-                raise InputError("check 'oracle' needs a fixture input")
-            raise UnknownCheck(
-                f"unknown check {check!r}; pick one of {self.CHECKS}")
+            raise refuse_check(check, self.CHECKS)
         if window is None:
             window = self.default_window()
         if window.arity != 2:

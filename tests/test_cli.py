@@ -21,7 +21,7 @@ import wsemigroups
 from wsemigroups import CHECKS, TwoPointSemigroup, VerificationReport, cli
 from wsemigroups.cli import parse_input
 from wsemigroups.onepoint import _AperySemigroup
-from wsemigroups.oracle import d_oracle
+from wsemigroups.oracle import FixtureSemigroup, d_oracle
 from wsemigroups.twopoint import interior_region
 
 import twopoint_oracle as oracle
@@ -381,6 +381,45 @@ def test_verify_one_point_checks(tmp_path, capsys):
 
     code, _, err = invoke(["verify", path, "--check", "c_prop"], capsys)
     assert code == 2 and "two-point" in err
+
+
+def test_every_check_of_every_kind_is_a_check_choice():
+    kinds = (wsemigroups.NumericalSemigroup, wsemigroups.OnePointSemigroup,
+             TwoPointSemigroup, FixtureSemigroup)
+    assert set(cli.VERIFY_CHECKS) == {"all"}.union(
+        *(kind.CHECKS for kind in kinds))
+
+
+_ONE_POINT_ONLY = {"indicator": "one-point", "l_identity": "one-point",
+                   "delta_product": "delta"}
+
+
+@pytest.mark.parametrize("check", sorted(_ONE_POINT_ONLY))
+@pytest.mark.parametrize("payload", [
+    {"kind": "numerical", "generators": [4, 6, 7]},
+    {"kind": "numerical", "generators": [3, 4, 5]},
+    {"kind": "delta", "r": [4, 6, 7]},
+    {"kind": "delta", "r": [4, 6, 7], "extras": [9]},
+    {"kind": "fixture", "name": "elliptic", "period": 2},
+    {"kind": "two_point", "genus": 2, "period": 3, "members": [[1, 1]]},
+], ids=["ns-467", "ns-345", "delta-467", "delta-extras", "fixture",
+        "two-point"])
+def test_one_point_checks_are_selectable_by_name(check, payload, tmp_path,
+                                                  capsys):
+    path = write(tmp_path, "input.json", payload)
+    S = parse_input(json.dumps(payload).encode()).semigroup
+    for flags in ([], ["--json"]):
+        code, out, err = invoke(["verify", path, "--check", check, *flags],
+                                capsys)
+        if check in S.CHECKS:
+            assert (code, err) == (0 if S.verify(check).passed else 1, "")
+            assert out.startswith(f'{{"check":"{check}","pass":' if flags
+                                  else f"{check}: ")
+        else:
+            need = "delta" if payload["kind"] == "numerical" else \
+                _ONE_POINT_ONLY[check]
+            assert (code, out) == (2, "")
+            assert err == f"error: check {check!r} needs a {need} input\n"
 
 
 def test_verify_symmetry_failure_lists_witnesses(tmp_path, capsys):

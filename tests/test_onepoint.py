@@ -398,6 +398,13 @@ def test_verify_names_outside_the_one_point_checks(semigroup, check, error,
         "input" if error is InputError else str(semigroup.CHECKS))
 
 
+def test_numerical_verify_refuses_delta_product():
+    with pytest.raises(InputError) as info:
+        NumericalSemigroup([4, 6, 7]).verify("delta_product")
+    assert type(info.value) is InputError
+    assert str(info.value) == "check 'delta_product' needs a delta input"
+
+
 def test_one_point_semigroup_validation():
     base = DeltaSequence([4, 6, 7])
     ops = OnePointSemigroup(base, extras=[9])

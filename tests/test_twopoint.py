@@ -1,4 +1,8 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 from wsemigroups import (
     CHECKS,
     AxiomViolation,
+    InputError,
     InvalidSemigroup,
     TwoPointSemigroup,
     UnknownCheck,
@@ -14,6 +19,7 @@ from wsemigroups import (
     WindowTooSmall,
 )
 
+from wsemigroups import cli
 from wsemigroups.oracle import Fixture, semigroup_from_fixture
 
 import twopoint_oracle as oracle
@@ -333,6 +339,83 @@ def test_class_loops_match_point_scans(S, data):
             () if sigma is None else oracle.symmetry_witnesses(S, sigma, W))
 
 
+def render_windows(S):
+    """Windows wholly below sum 0, wholly above sum 2g, straddling the
+    band [0, 2g] on both sides, of a single cell, and with sums near
+    +-10^9."""
+    top, th = 2 * S.genus, S.period
+    at = st.integers(min_value=-top - 3 * th, max_value=top + 3 * th)
+    width = st.integers(min_value=0, max_value=2 * th + 3)
+    gap = st.integers(min_value=1, max_value=2 * th + 2)
+    far = st.integers(min_value=10**9 - 3 * th, max_value=10**9 + 3 * th)
+    far = st.one_of(far, far.map(lambda k: -k))
+    return st.tuples(
+        st.builds(lambda x, w1, w2, k: Window(
+            (x, x + w1), (-x - w1 - w2 - k, -x - w1 - k)),
+            at, width, width, gap),
+        st.builds(lambda x, w1, w2, k: Window(
+            (x, x + w1), (top + k - x, top + k - x + w2)),
+            at, width, width, gap),
+        st.builds(lambda x, w1, k1, k2: Window(
+            (x, x + w1), (-x - w1 - k1, top - x + k2)),
+            at, width, gap, gap),
+        st.builds(lambda x, y: Window((x, x), (y, y)), at, at),
+        st.builds(lambda x, k, w1, w2: Window(
+            (x, x + w1), (k - x, k - x + w2)), at, far, width, width))
+
+
+def expand_stdout(S, window, *flags):
+    """stdout of `wsemigroups expand` on S's JSON input and the window."""
+    if hasattr(S, "fixture"):
+        payload = {"kind": "fixture", "name": S.fixture.family,
+                   "period": S.fixture.period}
+    else:
+        payload = {"kind": "two_point_strip", "genus": S.genus,
+                   "period": S.period, "strip": [list(r) for r in S.strip]}
+    (lo1, hi1), (lo2, hi2) = window.bounds
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["expand", path, *flags, "--window",
+                             *map(str, (lo1, hi1, lo2, hi2))])
+    assert code == 0
+    return out.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(strip_semigroups(), st.data())
+@example(fixture("projective_line"), None)
+@example(fixture("elliptic", 1), None)
+@example(fixture("elliptic", 2), None)
+@example(fixture("elliptic", 3), None)
+@example(strip_4x5(), None)
+def test_expand_renders_the_point_scan(S, data):
+    # the CLI joins per-class digit strings; its bytes must equal the
+    # point scan's table encoded int by int, in JSON and in text
+    if data:
+        windows = data.draw(render_windows(S))
+    else:
+        top = 2 * S.genus
+        windows = (Window((-9, -3), (-6, 2)), Window((3, 9), (top, top + 5)),
+                   Window((-7, 4), (-5, top + 8)), Window((1, 1), (-1, -1)),
+                   Window((-3, 3), (10**9, 10**9 + 6)),
+                   Window((-10**9 - 5, -10**9), (-2, 4)))
+    for W in windows:
+        (lo1, hi1), (lo2, hi2) = W.bounds
+        digits = S.dim_jump_digits(W)
+        assert len(digits) == hi1 - lo1 + 1
+        assert all(len(row) == hi2 - lo2 + 1 for row in digits)
+        expected = json.dumps({"window": W.bounds,
+                               "dim_jump": oracle.dim_jump_rows(S, W)},
+                              separators=(",", ":"))
+        assert expand_stdout(S, W, "--json") == expected + "\n", W.bounds
+        assert expand_stdout(S, W) == oracle.expand_text(S, W) + "\n", \
+            W.bounds
+
+
 def test_corner_translates_check_compares_two_derivations(monkeypatch):
     # the scanned side asks is_maximal on the band, the translated side
     # reads the corner maximals; a corner missing a point must fail it
@@ -489,6 +572,18 @@ def test_symmetry_sigma_has_sum_2g():
 def test_verify_rejects_unknown_check():
     with pytest.raises(UnknownCheck):
         elliptic2().verify("bogus")
+
+
+@pytest.mark.parametrize("check, message", [
+    ("indicator", "check 'indicator' needs a one-point input"),
+    ("l_identity", "check 'l_identity' needs a one-point input"),
+    ("delta_product", "check 'delta_product' needs a delta input"),
+])
+def test_verify_refuses_one_point_checks(check, message):
+    for S in (elliptic2(), fixture("elliptic", 3)):
+        with pytest.raises(InputError) as info:
+            S.verify(check)
+        assert type(info.value) is InputError and str(info.value) == message
 
 
 def test_verify_rejects_window_without_margin():

@@ -186,6 +186,16 @@ def dim_jump_rows(S, window):
             for m1 in range(lo1, hi1 + 1)]
 
 
+def expand_text(S, window):
+    """The `expand` text table, formatted one int at a time from the
+    point scan, as the CLI printed it before it joined digit strings."""
+    (lo1, hi1), (lo2, hi2) = window.bounds
+    lines = [f"dim_jump on m1 in [{lo1}, {hi1}], m2 in [{lo2}, {hi2}]"]
+    for m1, row in zip(range(lo1, hi1 + 1), dim_jump_rows(S, window)):
+        lines.append(f"{m1}: " + " ".join(str(v) for v in row))
+    return "\n".join(lines)
+
+
 def symmetry_witnesses(S, sigma, window):
     """Window points n where n in S disagrees with nabla(sigma - n)
     being empty."""

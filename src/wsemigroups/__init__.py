@@ -1,5 +1,6 @@
 """Exact arithmetic for Weierstrass semigroups at one and two points."""
 
+from .checks import VerificationReport
 from .errors import (
     ArityMismatch,
     AxiomViolation,
@@ -22,11 +23,7 @@ from .onepoint import (
 )
 from .oracle import Fixture, d_oracle, ell, semigroup_from_fixture
 from .series import LaurentPoly, RationalGF, Window
-from .twopoint import (
-    CHECKS,
-    TwoPointSemigroup,
-    VerificationReport,
-)
+from .twopoint import CHECKS, TwoPointSemigroup
 
 __all__ = [
     "ArityMismatch",

@@ -16,25 +16,19 @@ import os
 import sys
 from dataclasses import dataclass
 
+from .checks import KIND_CHECKS, VerificationReport
 from .errors import InputError
-from .onepoint import (
-    DeltaSequence,
-    NumericalSemigroup,
-    OnePointSemigroup,
-    direct_series,
-    poincare_delta_product,
-    poincare_onepoint,
-    series_first_difference,
-)
-from .oracle import Fixture, FixtureSemigroup, semigroup_from_fixture
+from .onepoint import (DeltaSequence, NumericalSemigroup, OnePointSemigroup,
+                       direct_series, poincare_delta_product,
+                       poincare_onepoint, series_first_difference)
+from .oracle import Fixture, semigroup_from_fixture
 from .series import LaurentPoly, RationalGF, Window
-from .twopoint import TwoPointSemigroup, VerificationReport
+from .twopoint import TwoPointSemigroup
 
 FORMS = ("direct", "closed", "corner", "paper")
-# the checks a user can name: the two-point ones, the fixtures' oracle,
-# then the one-point ones
-VERIFY_CHECKS = tuple(dict.fromkeys(
-    FixtureSemigroup.CHECKS + OnePointSemigroup.CHECKS)) + ("all",)
+# the checks a user can name: every input kind's, in table order
+VERIFY_CHECKS = (*dict.fromkeys(
+    name for names in KIND_CHECKS.values() for name in names), "all")
 
 
 @dataclass

@@ -9,11 +9,11 @@ tests of multiplicity <= r_0, so at no O(c) cost), optional extra pole
 orders, and the Poincare series P(t) = sum_{n in S} t^n with
 L(t) = (1 - t) P(t) in its closed forms.  Both semigroup classes share
 one Apery-set base class (a one-point semigroup lowers its base's table
-by the extras) and answer `verify(check)` for the checks named in their
-CHECKS.  The `funceq` signs are decided on the Apery form
-P(t) = sum_{w in Ap} t^w / (1 - t^a), with a numerator terms instead of
-c, in O(a); `l_identity` compares it with the L-polynomial in one pass
-over L's terms.
+by the extras) and answer `verify(check)` for the checks their input
+kind has in `checks.KIND_CHECKS`.  The `funceq` signs are decided on the
+Apery form P(t) = sum_{w in Ap} t^w / (1 - t^a), with a numerator terms
+instead of c, in O(a); `l_identity` compares it with the L-polynomial in
+one pass over L's terms.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import itertools
 import math
 import operator
 
+from .checks import KIND_CHECKS, VerificationReport, refuse_check
 from .errors import (AxiomViolation, InvalidSemigroup, NotSymmetric,
                      strict_index)
 from .series import LaurentPoly, RationalGF, Window
-from .twopoint import VerificationReport, refuse_check
 
 _ONE_MINUS_T = LaurentPoly({(0,): 1, (1,): -1})
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # swaps a mask's 0 and 1 bytes
@@ -35,9 +35,11 @@ _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # swaps a mask's 0 and 1 bytes
 class _AperySemigroup:
     """A numerical semigroup read off one Apery table.
 
-    `apery[r]` is the least member congruent to r modulo the
-    multiplicity a = len(apery).  Membership, every mask, the conductor
-    (max Ap - a + 1) and the genus (sum of floor(w / a)) come from it;
+    `apery[r]` is the least member congruent to r modulo a = len(apery),
+    a member: the multiplicity, but for a one-point semigroup the base's
+    (<4,6,7> + {3, 9} has multiplicity 3 and the table (0, 9, 6, 3)).
+    Membership, every mask, the conductor (max Ap - a + 1) and the genus
+    (sum of floor(w / a)), which hold modulo any member, come from it;
     `gaps` is built from a membership mask on each access, at O(c) cost.
     """
 
@@ -145,7 +147,7 @@ class NumericalSemigroup(_AperySemigroup):
     """
 
     __slots__ = ("generators",)
-    CHECKS = ("indicator", "l_identity", "symmetry", "funceq")
+    CHECKS = KIND_CHECKS["one-point"]
 
     def __init__(self, generators):
         gens = sorted(set(map(strict_index, generators)))
@@ -257,7 +259,7 @@ class OnePointSemigroup(_AperySemigroup):
     """
 
     __slots__ = ("base", "extras")
-    CHECKS = ("indicator", "l_identity", "delta_product", "symmetry", "funceq")
+    CHECKS = KIND_CHECKS["delta"]
 
     def __init__(self, base, extras=()):
         if not isinstance(base, DeltaSequence):
@@ -347,7 +349,7 @@ def poincare_direct(semigroup) -> RationalGF:
 
 def apery_series(semigroup) -> RationalGF:
     """P(t) = sum_{w in Ap} t^w / (1 - t^a) over the semigroup's Apery
-    set modulo a: a numerator terms, not c."""
+    table modulo the member a = len(apery): a numerator terms, not c."""
     apery = semigroup.apery
     return RationalGF(LaurentPoly._trusted({(w,): 1 for w in apery}, 1),
                       [(len(apery),)])
@@ -424,8 +426,8 @@ def functional_equation_signs(semigroup) -> tuple:
     symmetric semigroup; the commonly displayed opposite signs do not
     hold in this representation.  Both identities are decided on the
     Apery form, P = sum_w t^w / (1 - t^a) and L = (1 - t) P, whose
-    numerators have a and at most 2a terms, so the cost is O(a) for
-    multiplicity a, not O(c).  Raises NotSymmetric otherwise.
+    numerators have a and at most 2a terms, so the cost is O(a) for the
+    Apery modulus a, not O(c).  Raises NotSymmetric otherwise.
     """
     if not semigroup.is_symmetric():
         raise NotSymmetric(

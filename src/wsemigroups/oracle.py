@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .checks import KIND_CHECKS
 from .errors import InputError
-from .twopoint import CHECKS, TwoPointSemigroup
+from .twopoint import TwoPointSemigroup
 
 FAMILIES = ("projective_line", "elliptic")
 
@@ -76,7 +77,7 @@ class FixtureSemigroup(TwoPointSemigroup):
     """The strip of a fixture, which keeps it for the `oracle` check."""
 
     __slots__ = ("fixture",)
-    CHECKS = CHECKS + ("oracle",)
+    CHECKS = KIND_CHECKS["fixture"]
 
     def __init__(self, fixture: Fixture, rows):
         super().__init__(fixture.genus, fixture.period, rows)

@@ -189,6 +189,8 @@ class Window:
     def __init__(self, *bounds):
         checked = []
         for b in bounds:
+            if len(b) != 2:
+                raise ValueError(f"window bound {b!r} is not a (lo, hi) pair")
             lo, hi = strict_index(b[0]), strict_index(b[1])
             if lo > hi:
                 raise ValueError(f"empty window bound ({lo}, {hi})")

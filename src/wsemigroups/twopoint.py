@@ -22,39 +22,12 @@ measures that instead of hiding it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import (
-    AxiomViolation,
-    InputError,
-    InvalidSemigroup,
-    UnknownCheck,
-    WindowTooSmall,
-    strict_index,
-)
+from .checks import KIND_CHECKS, VerificationReport, refuse_check
+from .errors import (AxiomViolation, InvalidSemigroup, WindowTooSmall,
+                     strict_index)
 from .series import LaurentPoly, RationalGF, Window
 
-CHECKS = (
-    "closure",
-    "c_prop",
-    "c_identity",
-    "corner_translates",
-    "lemma4",
-    "d_agreement",
-    "symmetry",
-    "funceq",
-)
-# the input each check needs (every kind has symmetry and funceq)
-_NEEDS = {**dict.fromkeys(CHECKS, "two-point"), "oracle": "fixture",
-          "indicator": "one-point", "l_identity": "one-point",
-          "delta_product": "delta"}
-
-
-def refuse_check(check, checks):
-    """InputError naming the input `check` needs, else UnknownCheck."""
-    if check in _NEEDS:
-        return InputError(f"check {check!r} needs a {_NEEDS[check]} input")
-    return UnknownCheck(f"unknown check {check!r}; pick one of {checks}")
+CHECKS = KIND_CHECKS["two-point"]
 
 
 def interior_region(window: Window) -> Window:
@@ -70,30 +43,6 @@ def interior_region(window: Window) -> Window:
                 f"window ({lo}, {hi}) leaves no 2-cell interior margin")
         bounds.append((lo + 2, hi - 2))
     return Window(*bounds)
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    check: str
-    passed: bool
-    witnesses: tuple
-    window: tuple | None
-    details: dict = field(default_factory=dict)
-    series: object = None
-
-    def to_json(self):
-        out = {
-            "check": self.check,
-            "pass": self.passed,
-            "witnesses": self.witnesses,
-        }
-        if self.window is not None:
-            out["window"] = self.window
-        if self.series is not None:
-            out["series"] = self.series.to_json()
-        if self.details:
-            out["details"] = self.details
-        return out
 
 
 class TwoPointSemigroup:
@@ -115,7 +64,10 @@ class TwoPointSemigroup:
             raise InvalidSemigroup(f"genus must be >= 0, got {genus}")
         if period < 1:
             raise InvalidSemigroup(f"period must be >= 1, got {period}")
-        rows = [tuple(bool(x) for x in row) for row in rows]
+        rows = [tuple(row) for row in rows]
+        for row in rows:
+            if not {bool}.issuperset(map(type, row)):
+                raise TypeError(f"strip cells must be bools, got row {row}")
         if len(rows) != 2 * genus:
             raise InvalidSemigroup(
                 f"strip must have 2*genus = {2 * genus} rows, got {len(rows)}")
@@ -155,6 +107,8 @@ class TwoPointSemigroup:
             raise InvalidSemigroup("need genus >= 0 and period >= 1")
         seeds = {(0, 0)}
         for g in gens:
+            if len(g) != 2:
+                raise InvalidSemigroup(f"member {g!r} is not a pair (m1, m2)")
             m1, m2 = strict_index(g[0]), strict_index(g[1])
             s = m1 + m2
             if s < 0:

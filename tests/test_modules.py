@@ -13,6 +13,9 @@ from wsemigroups import (DeltaSequence, LaurentPoly, NumericalSemigroup,
                          OnePointSemigroup, TwoPointSemigroup, Window, errors)
 
 SOURCES = sorted(Path(wsemigroups.__file__).parent.glob("*.py"))
+# each module's relative imports name only modules ranked below it
+LAYERS = ("errors", "series", "checks", "onepoint", "twopoint", "oracle",
+          "cli")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -24,6 +27,18 @@ def test_no_private_name_crosses_a_module(path):
         if isinstance(node, ast.ImportFrom) and node.level > 0
         for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in SOURCES} - {"__init__", "__main__"} == set(LAYERS)
+
+
+@pytest.mark.parametrize("rank", range(len(LAYERS)), ids=LAYERS.__getitem__)
+def test_modules_import_only_lower_layers(rank):
+    path = Path(wsemigroups.__file__).parent / f"{LAYERS[rank]}.py"
+    imported = {node.module for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.level > 0}
+    assert imported <= set(LAYERS[:rank])
 
 
 def test_every_library_error_is_a_value_error():
@@ -69,6 +84,30 @@ INTEGER_SLOTS = {
     "member": (lambda x: TwoPointSemigroup.from_members(1, 2, [(x, 0)]), 1,
                lambda s: s.strip == ((True, False), (False, True))),
 }
+
+
+# a strip cell must be a bool, and a member or a window bound a pair:
+# anything else is refused, not coerced or cut to two entries
+MALFORMED_SHAPES = {
+    "strip cell": (lambda: TwoPointSemigroup(1, 2, [["yes", 0], [0, ""]]),
+                   TypeError),
+    "integer strip cell": (lambda: TwoPointSemigroup(1, 2, [[1, 0], [0, 0]]),
+                           TypeError),
+    "member triple": (
+        lambda: TwoPointSemigroup.from_members(2, 2, [[1, 1, 99]]),
+        ValueError),
+    "member single": (lambda: TwoPointSemigroup.from_members(2, 2, [[1]]),
+                      ValueError),
+    "window triple": (lambda: Window((0, 4, 7)), ValueError),
+    "window single": (lambda: Window((3,)), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SHAPES)
+def test_malformed_shapes_are_refused(case):
+    build, error = MALFORMED_SHAPES[case]
+    with pytest.raises(error):
+        build()
 
 
 @pytest.mark.parametrize("slot", INTEGER_SLOTS)

@@ -578,6 +578,12 @@ def test_seeded_inputs_cover_every_kind():
         return "extras" if s.extras else "delta"
     assert all(s.is_symmetric()
                for s in ONE_POINT_INPUTS[:len(SYMMETRIC_WITH_EXTRAS)])
+    # <4,6,7> + {3, 9} keeps its base's table modulo 4, a member, though
+    # its multiplicity is 3; the conductor and genus still read off it
+    s = ONE_POINT_INPUTS[2]
+    assert s.apery == (0, 9, 6, 3) and len(s.apery) == 4
+    assert min(n for n in range(1, 5) if s.contains(n)) == 3
+    assert (s.conductor, s.genus) == (6, 3)
     kinds = {(kind(s), s.is_symmetric()) for s in ONE_POINT_INPUTS}
     assert kinds == {(k, sym) for k in ("numerical", "delta", "extras")
                      for sym in (True, False)} - {("delta", False)}

@@ -5,6 +5,9 @@ validate / analyze / maximals / poincare / expand / verify, and prints
 either a human-readable report or (with --json) canonical JSON.  Exit
 codes: 0 success, 1 a verification check found violations, 2 invalid
 input or usage.  Identical invocations produce byte-identical output.
+A Poincare series, alone or inside a verification report, is rendered
+one %-format per numerator term, to the bytes that encoding its
+`to_json()` would give; every other value goes through one encoder.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .checks import KIND_CHECKS, VerificationReport
 from .errors import InputError
@@ -240,7 +243,7 @@ def _run_poincare(model: Model, cmd):
             g = model.semigroup.genus
             num = LaurentPoly([((0,), 1), ((1,), -1), ((2 * g,), 1)])
             series = RationalGF(num, [(1,)])
-    return 0, _dump(series.to_json())
+    return 0, _series_json(series)
 
 
 def _run_expand(model: Model, cmd):
@@ -275,9 +278,9 @@ def _run_verify(model: Model, cmd):
     code = 0 if passed else 1
     if cmd.json_output:
         if cmd.check == "all":
-            return code, _dump({"pass": passed,
-                                "checks": [r.to_json() for r in reports]})
-        return code, _dump(reports[0].to_json())
+            return code, ('{"pass":' + _dump(passed) + ',"checks":['
+                          + ",".join(map(_report_json, reports)) + "]}")
+        return code, _report_json(reports[0])
     lines = []
     for rep in reports:
         lines.extend(_report_lines(rep))
@@ -294,6 +297,26 @@ def _report_lines(rep: VerificationReport):
     if rep.witnesses:
         head += f" ({len(rep.witnesses)} witnesses)"
     return [head] + [f"  {w}" for w in rep.witnesses]
+
+
+def _series_json(series: RationalGF) -> str:
+    """`_dump(series.to_json())`, one %-format per numerator term in
+    place of a dict and a list per term."""
+    term = '{"e":[' + ",".join(["%d"] * series.arity) + '],"c":%d}'
+    terms = [term % (*e, c) for e, c in series.num.terms()]
+    return ('{"num":[' + ",".join(terms) + '],"den":' + _dump(series.den)
+            + "}")
+
+
+def _report_json(rep: VerificationReport) -> str:
+    """`_dump(rep.to_json())`, with the series rendered by `_series_json`
+    between the window and the details."""
+    if rep.series is None:
+        return _dump(rep.to_json())
+    head = _dump(replace(rep, series=None, details={}).to_json())
+    details = ',"details":' + _dump(rep.details) if rep.details else ""
+    return (head[:-1] + ',"series":' + _series_json(rep.series) + details
+            + "}")
 
 
 # one encoder for every dump; library values are fresh acyclic trees, and a

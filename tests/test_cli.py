@@ -3,14 +3,18 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wsemigroups import (
     DeltaSequence,
+    LaurentPoly,
     NumericalSemigroup,
     RationalGF,
     Window,
@@ -907,6 +911,86 @@ def test_series_modes_analyze_is_pinned(key, tmp_path, capsys):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
         _PINNED_MODES_ANALYZE[key]
     assert err == ""
+
+
+# ------------------------------------------------------------ JSON renderers
+
+# poincare and verify render series term by term; the library's to_json
+# through the one encoder is the oracle for every byte
+
+@st.composite
+def rational_gfs(draw):
+    """Series of arity 1-3 with negative exponents, coefficients up to
+    10^30 in size and denominators that may be empty or repeat a vector."""
+    arity = draw(st.integers(min_value=1, max_value=3))
+    exps = st.tuples(*[st.integers(min_value=-40, max_value=40)] * arity)
+    coeffs = st.integers(min_value=-10**30, max_value=10**30)
+    num = draw(st.dictionaries(exps, coeffs, max_size=8))
+    vector = st.tuples(*[st.integers(min_value=0, max_value=5)] * arity)
+    den = draw(st.lists(vector.filter(any), max_size=4))
+    if den and draw(st.booleans()):
+        den.append(den[0])
+    return RationalGF(LaurentPoly(num, arity=arity), den)
+
+
+@settings(max_examples=200)
+@given(rational_gfs())
+@example(RationalGF(LaurentPoly({}, arity=2)))
+@example(RationalGF(LaurentPoly({(-7, 0, 3): -10**30, (2, -1, 0): 10**30}),
+                    [(1, 0, 0), (0, 2, 1), (1, 0, 0)]))
+def test_series_renderer_matches_the_encoder(gf):
+    assert cli._series_json(gf) == cli._dump(gf.to_json())
+
+
+def _seeded_strips(seed, count):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        g, th = rng.randint(0, 8), rng.randint(1, 6)
+        members = []
+        for _ in range(rng.randint(0, 4)):
+            s, m1 = rng.randint(0, 2 * g + 2), rng.randint(-2 * th, 2 * th)
+            members.append((m1, s - m1))
+        out.append(TwoPointSemigroup.from_members(g, th, members))
+    return out
+
+
+def _every_report():
+    """Every check of every input kind on the default window and one
+    more, then one made-up report per choice of window, series and
+    details."""
+    # delta-10-4-3 is not a delta sequence, so it only ever exits 2
+    one_point = [p for name, p in ONE_POINT_INPUTS.items()
+                 if name != "delta-10-4-3"]
+    payloads = [*GUARD_INPUTS.values(), *TABLE_INPUTS.values(), *one_point,
+                *MODES_INPUTS.values(),
+                {"kind": "delta", "r": [4, 6, 7], "extras": [3, 9]}]
+    semigroups = [parse_input(json.dumps(p).encode()).semigroup
+                  for p in payloads] + _seeded_strips(5, 12)
+    for S in semigroups:
+        two = isinstance(S, TwoPointSemigroup)
+        for window in (None, Window((-6, 6), (-5, 7)) if two
+                       else Window((-3, 25))):
+            for check in S.CHECKS:
+                yield S.verify(check, window)
+    series = RationalGF(LaurentPoly({(0,): 1, (3,): -2}), [(2,), (2,)])
+    for window in (None, ((-2, 5),)):
+        for gf in (None, series):
+            for details in ({}, {"eps_l": 1, "eps_p": -1, "genus": 3}):
+                yield VerificationReport("made_up", False, ((1, 2, 3),),
+                                         window, details, gf)
+
+
+def test_report_renderer_matches_the_encoder():
+    reports = list(_every_report())
+    for rep in reports:
+        assert cli._report_json(rep) == cli._dump(rep.to_json()), rep.check
+    shapes = {(r.window is None, r.series is None, not r.details)
+              for r in reports}
+    assert len(shapes) == 8
+    assert {r.check for r in reports if r.series is not None} == {
+        "indicator", "l_identity", "delta_product", "symmetry", "funceq",
+        "made_up"}
 
 
 # --json writes only integers, strings, booleans and null; a float, NaN or

@@ -7,13 +7,16 @@ codes: 0 success, 1 a verification check found violations, 2 invalid
 input or usage.  Identical invocations produce byte-identical output.
 A Poincare series, alone or inside a verification report, is rendered
 one %-format per numerator term, to the bytes that encoding its
-`to_json()` would give; every other value goes through one encoder.
+`to_json()` would give.  An `analyze` gap list is rendered from the gap
+mask one block of 1000 values at a time, to the bytes that encoding the
+`gaps` tuple would give.  Every other value goes through one encoder.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -141,7 +144,7 @@ def _summary(model: Model) -> dict:
             "generators": list(S.generators),
             "conductor": S.conductor,
             "genus": S.genus,
-            "gaps": S.gaps,
+            "gaps": S.gap_mask(),
             "symmetric": S.is_symmetric(),
         }
     if model.kind == "delta":
@@ -154,7 +157,7 @@ def _summary(model: Model) -> dict:
             "extras": list(S.extras),
             "conductor": S.conductor,
             "genus": S.genus,
-            "gaps": S.gaps,
+            "gaps": S.gap_mask(),
             "symmetric": S.is_symmetric(),
             "series_modes_agree": first is None,
             "series_first_difference": first,
@@ -195,11 +198,22 @@ def _run_validate(model: Model, cmd):
 def _run_analyze(model: Model, cmd):
     summary = _summary(model)
     if cmd.json_output:
-        return 0, _dump(summary)
+        if "gaps" not in summary:
+            return 0, _dump(summary)
+        # the fields before and after the gap mask, encoded on each side
+        items = list(summary.items())
+        at = list(summary).index("gaps")
+        head, tail = _dump(dict(items[:at])), _dump(dict(items[at + 1:]))
+        return 0, (head[:-1] + ',"gaps":' + _gaps_json(summary["gaps"], ",")
+                   + "," + tail[1:])
     lines = []
     for key, value in summary.items():
-        shown = value if isinstance(value, str) else \
-            json.dumps(value, separators=(", ", ": "))
+        if key == "gaps":
+            shown = _gaps_json(value, ", ")
+        elif isinstance(value, str):
+            shown = value
+        else:
+            shown = json.dumps(value, separators=(", ", ": "))
         lines.append(f"{key}: {shown}")
     return 0, "\n".join(lines)
 
@@ -306,6 +320,29 @@ def _series_json(series: RationalGF) -> str:
     terms = [term % (*e, c) for e, c in series.num.terms()]
     return ('{"num":[' + ",".join(terms) + '],"den":' + _dump(series.den)
             + "}")
+
+
+# the decimal strings of 0-999, bare for the first block of a gap list
+# and padded to three digits after a later block's prefix
+_DIGITS = tuple(map(str, range(1000)))
+_PAD3 = tuple(f"{n:03d}" for n in range(1000))
+
+
+def _gaps_json(gap, sep: str) -> str:
+    """The JSON list, items joined by `sep`, of the n with gap[n] = 1.
+
+    Block q of 1000 values is str(q) before each of its padded low parts,
+    so the only Python-level step is one per block; a block with no gap
+    is left out, prefix and all.
+    """
+    blocks = []
+    for lo in range(0, len(gap), 1000):
+        prefix = str(lo // 1000) if lo else ""
+        low = (sep + prefix).join(itertools.compress(
+            _PAD3 if lo else _DIGITS, gap[lo:lo + 1000]))
+        if low:
+            blocks.append(prefix + low)
+    return "[" + sep.join(blocks) + "]"
 
 
 def _report_json(rep: VerificationReport) -> str:

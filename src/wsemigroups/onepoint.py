@@ -40,7 +40,8 @@ class _AperySemigroup:
     (<4,6,7> + {3, 9} has multiplicity 3 and the table (0, 9, 6, 3)).
     Membership, every mask, the conductor (max Ap - a + 1) and the genus
     (sum of floor(w / a)), which hold modulo any member, come from it;
-    `gaps` is built from a membership mask on each access, at O(c) cost.
+    `gap_mask()` and `gaps` are built from a membership mask on each
+    access, at O(c) cost.
     """
 
     __slots__ = ("apery", "conductor", "genus")
@@ -65,11 +66,16 @@ class _AperySemigroup:
             member[w::a] = b"\1" * len(range(w, hi, a))
         return member
 
+    def gap_mask(self):
+        """A bytearray m of length c with m[n] = 1 exactly for gaps n."""
+        return self.mask(self.conductor).translate(_FLIP)
+
     @property
     def gaps(self):
-        c = self.conductor
-        return tuple(itertools.compress(range(c),
-                                        self.mask(c).translate(_FLIP)))
+        """The gaps in increasing order, a tuple of the n with
+        gap_mask()[n] = 1."""
+        return tuple(itertools.compress(range(self.conductor),
+                                        self.gap_mask()))
 
     def symmetry_witnesses(self):
         """Values n in [0, c) where n and c-1-n are both in or both out."""

@@ -1,7 +1,9 @@
 """Command-line interface: parsing, verbs, exit codes, output determinism."""
 
 import hashlib
+import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -991,6 +993,116 @@ def test_report_renderer_matches_the_encoder():
     assert {r.check for r in reports if r.series is not None} == {
         "indicator", "l_identity", "delta_product", "symmetry", "funceq",
         "made_up"}
+
+
+# analyze renders the gap list from the gap mask in blocks of 1000; the
+# encoder over the list of gaps is the oracle for every byte
+
+@st.composite
+def gap_masks(draw):
+    """0/1 masks up to 3,500 long, built from constant runs (so that whole
+    blocks can be all gaps or hold none) and runs of random bits."""
+    runs = st.one_of(
+        st.tuples(st.sampled_from((0, 1)),
+                  st.integers(min_value=0, max_value=1300)).map(
+                      lambda run: bytes([run[0]]) * run[1]),
+        st.lists(st.integers(min_value=0, max_value=1), max_size=400).map(
+            bytes))
+    return b"".join(draw(st.lists(runs, max_size=6)))[:3500]
+
+
+@settings(max_examples=200)
+@given(gap_masks())
+@example(b"")
+@example(bytes(2500))
+@example(bytes(1000) + b"\1" + bytes(998) + b"\1")
+def test_gaps_renderer_matches_the_encoder(mask):
+    _assert_gaps_render(mask)
+
+
+def test_gaps_renderer_past_block_1000():
+    # c = 1,003,968, so the block prefixes run up to 1003
+    mask = NumericalSemigroup([997, 1009]).gap_mask()
+    assert len(mask) == 1_003_968
+    _assert_gaps_render(mask)
+
+
+def _assert_gaps_render(mask):
+    gaps = list(itertools.compress(range(len(mask)), mask))
+    for sep in (",", ", "):
+        assert cli._gaps_json(mask, sep) == \
+            json.dumps(gaps, separators=(sep, ":"))
+
+
+def _analyze_before_blocks(model, json_output):
+    """analyze as rendered before gap lists went per block: the summary,
+    with the `gaps` tuple, through the one encoder."""
+    summary = {**cli._summary(model), "gaps": model.semigroup.gaps}
+    if json_output:
+        return cli._dump(summary)
+    lines = []
+    for key, value in summary.items():
+        shown = value if isinstance(value, str) else \
+            json.dumps(value, separators=(", ", ": "))
+        lines.append(f"{key}: {shown}")
+    return "\n".join(lines)
+
+
+def _seeded_one_point(seed):
+    """Numerical, delta and delta-with-extras inputs of conductors up to
+    about 3,500, ⟨1⟩ (conductor 0) among them."""
+    rng = random.Random(seed)
+    payloads = [{"kind": "numerical", "generators": [1]},
+                {"kind": "delta", "r": [1]}]
+    while len(payloads) < 14:
+        gens = rng.sample(range(2, 60), rng.randint(2, 4))
+        if math.gcd(*gens) == 1:
+            payloads.append({"kind": "numerical", "generators": gens})
+    deltas = []
+    while len(deltas) < 10:
+        d1, d2, u = rng.randint(2, 4), rng.randint(2, 4), rng.randint(2, 12)
+        v = (d1 - 1) * (u - 1) + rng.randint(0, 20)
+        r = [d1 * d2, d2 * u, v] if rng.random() < 0.6 else [u, v + u]
+        try:
+            deltas.append(DeltaSequence(r))
+        except ValueError:
+            pass
+    for base in deltas:
+        payloads.append({"kind": "delta", "r": list(base.r)})
+        gaps = base.semigroup.gaps
+        if gaps:
+            # every gap from some point on is always a closed enlargement
+            k = rng.randint(0, base.semigroup.conductor)
+            payloads.append({"kind": "delta", "r": list(base.r),
+                             "extras": [n for n in gaps if n >= k]})
+    return payloads
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_analyze_matches_the_encoder_over_gap_tuples(seed, tmp_path, capsys):
+    payloads = _seeded_one_point(seed)
+    kinds, conductors = set(), set()
+    for i, payload in enumerate(payloads):
+        path = write(tmp_path, f"in-{i}.json", payload)
+        model = parse_input(json.dumps(payload).encode())
+        kinds.add((payload["kind"], "extras" in payload))
+        conductors.add(model.semigroup.conductor)
+        for args in ((), ("--json",)):
+            assert invoke(["analyze", path, *args], capsys) == \
+                (0, _analyze_before_blocks(model, bool(args)) + "\n", ""), \
+                payload
+    # every input form, and gap lists that are empty or cross a block edge
+    assert kinds == {("numerical", False), ("delta", False), ("delta", True)}
+    assert 0 in conductors and max(conductors) > 1000
+
+
+def test_analyze_largest_rung_is_pinned(tmp_path, capsys):
+    path = write(tmp_path, "ns-997-1009.json",
+                 {"kind": "numerical", "generators": [997, 1009]})
+    code, out, err = invoke(["analyze", path, "--json"], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "509e9b60a63ae03398ccd7254dbf3c0fc366fc35aa11c283922c662bee4fd276"
 
 
 # --json writes only integers, strings, booleans and null; a float, NaN or

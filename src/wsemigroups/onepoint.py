@@ -24,8 +24,8 @@ import math
 import operator
 
 from .checks import KIND_CHECKS, VerificationReport, refuse_check
-from .errors import (AxiomViolation, InvalidSemigroup, NotSymmetric,
-                     strict_index)
+from .errors import (ArityMismatch, AxiomViolation, InvalidSemigroup,
+                     NotSymmetric, strict_index)
 from .series import LaurentPoly, RationalGF, Window
 
 _ONE_MINUS_T = LaurentPoly({(0,): 1, (1,): -1})
@@ -101,6 +101,8 @@ class _AperySemigroup:
             raise refuse_check(check, self.CHECKS)
         if window is None:
             window = self.default_window()
+        if window.arity != 1:
+            raise ArityMismatch("one-point windows must be 1-dimensional")
         return getattr(self, f"_check_{check}")(window)
 
     def _check_indicator(self, window):

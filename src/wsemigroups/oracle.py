@@ -86,8 +86,7 @@ class FixtureSemigroup(TwoPointSemigroup):
     def _check_oracle(self, region):
         # both sides read only the class (m1 + m2, m1 mod period) and agree
         # outside the band (0 below, 2 above), so one ask per band class does
-        d = self._table("dim_jump")
-        witnesses = self._where(region, lambda s, a: d[s][a] != d_oracle(
+        witnesses = self._where(region, lambda s, a: self._d(s, a) != d_oracle(
             self.fixture, (a, s - a)))
         return not witnesses, witnesses, {"family": self.fixture.family,
                                            "period": self.fixture.period}

@@ -7,10 +7,12 @@ is recorded in a (2g) x period boolean table indexed by the class
 (sum, m1 mod period).  Two line-minimum tables, the least member sum on
 each column class and on each row class, answer every question about
 the members below a point on its column or row.  Every pointwise
-predicate thus reads only a point's class, and the checks read them
-from per-class tables built on first use, so window scans and checks
-cost O(g * period + witnesses + output), not the window's area; expand
-slices one digit string per column class, O(g * period + output bytes).
+predicate is thus written once, as a function of a point's class read
+off the strip and those two tables, and the point methods only reduce
+a point to its class.  Window scans and checks ask each class once, so
+they cost O(g * period + witnesses + output), not the window's area;
+expand slices one digit string per column class, O(g * period + output
+bytes).
 
 Two dimension functions are deliberately kept side by side: dim_jump
 mirrors the sheaf dimension ell(m) - ell(m-1) through one-sided jumps
@@ -53,8 +55,7 @@ class TwoPointSemigroup:
     (True, False, True)
     """
 
-    __slots__ = ("genus", "period", "strip", "_corner", "_colmin", "_rowmin",
-                 "_tables")
+    __slots__ = ("genus", "period", "strip", "_corner", "_colmin", "_rowmin")
     CHECKS = CHECKS
 
     def __init__(self, genus, period, rows):
@@ -77,7 +78,6 @@ class TwoPointSemigroup:
         self.period = period
         self.strip = tuple(rows)
         self._corner = None
-        self._tables = {}
         if genus > 0 and not self.strip[0][0]:
             raise AxiomViolation("origin (0,0) is not a member",
                                  witnesses=[((0, 0),)])
@@ -147,26 +147,83 @@ class TwoPointSemigroup:
                     bad.append(((s1, a1), (s2, a2), (s, a)))
         return sorted(bad)
 
-    # membership and the line minima
+    # the class functions: every pointwise predicate, written once on
+    # the class (s, a) = (m1 + m2, m1 mod period), a taken mod period here;
+    # the point methods below only reduce m to its class
+
+    def _in(self, s, a):
+        """Membership of the class (s, a)."""
+        return s >= 0 and (s >= 2 * self.genus or
+                           self.strip[s][a % self.period])
+
+    def _empty(self, s, a):
+        """No member below (s, a) on its column or row."""
+        th = self.period
+        return s <= self._colmin[a % th] and s <= self._rowmin[(s - a) % th]
+
+    def _max(self, s, a):
+        return self._in(s, a) and self._empty(s, a)
+
+    def _d(self, s, a):
+        """dim_jump: [s >= C(a)] + [s - 1 >= R(b)], b = s - a."""
+        th = self.period
+        return (s >= self._colmin[a % th]) + \
+            (s - 1 >= self._rowmin[(s - a) % th])
+
+    def _dn(self, s, a):
+        return 0 if not self._in(s, a) else 1 if self._empty(s, a) else 2
+
+    def _c(self, s, a):
+        """euler_c: a line's jump is 1 exactly at its minimum, so the four
+        dim_jump terms telescope to [s = C(a)] - [s - 1 = C(a - 1)] +
+        [s - 1 = R(b)] - [s - 2 = R(b - 1)], b = s - a, at every sum."""
+        th, col, row = self.period, self._colmin, self._rowmin
+        return (s == col[a % th]) - (s - 1 == col[(a - 1) % th]) + \
+            (s - 1 == row[(s - a) % th]) - (s - 2 == row[(s - a - 1) % th])
+
+    def _mcc(self, s, a):
+        """maximal_count_coefficient: the maximal points <= m but not <=
+        m - (1, 1) lie on m's column or row, at most one on each line,
+        at its least member."""
+        th, col, row = self.period, self._colmin, self._rowmin
+        c, r = col[a % th], row[(s - a) % th]
+        return (c <= s and c <= row[(c - a) % th]) + \
+            (r <= s and r <= col[(r - s + a) % th]) - self._max(s, a)
+
+    def _step(self, s, a):
+        """1_M(m) - 1_M(m - (1, 1)) on the class (s, a)."""
+        return self._max(s, a) - self._max(s - 2, a - 1)
+
+    # point methods
 
     def contains(self, m):
-        s = m[0] + m[1]
-        if s < 0:
-            return False
-        if s >= 2 * self.genus:
-            return True
-        return self.strip[s][m[0] % self.period]
+        return self._in(m[0] + m[1], m[0])
 
     __contains__ = contains
 
     def _nabla_empty(self, m):
         """No member on m's column or row strictly below m."""
-        s = m[0] + m[1]
-        return s <= self._colmin[m[0] % self.period] and \
-            s <= self._rowmin[m[1] % self.period]
+        return self._empty(m[0] + m[1], m[0])
 
     def is_maximal(self, n):
-        return self.contains(n) and self._nabla_empty(n)
+        return self._max(n[0] + n[1], n[0])
+
+    def maximal_count_coefficient(self, m):
+        """Coefficient of t^m in (1 - t1 t2) * sum over all maximal points."""
+        return self._mcc(m[0] + m[1], m[0])
+
+    def dim_jump(self, m):
+        """[exists y <= m2: (m1,y) in S] + [exists x <= m1-1: (x,m2) in S]."""
+        return self._d(m[0] + m[1], m[0])
+
+    def dim_nabla(self, m):
+        """0 outside the semigroup, 1 for maximal members, else 2."""
+        return self._dn(m[0] + m[1], m[0])
+
+    def euler_c(self, m):
+        """c(m) = d(m) - d(m-e1) - d(m-e2) + d(m-(1,1)) with d = dim_jump,
+        in closed form on m's class."""
+        return self._c(m[0] + m[1], m[0])
 
     # maximal points and the fundamental corner
 
@@ -199,55 +256,21 @@ class TwoPointSemigroup:
         return self._points_of(window, [(p1 + p2, p1 % self.period)
                                         for p1, p2 in self.corner_maximals()])
 
-    def maximal_count_coefficient(self, m):
-        """Coefficient of t^m in (1 - t1 t2) * sum over all maximal points.
-
-        The maximal points <= m but not <= m - (1, 1) lie on m's column
-        or row, and each line holds at most one, at its least member.
-        """
-        s, th = m[0] + m[1], self.period
-        col, row = self._colmin[m[0] % th], self._rowmin[m[1] % th]
-        return (col <= s and col <= self._rowmin[(col - m[0]) % th]) + \
-            (row <= s and row <= self._colmin[(row - m[1]) % th]) - \
-            self.is_maximal(m)
-
-    # dimension functions
-
-    def dim_jump(self, m):
-        """[exists y <= m2: (m1,y) in S] + [exists x <= m1-1: (x,m2) in S]."""
-        s = m[0] + m[1]
-        return int(s >= self._colmin[m[0] % self.period]) + \
-            int(s - 1 >= self._rowmin[m[1] % self.period])
-
-    def dim_nabla(self, m):
-        """0 outside the semigroup, 1 for maximal members, else 2."""
-        if not self.contains(m):
-            return 0
-        return 1 if self._nabla_empty(m) else 2
-
-    def euler_c(self, m):
-        """c(m) = d(m) - d(m-e1) - d(m-e2) + d(m-(1,1)) with d = dim_jump,
-        read off its table; c = 0 at the sums -2 and 2g + 4 and beyond."""
-        s = min(max(m[0] + m[1], -2), 2 * self.genus + 4)
-        return self._c(self._table("dim_jump"), s, m[0] % self.period)
+    # the window table
 
     def dim_jump_digits(self, window: Window):
         """dim_jump on the window, one string per m1 (m2 ascending): every
         value is one digit 0-2, and a row slices its column class's digits
         on the sums [0, 2g], padded with 0 below sum 0 and 2 above 2g."""
         (lo1, hi1), (lo2, hi2) = window.bounds
-        top, d = 2 * self.genus, self._table("dim_jump")
-        band = ["".join(["012"[d[s][a]] for s in range(top + 1)])
+        top = 2 * self.genus
+        band = ["".join(["012"[self._d(s, a)] for s in range(top + 1)])
                 for a in range(self.period)]
         return ["0" * max(0, min(-1, m1 + hi2) - m1 - lo2 + 1)
                 + band[m1 % self.period][max(0, m1 + lo2):
                                          max(0, min(top, m1 + hi2) + 1)]
                 + "2" * max(0, m1 + hi2 - max(top + 1, m1 + lo2) + 1)
                 for m1 in range(lo1, hi1 + 1)]
-
-    def dim_jump_rows(self, window: Window):
-        """dim_jump_digits as lists of ints."""
-        return [list(map(int, r)) for r in self.dim_jump_digits(window)]
 
     def gap_class_count(self):
         return sum(1 for row in self.strip for x in row if not x)
@@ -298,13 +321,13 @@ class TwoPointSemigroup:
         sigma = self._sigma_candidate()
         if sigma is None:
             return None, ()
-        return sigma, tuple(self._where(
-            window, lambda s, a: self.contains((a, s - a)) != self._nabla_empty(
-                (sigma[0] - a, sigma[1] - s + a))))
+        r = sigma[0] + sigma[1]  # sigma - m is in class (r - s, sigma[0] - a)
+        return sigma, tuple(self._where(window, lambda s, a: self._in(s, a) !=
+                                        self._empty(r - s, sigma[0] - a)))
 
     # class loops: a pointwise predicate reads only the class (s, a) of a
-    # point, s = m1 + m2 and a = m1 mod period, so it is asked once per
-    # class, at m = (a, s - a).  Below the band s in [-2, 2g+2] d = 0 and
+    # point, s = m1 + m2 and a = m1 mod period, so its class function is
+    # asked once per class.  Below the band s in [-2, 2g+2] d = 0 and
     # nothing is a member; above it d = 2, everything is a member and
     # nothing is maximal, so every check but funceq passes there.
 
@@ -332,31 +355,6 @@ class TwoPointSemigroup:
         return self._points_of(window, [
             (s, a) for s, a in self._band(window) if pred(s, a)])
 
-    def _table(self, name, reach=0):
-        """Rows t[s][a] of the point method `name` at (a, s - a) for the
-        sums [-4 - period, 2g + 4 + period], asked once on [-2 - reach, 2g
-        + 2 + reach], past which it is constant and the edge rows repeat.
-        t[s - 1][a - 1] is m - e1's class: a - 1 = -1 reads the last one."""
-        rows = self._tables.get(name)
-        if rows is None:
-            f, top, th = getattr(self, name), 2 * self.genus, self.period
-            lo, hi = -2 - reach, top + 2 + reach
-            asked = {s: [f((a, s - a)) for a in range(th)]
-                     for s in range(lo, hi + 1)}
-            rows = self._tables[name] = {s: asked[min(max(s, lo), hi)]
-                                         for s in range(-4 - th, top + 5 + th)}
-        return rows
-
-    @staticmethod
-    def _c(d, s, a):
-        """euler_c on the class (s, a), from the dim_jump table d."""
-        return d[s][a] - d[s - 1][a - 1] - d[s - 1][a] + d[s - 2][a - 1]
-
-    @staticmethod
-    def _step(mx, s, a):
-        """1_M(m) - 1_M(m - (1, 1)) on the class (s, a), from table mx."""
-        return mx[s][a] - mx[s - 2][a - 1]
-
     # verification
 
     def verify(self, check, window: Window | None = None) -> VerificationReport:
@@ -364,7 +362,7 @@ class TwoPointSemigroup:
 
         Pointwise checks scan the interior of the window, two cells in
         from each edge, so difference operators and reflections stay
-        honest near the boundary.  They read the per-class tables
+        honest near the boundary.  They ask the class functions
         once per band class, not once per point, and expand only failing
         classes into points: O(g * period + witnesses) whatever the window,
         plus period^2 for funceq, which also reads one period of sums on
@@ -394,11 +392,10 @@ class TwoPointSemigroup:
 
     def _check_c_prop(self, region):
         """c(m) = -1 iff m-1 maximal, and c(m) = 1 iff m maximal."""
-        d, mx = self._table("dim_jump"), self._table("is_maximal")
-
         def fails(s, a):
-            c = self._c(d, s, a)
-            return (c == -1) != mx[s - 2][a - 1] or (c == 1) != mx[s][a]
+            c = self._c(s, a)
+            return (c == -1) != self._max(s - 2, a - 1) or \
+                (c == 1) != self._max(s, a)
 
         witnesses = self._where(region, fails)
         # the violations where m and m - (1, 1) are not both maximal
@@ -411,16 +408,14 @@ class TwoPointSemigroup:
 
     def _check_c_identity(self, region):
         """c(m) with dim_jump equals 1_M(m) - 1_M(m-1)."""
-        d, mx = self._table("dim_jump"), self._table("is_maximal")
-        witnesses = self._where(region, lambda s, a: self._c(d, s, a) !=
-                                self._step(mx, s, a))
+        witnesses = self._where(region, lambda s, a: self._c(s, a) !=
+                                self._step(s, a))
         return not witnesses, witnesses, {}
 
     def _check_corner_translates(self, region):
-        # is_maximal tabled per band class, not the line-minimum shortcut
+        # is_maximal asked per band class, not the line-minimum shortcut
         # behind maximal_points_in and the corner, so the two can disagree
-        mx = self._table("is_maximal")
-        scanned = set(self._where(region, lambda s, a: mx[s][a]))
+        scanned = set(self._where(region, self._max))
         translated = set(self.corner_translates_in(region))
         witnesses = sorted(scanned ^ translated)
         details = {"scanned": len(scanned), "translates": len(translated)}
@@ -430,20 +425,19 @@ class TwoPointSemigroup:
         """Both projections hit => dim_jump = 2, for m1, m2 > 0.
 
         m1 is in the projection along axis 1 when some (m1, y) with
-        y <= 0 is a member, that is when m1 reaches its column minimum;
+        y <= 0 is a member, that is when m1 is at least its column minimum;
         likewise m2 along axis 2 with its row minimum.  On a class the
         premise clips m1 to [max(1, colmin), s - max(1, rowmin)].
         """
-        d = self._table("dim_jump")
         clips = [(s, a, max(1, self._colmin[a]),
                   s - max(1, self._rowmin[(s - a) % self.period]))
-                 for s, a in self._band(region) if d[s][a] != 2]
+                 for s, a in self._band(region) if self._d(s, a) != 2]
         witnesses = self._points_of(region, [c for c in clips if c[2] <= c[3]])
         return not witnesses, witnesses, {}
 
     def _check_d_agreement(self, region):
-        d, dn = self._table("dim_jump"), self._table("dim_nabla")
-        witnesses = self._where(region, lambda s, a: d[s][a] != dn[s][a])
+        witnesses = self._where(region,
+                                lambda s, a: self._d(s, a) != self._dn(s, a))
         return not witnesses, witnesses, {}
 
     def _check_symmetry(self, region):
@@ -463,14 +457,12 @@ class TwoPointSemigroup:
         sigma = self._sigma_candidate()
         if sigma is None:
             return False, [], {"sigma": None, "involution_ok": False}
-        top, th, mx = 2 * self.genus, self.period, self._table("is_maximal")
-        # not constant past the band, so asked on every tabulated sum
-        mcc = self._table("maximal_count_coefficient", th + 2)
+        top, th = 2 * self.genus, self.period
 
         def fails(s, a):  # sigma - m has the class (2g - s, b)
-            r, b = top - s, (sigma[0] - a) % th
-            return mcc[s][a] + mcc[r][b] != 2 or \
-                self._step(mx, s, a) != -self._step(mx, r + 2, (b + 1) % th)
+            r, b = top - s, sigma[0] - a
+            return self._mcc(s, a) + self._mcc(r, b) != 2 or \
+                self._step(s, a) != -self._step(r + 2, b + 1)
 
         classes = [(s, a) for s, a in self._band(region) if fails(s, a)]
         # beyond the band mcc repeats with period `period` in s, not 2, so

@@ -56,6 +56,13 @@ def test_every_exported_name_exists_once():
     assert [n for n in names if not hasattr(wsemigroups, n)] == []
 
 
+def test_two_point_storage_is_the_strip_and_its_line_minima():
+    # every two-point query reads the inputs, the two line-minimum tables
+    # and the cached corner; any further cache has to be argued for here
+    assert set(TwoPointSemigroup.__slots__) == {
+        "genus", "period", "strip", "_colmin", "_rowmin", "_corner"}
+
+
 _ROWS = [[True, False], [False, False]]
 
 # every integer slot of a library constructor, as (build, good, check):

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wsemigroups import (
+    ArityMismatch,
     AxiomViolation,
     InputError,
     InvalidSemigroup,
@@ -403,6 +404,15 @@ def test_numerical_verify_refuses_delta_product():
         NumericalSemigroup([4, 6, 7]).verify("delta_product")
     assert type(info.value) is InputError
     assert str(info.value) == "check 'delta_product' needs a delta input"
+
+
+@pytest.mark.parametrize("check", ["indicator", "symmetry"])
+def test_verify_refuses_a_two_point_window(check):
+    # indicator used to die unpacking the bounds, symmetry ignored them
+    S = NumericalSemigroup([3, 5])
+    with pytest.raises(ArityMismatch):
+        S.verify(check, Window((0, 5), (0, 5)))
+    assert S.verify(check, Window((0, 5))).check == check
 
 
 def test_one_point_semigroup_validation():

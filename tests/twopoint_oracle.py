@@ -89,7 +89,7 @@ def dim_nabla(S, m):
 
 def euler_c(S, m):
     """c(m) from the point method dim_jump at m and its three lower
-    neighbours, without the semigroup's dim_jump table."""
+    neighbours, not from euler_c's closed form on the class."""
     m1, m2 = m
     d = S.dim_jump
     return d(m) - d((m1 - 1, m2)) - d((m1, m2 - 1)) + d((m1 - 1, m2 - 1))

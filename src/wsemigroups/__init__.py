@@ -14,6 +14,8 @@ from .onepoint import (
     DeltaSequence,
     NumericalSemigroup,
     OnePointSemigroup,
+    apery_series,
+    direct_series,
     functional_equation_signs,
     l_polynomial,
     poincare_delta_product,
@@ -39,6 +41,8 @@ __all__ = [
     "NumericalSemigroup",
     "DeltaSequence",
     "OnePointSemigroup",
+    "apery_series",
+    "direct_series",
     "poincare_direct",
     "poincare_delta_product",
     "poincare_onepoint",

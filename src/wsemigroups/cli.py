@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from .checks import KIND_CHECKS, VerificationReport
 from .errors import InputError
 from .onepoint import (DeltaSequence, NumericalSemigroup, OnePointSemigroup,
-                       direct_series, poincare_delta_product,
+                       apery_series, direct_series, poincare_delta_product,
                        poincare_onepoint, series_first_difference)
 from .oracle import Fixture, semigroup_from_fixture
 from .series import LaurentPoly, RationalGF, Window
@@ -275,7 +275,7 @@ def _run_expand(model: Model, cmd):
         for m1, row in zip(range(lo1, hi1 + 1), rows):
             lines.append(f"{m1}: " + " ".join(row))
         return 0, "\n".join(lines)
-    values = direct_series(model.semigroup).expand(window)
+    values = apery_series(model.semigroup).expand(window)
     if cmd.json_output:
         return 0, _dump({"window": window.bounds,
                          "coefficients": values})

@@ -10,10 +10,11 @@ orders, and the Poincare series P(t) = sum_{n in S} t^n with
 L(t) = (1 - t) P(t) in its closed forms.  Both semigroup classes share
 one Apery-set base class (a one-point semigroup lowers its base's table
 by the extras) and answer `verify(check)` for the checks their input
-kind has in `checks.KIND_CHECKS`.  The `funceq` signs are decided on the
-Apery form P(t) = sum_{w in Ap} t^w / (1 - t^a), with a numerator terms
-instead of c, in O(a); `l_identity` compares it with the L-polynomial in
-one pass over L's terms.
+kind has in `checks.KIND_CHECKS`.  Checks and `expand` read the Apery form
+P(t) = sum_{w in Ap} t^w / (1 - t^a), a numerator terms, not c: it decides
+the `funceq` signs in O(a), the `symmetry` and `funceq` reports carry it,
+and `indicator` expands it (delta product plus extras on a one-point
+semigroup).  Of the checks only `l_identity` builds the O(c) L-polynomial.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ class _AperySemigroup:
         return getattr(self, f"_check_{check}")(window)
 
     def _check_indicator(self, window):
-        """The Poincare series expands to the membership indicator."""
-        return _indicator_report("indicator", direct_series(self), self, window)
+        """The Apery form expands to the membership indicator."""
+        return _indicator_report("indicator", apery_series(self), self, window)
 
     def _check_l_identity(self, window):
         """(1 - t) P(t) is the L-polynomial, decided on the Apery form
@@ -123,7 +124,7 @@ class _AperySemigroup:
         witnesses = tuple(self.symmetry_witnesses())
         details = {"conductor": self.conductor, "genus": self.genus}
         return VerificationReport("symmetry", not witnesses, witnesses,
-                                  None, details, poincare_direct(self))
+                                  None, details, apery_series(self))
 
     def _check_funceq(self, window):
         if not self.is_symmetric():
@@ -137,7 +138,7 @@ class _AperySemigroup:
         details = {"eps_l": eps_l, "eps_p": eps_p,
                    "genus": self.genus, "opposite_pair_fails": ok}
         return VerificationReport("funceq", ok, (), None, details,
-                                  RationalGF(l_polynomial(self)))
+                                  apery_series(self))
 
 
 class NumericalSemigroup(_AperySemigroup):
@@ -310,6 +311,11 @@ class OnePointSemigroup(_AperySemigroup):
 
     # named in each class's own __dict__, where bench/tracing.py patches it
     symmetry_witnesses = _AperySemigroup.symmetry_witnesses
+
+    def _check_indicator(self, window):
+        """The delta product plus the extras expands to the indicator."""
+        return _indicator_report("indicator", poincare_onepoint(self), self,
+                                 window)
 
     def _check_delta_product(self, window):
         """The delta product expands to the base semigroup's indicator."""

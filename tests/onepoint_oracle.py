@@ -21,6 +21,16 @@ which cross-multiplies sparse polynomials.  The library decides both on
 the Apery form, with a numerator terms, instead; test_onepoint.py checks
 the two against each other.
 
+`indicator_by_direct_series`, `symmetry_by_direct_series` and
+`funceq_by_direct_series` build those reports as they were built before
+they carried the Apery form: the indicator expands `direct_series`, the
+symmetry report carries `poincare_direct` and a symmetric funceq report
+the L-polynomial, with its signs decided by cross-multiplication.
+`expand_stdout_by_direct_series` is the one-point `expand` output as it
+was printed from the expansion of `direct_series`.  The library builds
+all of them from `apery_series`; test_onepoint.py checks that the series
+agree in value (the funceq one times 1 - t) and all else is identical.
+
 `base_plus_extras_mask` and `base_or_extra` are the membership of a
 one-point semigroup as it was read before it shared the Apery-set class:
 the base's mask with the extras set, and "in the base or an extra".
@@ -35,12 +45,13 @@ library's L-polynomial with their difference.
 """
 
 import itertools
+import json
 from dataclasses import dataclass
 
 from wsemigroups import LaurentPoly, RationalGF, VerificationReport, Window
-from wsemigroups.onepoint import (_matching_sign, direct_series,
-                                  l_polynomial, poincare_direct,
-                                  poincare_onepoint)
+from wsemigroups.onepoint import (_indicator_report, _matching_sign,
+                                  direct_series, l_polynomial,
+                                  poincare_direct, poincare_onepoint)
 
 _ONE_MINUS_T = LaurentPoly({(0,): 1, (1,): -1})
 
@@ -95,6 +106,41 @@ def signs_by_cross_multiplication(semigroup):
     p = poincare_direct(semigroup)
     rhs_p = p.reciprocal() * LaurentPoly.monomial((2 * g - 1,))
     return _matching_sign(lpoly, rhs_l), _matching_sign(p, rhs_p)
+
+
+def indicator_by_direct_series(semigroup, window):
+    return _indicator_report("indicator", direct_series(semigroup),
+                             semigroup, window)
+
+
+def symmetry_by_direct_series(semigroup):
+    witnesses = tuple(semigroup.symmetry_witnesses())
+    details = {"conductor": semigroup.conductor, "genus": semigroup.genus}
+    return VerificationReport("symmetry", not witnesses, witnesses, None,
+                              details, poincare_direct(semigroup))
+
+
+def funceq_by_direct_series(semigroup):
+    if not semigroup.is_symmetric():
+        return VerificationReport("funceq", False,
+                                  tuple(semigroup.symmetry_witnesses()), None,
+                                  {"symmetric": False})
+    eps_l, eps_p = signs_by_cross_multiplication(semigroup)
+    ok = eps_l is not None and eps_p is not None
+    details = {"eps_l": eps_l, "eps_p": eps_p,
+               "genus": semigroup.genus, "opposite_pair_fails": ok}
+    return VerificationReport("funceq", ok, (), None, details,
+                              RationalGF(l_polynomial(semigroup)))
+
+
+def expand_stdout_by_direct_series(semigroup, window, json_output):
+    """The stdout of one-point `expand` on the window, `--json` or text."""
+    values = direct_series(semigroup).expand(window)
+    if json_output:
+        return json.dumps({"window": window.bounds, "coefficients": values},
+                          separators=(",", ":")) + "\n"
+    return "\n".join(f"{n}: {v}" for (n,), v in
+                     zip(window.points(), values)) + "\n"
 
 
 def base_plus_extras_mask(ops, hi):

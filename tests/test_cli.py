@@ -451,15 +451,15 @@ def test_verify_rejects_malformed_one_point_window(check, window, tmp_path,
 
 
 def test_closed_stdout_exits_2_without_traceback(tmp_path):
-    # the report (the head polynomial of <2, 200001>) outgrows the pipe
-    # buffer, so the writer is still writing when the reader goes away
+    # the expansion of <2, 200001> on its default window [0, 600000]
+    # outgrows the pipe buffer, so the writer is still writing when the
+    # reader goes away
     path = write(tmp_path, "ns2.json",
                  {"kind": "numerical", "generators": [2, 200001]})
     src = str(Path(wsemigroups.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "wsemigroups", "verify", path,
-         "--check", "symmetry", "--json"],
+        [sys.executable, "-m", "wsemigroups", "expand", path, "--json"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert len(proc.stdout.read(150)) == 150
     proc.stdout.close()
@@ -709,35 +709,35 @@ _PINNED_ONE_POINT_VERIFY = {
     "ns-3-5 all":
         (0, "d756d92b865fcb6beb83af5f62af00025e1304de016d6b3c84488a3866f60469"),
     "ns-3-5 all --json":
-        (0, "c50b56fe6e4521928707995f52185469af1f941befbc7093f0f067362992cefd"),
+        (0, "975a90b1daef42c73af8354a9b948959fc964455043ca019a53d74e5d3601f25"),
     "ns-3-5 symmetry":
         (0, "ac54cd9ed5c62ad38b28037313ebf2a3112b381ab976fcd006ecd6d40adc37ce"),
     "ns-3-5 symmetry --json":
-        (0, "48b8db5046ad650ba633d8db44e543b261510dc685fcaab5430beb4518d6b335"),
+        (0, "cd512bedc2547779d3c27d283da72b872be52fb310039947cb2a4668de9f12bb"),
     "ns-3-5 funceq":
         (0, "e97e2afd84b169c66647293f6290d34b74e36a22d6aa9c1a933ddb0fca6d0f6e"),
     "ns-3-5 funceq --json":
-        (0, "f6608bbb1c780e25687a4960e3614ae3fe11bb6e537c135c317ddb94beb09e9d"),
+        (0, "704ad5e9106ef797237ffb3e88a8b94472ecc3bc9031c7ac3958860c11c8161b"),
     "ns-4-6-7 all":
         (0, "d756d92b865fcb6beb83af5f62af00025e1304de016d6b3c84488a3866f60469"),
     "ns-4-6-7 all --json":
-        (0, "cb489ff4960e7650358b33fb944a55c0f3f13387e8ac7d1b56f873e556e0e11a"),
+        (0, "4c07631a70eb4b32db3d394ef559a5a7720b5265b72e363f39c2866570e8576f"),
     "ns-4-6-7 symmetry":
         (0, "ac54cd9ed5c62ad38b28037313ebf2a3112b381ab976fcd006ecd6d40adc37ce"),
     "ns-4-6-7 symmetry --json":
-        (0, "80d2c075d68124315239c9c350f544efb970ffccb8c7ae3450a688eacb327592"),
+        (0, "88c169ce9b9cf95e9744229df933707b32026477d48986be3fa959ff30ed3bb7"),
     "ns-4-6-7 funceq":
         (0, "e97e2afd84b169c66647293f6290d34b74e36a22d6aa9c1a933ddb0fca6d0f6e"),
     "ns-4-6-7 funceq --json":
-        (0, "b911c9b3d5f1f032f2d9c689b46efdab0635e0a768e1e2324cc5ac8606076748"),
+        (0, "8ce5ab5173988f38834382a3b1c3befa98bc1ad4289a090e0bb98815e5bd7561"),
     "ns-3-4-5 all":
         (1, "c314ed5586dcb4a1205ad0c256ed86989fa87398fdfc8c028f105f3b740d0c83"),
     "ns-3-4-5 all --json":
-        (1, "f995e3b024465124dc72c27a4fe237f486cfd98cfcab376da4af8b6d0d866dee"),
+        (1, "b0aece5c13f72aad61d6a00da0262510b2551b9de9fd9e00c912a911cc12bd19"),
     "ns-3-4-5 symmetry":
         (1, "1c51eda9fb8b2201ca8fb2e2bd0f62e64d752db03b8bb500a10443e742221ecc"),
     "ns-3-4-5 symmetry --json":
-        (1, "521e9f4f3e67c19cfbf1091023f62d1277e3451d270325172db30641b08151a6"),
+        (1, "b5f5b47bdcc8ef0a359e2c5a0e045fc8812829848f455991d9bce875b0459a20"),
     "ns-3-4-5 funceq":
         (1, "d68d86b89cdaece57fa3ff18789b7d7f6fa9c425b6913829db30fa9a9122f9cd"),
     "ns-3-4-5 funceq --json":
@@ -745,23 +745,23 @@ _PINNED_ONE_POINT_VERIFY = {
     "delta-4-6-7 all":
         (0, "b25f6cfcc7f6b8fec9d02f2681fdb4ed623bc8609a0ceb883d9b30c718b0db80"),
     "delta-4-6-7 all --json":
-        (0, "e7e24a3fea131e3c424805b98c0fd3c4818308e7ebe700a5a843712bb3a657ea"),
+        (0, "ea493a7e1f59373da2ffb48fe41ab6f3372a4f8951ff3c111fc3183a7600c3f6"),
     "delta-4-6-7 symmetry":
         (0, "ac54cd9ed5c62ad38b28037313ebf2a3112b381ab976fcd006ecd6d40adc37ce"),
     "delta-4-6-7 symmetry --json":
-        (0, "80d2c075d68124315239c9c350f544efb970ffccb8c7ae3450a688eacb327592"),
+        (0, "88c169ce9b9cf95e9744229df933707b32026477d48986be3fa959ff30ed3bb7"),
     "delta-4-6-7 funceq":
         (0, "e97e2afd84b169c66647293f6290d34b74e36a22d6aa9c1a933ddb0fca6d0f6e"),
     "delta-4-6-7 funceq --json":
-        (0, "b911c9b3d5f1f032f2d9c689b46efdab0635e0a768e1e2324cc5ac8606076748"),
+        (0, "8ce5ab5173988f38834382a3b1c3befa98bc1ad4289a090e0bb98815e5bd7561"),
     "delta-4-6-7+9 all":
         (1, "e73965e48a369d204b77827f827ba02625b620cb51678d78ad7e6effec668e49"),
     "delta-4-6-7+9 all --json":
-        (1, "8c8eeaacde66ab26f92d97148b816db21629c18892cfa43f809acb9a6a31acfe"),
+        (1, "d3dc583e5b54d268f0f0fc88bbab0e6a4df7b748847c56296bcf475750a12cae"),
     "delta-4-6-7+9 symmetry":
         (1, "4d5ba1199076536a13071240a50e83226f4710cb2863d37317745a4dcbd94962"),
     "delta-4-6-7+9 symmetry --json":
-        (1, "db92a4cfc0479a2ec843255c23d7f1aaeed3e13686987c6e5f4c6ac7a29ddf86"),
+        (1, "6c32643aaecd7507815f8c9b02a8f20cb46331a1fc9529dcb41952e6df6b39a7"),
     "delta-4-6-7+9 funceq":
         (1, "2bc559fe1cbeba69c7b9dad15b0d80a0b68d4a8fb50b3ccee6d26b3896e808c3"),
     "delta-4-6-7+9 funceq --json":
@@ -1103,6 +1103,18 @@ def test_analyze_largest_rung_is_pinned(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "509e9b60a63ae03398ccd7254dbf3c0fc366fc35aa11c283922c662bee4fd276"
+
+
+def test_largest_rung_reports_carry_the_apery_form(tmp_path, capsys):
+    # a terms for multiplicity a = 997, where the direct series has 153,551
+    path = write(tmp_path, "ns-997-1009.json",
+                 {"kind": "numerical", "generators": [997, 1009]})
+    for check in ("symmetry", "funceq"):
+        code, out, err = invoke(["verify", path, "--check", check, "--json"],
+                                capsys)
+        assert (code, err) == (0, "")
+        series = json.loads(out)["series"]
+        assert (len(series["num"]), series["den"]) == (997, [[997]])
 
 
 # --json writes only integers, strings, booleans and null; a float, NaN or

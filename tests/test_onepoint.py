@@ -5,9 +5,15 @@ so the series identities are checked against values that never touch
 the factored-series code path.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import math
+import os
 import random
+import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,6 +29,7 @@ from wsemigroups import (
     RationalGF,
     UnknownCheck,
     Window,
+    cli,
     onepoint,
 )
 from wsemigroups.onepoint import (
@@ -40,10 +47,14 @@ from wsemigroups.onepoint import (
     series_first_difference,
 )
 from onepoint_oracle import (base_or_extra, base_plus_extras_mask,
-                             closure_sieve, l_identity_by_cross_multiplication,
+                             closure_sieve, expand_stdout_by_direct_series,
+                             funceq_by_direct_series,
+                             indicator_by_direct_series,
+                             l_identity_by_cross_multiplication,
                              l_polynomial_comparison, l_polynomial_paper,
                              representation_counts, series_modes_by_expansion,
-                             sieved, signs_by_cross_multiplication)
+                             sieved, signs_by_cross_multiplication,
+                             symmetry_by_direct_series)
 
 
 def sieve_membership(gens):
@@ -631,6 +642,61 @@ def test_apery_form_is_the_poincare_series(s):
     member = s.mask(s.conductor + a)
     assert s.apery == tuple(next(n for n in range(r, s.conductor + a, a)
                                  if member[n]) for r in range(a))
+
+
+def cli_input(s):
+    if isinstance(s, NumericalSemigroup):
+        return {"kind": "numerical", "generators": list(s.generators)}
+    return {"kind": "delta", "r": list(s.base.r), "extras": list(s.extras)}
+
+
+@st.composite
+def expand_windows(draw, s):
+    """None (the default window) or a window with lo < 0, hi < 0,
+    lo > c, or a single cell."""
+    c = s.conductor
+    shape = draw(st.sampled_from(("default", "lo<0", "hi<0", "lo>c", "cell")))
+    if shape == "default":
+        return None
+    if shape == "cell":
+        n = draw(st.integers(-3, c + 3))
+        return Window((n, n))
+    lo = draw({"lo<0": st.integers(-9, -1), "hi<0": st.integers(-9, -2),
+               "lo>c": st.integers(c + 1, c + 9)}[shape])
+    top = -1 if shape == "hi<0" else max(lo, c) + 2 * len(s.apery) + 3
+    return Window((lo, draw(st.integers(lo, top))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(ONE_POINT_INPUTS), st.data())
+def test_apery_reports_and_expand_match_direct_series_oracle(s, data):
+    window = data.draw(expand_windows(s))
+    resolved = window or s.default_window()
+    # the series may differ in form, never in value; the funceq report
+    # carries P(t), the oracle's L(t) = (1 - t) P(t)
+    for new, old, times in ((s.verify("indicator", resolved),
+                             indicator_by_direct_series(s, resolved), 1),
+                            (s.verify("symmetry"),
+                             symmetry_by_direct_series(s), 1),
+                            (s.verify("funceq"), funceq_by_direct_series(s),
+                             LaurentPoly({(0,): 1, (1,): -1}))):
+        assert (new.series is None) == (old.series is None)
+        assert new.series is None or (new.series * times).equals(old.series)
+        assert replace(new, series=None) == replace(old, series=None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as handle:
+            json.dump(cli_input(s), handle)
+        flags = [] if window is None else [
+            "--window", *map(str, window.bounds[0])]
+        for json_output in (False, True):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["expand", path, *flags]
+                                + ["--json"] * json_output)
+            assert code == 0
+            assert out.getvalue() == expand_stdout_by_direct_series(
+                s, resolved, json_output)
 
 
 SEEDED_DELTA_INPUTS = [s for s in ONE_POINT_INPUTS

@@ -24,9 +24,9 @@ import itertools
 import math
 import operator
 
-from .checks import KIND_CHECKS, VerificationReport, refuse_check
-from .errors import (ArityMismatch, AxiomViolation, InvalidSemigroup,
-                     NotSymmetric, strict_index)
+from .checks import KIND_CHECKS, VerificationReport, verify
+from .errors import (AxiomViolation, InvalidSemigroup, NotSymmetric,
+                     strict_index)
 from .series import LaurentPoly, RationalGF, Window
 
 _ONE_MINUS_T = LaurentPoly({(0,): 1, (1,): -1})
@@ -95,16 +95,8 @@ class _AperySemigroup:
     def default_window(self) -> Window:
         return Window((0, max(3 * self.conductor, 8)))
 
-    def verify(self, check, window: Window | None = None) -> VerificationReport:
-        """Run one named check of CHECKS, the order `all` runs them in;
-        only indicator reads the window (default_window() when None)."""
-        if check not in self.CHECKS:
-            raise refuse_check(check, self.CHECKS)
-        if window is None:
-            window = self.default_window()
-        if window.arity != 1:
-            raise ArityMismatch("one-point windows must be 1-dimensional")
-        return getattr(self, f"_check_{check}")(window)
+    # of the checks only indicator reads the window
+    verify = verify
 
     def _check_indicator(self, window):
         """The Apery form expands to the membership indicator."""
@@ -282,14 +274,14 @@ class OnePointSemigroup(_AperySemigroup):
                     f"extra member {x} already lies in the base semigroup")
         self.base = base
         self.extras = tuple(extra)
-        self._check_closure()
+        self._require_closed()
         apery = list(base.semigroup.apery)
         a = len(apery)
         for x in extra:
             apery[x % a] = min(apery[x % a], x)
         super().__init__(apery)
 
-    def _check_closure(self):
+    def _require_closed(self):
         if not self.extras:
             return
         # sums inside the base semigroup are closed already, so only
@@ -407,8 +399,12 @@ def poincare_onepoint(ops: OnePointSemigroup, mode="finite_sum") -> RationalGF:
         return base_gf
     if mode == "finite_sum":
         return base_gf + LaurentPoly({(m,): 1 for m in ops.extras})
+    # base N/D plus (1 - E)/E, E = prod_j (1 - t^{s_j}) multiplied out
+    # once: (D + E (N - D)) / DE
     geo = RationalGF.geometric(*[(m,) for m in ops.extras])
-    return base_gf + RationalGF(LaurentPoly.one(1) - geo.den_poly(), geo.den)
+    d = base_gf.den_poly()
+    return RationalGF(d + geo.den_poly() * (base_gf.num - d),
+                      base_gf.den + geo.den)
 
 
 def series_first_difference(ops: OnePointSemigroup) -> int | None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .checks import KIND_CHECKS
 from .errors import InputError
-from .twopoint import TwoPointSemigroup
+from .twopoint import TwoPointSemigroup, interior_region
 
 FAMILIES = ("projective_line", "elliptic")
 
@@ -83,13 +83,13 @@ class FixtureSemigroup(TwoPointSemigroup):
         super().__init__(fixture.genus, fixture.period, rows)
         self.fixture = fixture
 
-    def _check_oracle(self, region):
+    def _check_oracle(self, window):
         # both sides read only the class (m1 + m2, m1 mod period) and agree
         # outside the band (0 below, 2 above), so one ask per band class does
-        witnesses = self._where(region, lambda s, a: self._d(s, a) != d_oracle(
-            self.fixture, (a, s - a)))
-        return not witnesses, witnesses, {"family": self.fixture.family,
-                                           "period": self.fixture.period}
+        return self._report("oracle", window, self._where(
+            interior_region(window),
+            lambda s, a: self._d(s, a) != d_oracle(self.fixture, (a, s - a))),
+            family=self.fixture.family, period=self.fixture.period)
 
 
 def semigroup_from_fixture(fixture: Fixture) -> FixtureSemigroup:

@@ -24,7 +24,7 @@ measures that instead of hiding it.
 
 from __future__ import annotations
 
-from .checks import KIND_CHECKS, VerificationReport, refuse_check
+from .checks import KIND_CHECKS, VerificationReport, verify
 from .errors import (AxiomViolation, InvalidSemigroup, WindowTooSmall,
                      strict_index)
 from .series import LaurentPoly, RationalGF, Window
@@ -55,7 +55,7 @@ class TwoPointSemigroup:
     (True, False, True)
     """
 
-    __slots__ = ("genus", "period", "strip", "_corner", "_colmin", "_rowmin")
+    __slots__ = ("genus", "period", "strip", "_colmin", "_rowmin")
     CHECKS = CHECKS
 
     def __init__(self, genus, period, rows):
@@ -77,7 +77,6 @@ class TwoPointSemigroup:
         self.genus = genus
         self.period = period
         self.strip = tuple(rows)
-        self._corner = None
         if genus > 0 and not self.strip[0][0]:
             raise AxiomViolation("origin (0,0) is not a member",
                                  witnesses=[((0, 0),)])
@@ -201,10 +200,6 @@ class TwoPointSemigroup:
 
     __contains__ = contains
 
-    def _nabla_empty(self, m):
-        """No member on m's column or row strictly below m."""
-        return self._empty(m[0] + m[1], m[0])
-
     def is_maximal(self, n):
         return self._max(n[0] + n[1], n[0])
 
@@ -236,10 +231,8 @@ class TwoPointSemigroup:
     def corner_maximals(self) -> tuple:
         """Maximal points in the fundamental corner 0 < m1 <= period,
         0 <= m1 + m2 <= 2g, sorted lexicographically."""
-        if self._corner is None:
-            self._corner = tuple(sorted(
-                self.normalize((a, s - a)) for s, a in self._maximal_classes()))
-        return self._corner
+        return tuple(sorted(
+            self.normalize((a, s - a)) for s, a in self._maximal_classes()))
 
     def normalize(self, p):
         """Translate by multiples of (period, -period) until m1 in (0, period]."""
@@ -357,71 +350,56 @@ class TwoPointSemigroup:
 
     # verification
 
-    def verify(self, check, window: Window | None = None) -> VerificationReport:
-        """Run one named check of CHECKS, the order `all` runs them in.
+    verify = verify
 
-        Pointwise checks scan the interior of the window, two cells in
-        from each edge, so difference operators and reflections stay
-        honest near the boundary.  They ask the class functions
-        once per band class, not once per point, and expand only failing
-        classes into points: O(g * period + witnesses) whatever the window,
-        plus period^2 for funceq, which also reads one period of sums on
-        each side of the band and walks a failing class there across the
-        window's sums, one step per period.
-        """
-        if check not in self.CHECKS:
-            raise refuse_check(check, self.CHECKS)
-        if window is None:
-            window = self.default_window()
-        if window.arity != 2:
-            raise WindowTooSmall("verification windows must be 2-dimensional")
-        region = interior_region(window)
-        handler = getattr(self, f"_check_{check}")
-        passed, witnesses, details = handler(region)
+    def _report(self, check, window, witnesses, passed=True, **details):
+        """The report of a check with its witnesses in the interior region
+        of window and "scan", that region, as its first detail; it passes
+        when passed holds and there are no witnesses.  A pointwise check
+        asks the class functions once per band class and expands only
+        failing classes into points: O(g * period + witnesses) whatever
+        the window, plus period^2 for funceq."""
+        witnesses = tuple(witnesses)
         return VerificationReport(
-            check=check,
-            passed=passed,
-            witnesses=tuple(witnesses),
-            window=window.bounds,
-            details={"scan": region.bounds, **details},
-        )
+            check, passed and not witnesses, witnesses, window.bounds,
+            {"scan": interior_region(window).bounds, **details})
 
-    def _check_closure(self, region):
-        bad = self._closure_witnesses()
-        return not bad, bad, {}
+    def _check_closure(self, window):
+        return self._report("closure", window, self._closure_witnesses())
 
-    def _check_c_prop(self, region):
+    def _check_c_prop(self, window):
         """c(m) = -1 iff m-1 maximal, and c(m) = 1 iff m maximal."""
         def fails(s, a):
             c = self._c(s, a)
             return (c == -1) != self._max(s - 2, a - 1) or \
                 (c == 1) != self._max(s, a)
 
-        witnesses = self._where(region, fails)
+        witnesses = self._where(interior_region(window), fails)
         # the violations where m and m - (1, 1) are not both maximal
         stray = [m for m in witnesses if not (
             self.is_maximal(m) and self.is_maximal((m[0] - 1, m[1] - 1)))]
         details = {"violations_both_maximal": not stray}
         if stray:
             details["stray"] = stray
-        return not witnesses, witnesses, details
+        return self._report("c_prop", window, witnesses, **details)
 
-    def _check_c_identity(self, region):
+    def _check_c_identity(self, window):
         """c(m) with dim_jump equals 1_M(m) - 1_M(m-1)."""
-        witnesses = self._where(region, lambda s, a: self._c(s, a) !=
-                                self._step(s, a))
-        return not witnesses, witnesses, {}
+        return self._report("c_identity", window, self._where(
+            interior_region(window),
+            lambda s, a: self._c(s, a) != self._step(s, a)))
 
-    def _check_corner_translates(self, region):
+    def _check_corner_translates(self, window):
         # is_maximal asked per band class, not the line-minimum shortcut
         # behind maximal_points_in and the corner, so the two can disagree
+        region = interior_region(window)
         scanned = set(self._where(region, self._max))
         translated = set(self.corner_translates_in(region))
-        witnesses = sorted(scanned ^ translated)
-        details = {"scanned": len(scanned), "translates": len(translated)}
-        return not witnesses, witnesses, details
+        return self._report("corner_translates", window,
+                            sorted(scanned ^ translated),
+                            scanned=len(scanned), translates=len(translated))
 
-    def _check_lemma4(self, region):
+    def _check_lemma4(self, window):
         """Both projections hit => dim_jump = 2, for m1, m2 > 0.
 
         m1 is in the projection along axis 1 when some (m1, y) with
@@ -429,23 +407,25 @@ class TwoPointSemigroup:
         likewise m2 along axis 2 with its row minimum.  On a class the
         premise clips m1 to [max(1, colmin), s - max(1, rowmin)].
         """
+        region = interior_region(window)
         clips = [(s, a, max(1, self._colmin[a]),
                   s - max(1, self._rowmin[(s - a) % self.period]))
                  for s, a in self._band(region) if self._d(s, a) != 2]
-        witnesses = self._points_of(region, [c for c in clips if c[2] <= c[3]])
-        return not witnesses, witnesses, {}
+        return self._report("lemma4", window, self._points_of(
+            region, [c for c in clips if c[2] <= c[3]]))
 
-    def _check_d_agreement(self, region):
-        witnesses = self._where(region,
-                                lambda s, a: self._d(s, a) != self._dn(s, a))
-        return not witnesses, witnesses, {}
+    def _check_d_agreement(self, window):
+        return self._report("d_agreement", window, self._where(
+            interior_region(window),
+            lambda s, a: self._d(s, a) != self._dn(s, a)))
 
-    def _check_symmetry(self, region):
-        sigma, witnesses = self.find_symmetry_point(region)
-        details = {"sigma": sigma, "involution_ok": sigma is not None}
-        return sigma is not None and not witnesses, witnesses, details
+    def _check_symmetry(self, window):
+        sigma, witnesses = self.find_symmetry_point(interior_region(window))
+        return self._report("symmetry", window, witnesses,
+                            passed=sigma is not None, sigma=sigma,
+                            involution_ok=sigma is not None)
 
-    def _check_funceq(self, region):
+    def _check_funceq(self, window):
         """Reflection identities for the corner coefficient functions.
 
         With the pairing m <-> sigma - m on maximal points, the series
@@ -456,7 +436,8 @@ class TwoPointSemigroup:
         """
         sigma = self._sigma_candidate()
         if sigma is None:
-            return False, [], {"sigma": None, "involution_ok": False}
+            return self._report("funceq", window, (), passed=False,
+                                sigma=None, involution_ok=False)
         top, th = 2 * self.genus, self.period
 
         def fails(s, a):  # sigma - m has the class (2g - s, b)
@@ -464,6 +445,7 @@ class TwoPointSemigroup:
             return self._mcc(s, a) + self._mcc(r, b) != 2 or \
                 self._step(s, a) != -self._step(r + 2, b + 1)
 
+        region = interior_region(window)
         classes = [(s, a) for s, a in self._band(region) if fails(s, a)]
         # beyond the band mcc repeats with period `period` in s, not 2, so
         # fails is asked on one period of sums on each side of the band,
@@ -476,9 +458,9 @@ class TwoPointSemigroup:
             sums = range(lo + (s - lo) % th, hi + 1, th)
             classes += [(t, a) for a in range(th) if fails(s, a)
                         for t in sums]
-        witnesses = self._points_of(region, classes)
-        details = {"sigma": sigma, "involution_ok": True}
-        return not witnesses, witnesses, details
+        return self._report("funceq", window,
+                            self._points_of(region, classes),
+                            sigma=sigma, involution_ok=True)
 
     def __repr__(self):
         return (f"TwoPointSemigroup(genus={self.genus}, "

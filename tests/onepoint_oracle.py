@@ -39,6 +39,11 @@ the base's mask with the extras set, and "in the base or an extra".
 of `poincare_onepoint` by expanding both on [0, c + max(extras) + 10];
 the library reads it off the extras in closed form.
 
+`paper_product_by_addition` is `poincare_onepoint(ops, "paper_product")`
+as it was built, by `RationalGF.__add__`, which multiplies out the
+extras' denominator product a second time; the library multiplies it
+out once, to the same numerator and denominator.
+
 `l_polynomial_paper` is the published display of the L-polynomial,
 kept verbatim, and `l_polynomial_comparison` sets it beside the
 library's L-polynomial with their difference.
@@ -51,7 +56,8 @@ from dataclasses import dataclass
 from wsemigroups import LaurentPoly, RationalGF, VerificationReport, Window
 from wsemigroups.onepoint import (_indicator_report, _matching_sign,
                                   direct_series, l_polynomial,
-                                  poincare_direct, poincare_onepoint)
+                                  poincare_delta_product, poincare_direct,
+                                  poincare_onepoint)
 
 _ONE_MINUS_T = LaurentPoly({(0,): 1, (1,): -1})
 
@@ -164,6 +170,16 @@ def series_modes_by_expansion(ops):
     ef = poincare_onepoint(ops, "finite_sum").expand(window)
     ep = poincare_onepoint(ops, "paper_product").expand(window)
     return next((n for n, (x, y) in enumerate(zip(ef, ep)) if x != y), None)
+
+
+def paper_product_by_addition(ops):
+    """The delta product plus the correction prod_j 1/(1 - t^{s_j}) - 1,
+    added as two rational functions."""
+    base_gf = poincare_delta_product(ops.base)
+    if not ops.extras:
+        return base_gf
+    geo = RationalGF.geometric(*[(m,) for m in ops.extras])
+    return base_gf + RationalGF(LaurentPoly.one(1) - geo.den_poly(), geo.den)
 
 
 def l_polynomial_paper(semigroup):

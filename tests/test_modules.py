@@ -10,7 +10,9 @@ import pytest
 
 import wsemigroups
 from wsemigroups import (DeltaSequence, LaurentPoly, NumericalSemigroup,
-                         OnePointSemigroup, TwoPointSemigroup, Window, errors)
+                         OnePointSemigroup, TwoPointSemigroup, Window, checks,
+                         errors)
+from wsemigroups.oracle import FixtureSemigroup
 
 SOURCES = sorted(Path(wsemigroups.__file__).parent.glob("*.py"))
 # each module's relative imports name only modules ranked below it
@@ -57,10 +59,29 @@ def test_every_exported_name_exists_once():
 
 
 def test_two_point_storage_is_the_strip_and_its_line_minima():
-    # every two-point query reads the inputs, the two line-minimum tables
-    # and the cached corner; any further cache has to be argued for here
+    # every two-point query reads the inputs and the two line-minimum
+    # tables; any cache has to be argued for here
     assert set(TwoPointSemigroup.__slots__) == {
-        "genus", "period", "strip", "_colmin", "_rowmin", "_corner"}
+        "genus", "period", "strip", "_colmin", "_rowmin"}
+
+
+@pytest.mark.parametrize("cls", [NumericalSemigroup, OnePointSemigroup,
+                                 TwoPointSemigroup, FixtureSemigroup],
+                         ids=lambda c: c.__name__)
+def test_check_methods_are_the_checks(cls):
+    # checks.verify runs `_check_<name>` for a name of CHECKS, so the name
+    # means only that, and every class runs the one dispatcher
+    methods = {name.removeprefix("_check_") for name in dir(cls)
+               if name.startswith("_check_")}
+    assert methods == set(cls.CHECKS)
+    assert cls.verify is checks.verify
+
+
+def test_verify_is_defined_once():
+    defined = [path.name for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "verify"]
+    assert defined == ["checks.py"]
 
 
 _ROWS = [[True, False], [False, False]]

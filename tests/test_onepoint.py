@@ -52,6 +52,7 @@ from onepoint_oracle import (base_or_extra, base_plus_extras_mask,
                              indicator_by_direct_series,
                              l_identity_by_cross_multiplication,
                              l_polynomial_comparison, l_polynomial_paper,
+                             paper_product_by_addition,
                              representation_counts, series_modes_by_expansion,
                              sieved, signs_by_cross_multiplication,
                              symmetry_by_direct_series)
@@ -459,6 +460,20 @@ def test_poincare_onepoint_no_extras_modes_coincide():
     b = poincare_onepoint(ops, "paper_product")
     assert a.equals(b)
     assert series_first_difference(ops) is None
+
+
+@pytest.mark.parametrize("r, least_extra", [
+    ([4, 6, 7], 9), ([4, 6, 7], 5), ([4, 6, 7], 1), ([8, 12, 14, 15], 20),
+    ([8, 12, 14, 15], 1), ([6, 9, 11], 7), ([2, 3], 1)])
+def test_paper_product_is_the_sum_of_the_two_series(r, least_extra):
+    # the gaps from least_extra on are closed extras: a member plus one
+    # of them, or two of them, is at least least_extra
+    ds = DeltaSequence(r)
+    extras = [n for n in ds.semigroup.gaps if n >= least_extra]
+    ops = OnePointSemigroup(ds, extras)
+    got = poincare_onepoint(ops, "paper_product")
+    want = paper_product_by_addition(ops)
+    assert (got.num, got.den) == (want.num, want.den)
 
 
 @pytest.mark.parametrize("r, extras, first", [

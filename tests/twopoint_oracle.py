@@ -199,9 +199,10 @@ def expand_text(S, window):
 def symmetry_witnesses(S, sigma, window):
     """Window points n where n in S disagrees with nabla(sigma - n)
     being empty."""
-    return tuple(n for n in window.points()
-                 if S.contains(n) != S._nabla_empty((sigma[0] - n[0],
-                                                     sigma[1] - n[1])))
+    # sigma - n has the class (r - n1 - n2, sigma[0] - n1)
+    r = sigma[0] + sigma[1]
+    return tuple(n for n in window.points() if S.contains(n) !=
+                 S._empty(r - n[0] - n[1], sigma[0] - n[0]))
 
 
 def _max_step(S, m):

@@ -265,16 +265,15 @@ def _run_expand(model: Model, cmd):
     if model.two_point:
         S = model.semigroup
         (lo1, hi1), (lo2, hi2) = window.bounds
-        # one digit per cell, so both forms join the digit strings as text
-        rows = S.dim_jump_digits(window)
+        # one digit per cell, so each row comes as text, already separated
         if cmd.json_output:
-            return 0, ('{"window":' + _dump(window.bounds) + ',"dim_jump":['
-                       + ",".join("[" + ",".join(r) + "]" for r in rows)
-                       + "]}")
-        lines = [f"dim_jump on m1 in [{lo1}, {hi1}], m2 in [{lo2}, {hi2}]"]
-        for m1, row in zip(range(lo1, hi1 + 1), rows):
-            lines.append(f"{m1}: " + " ".join(row))
-        return 0, "\n".join(lines)
+            rows = S.dim_jump_digits(window, ",")
+            return 0, ('{"window":' + _dump(window.bounds) + ',"dim_jump":[['
+                       + "],[".join(rows) + "]]}")
+        rows = S.dim_jump_digits(window, " ")
+        head = f"dim_jump on m1 in [{lo1}, {hi1}], m2 in [{lo2}, {hi2}]"
+        return 0, "\n".join([head, *map("{}: {}".format,
+                                         range(lo1, hi1 + 1), rows)])
     values = apery_series(model.semigroup).expand(window)
     if cmd.json_output:
         return 0, _dump({"window": window.bounds,

@@ -322,10 +322,14 @@ class OnePointSemigroup(_AperySemigroup):
 
 def _indicator_report(check, series, semigroup, window) -> VerificationReport:
     """Where the expansion of series on the window is not the membership
-    indicator of semigroup."""
+    indicator of semigroup, which is 0 below 0 and 1 from the conductor c
+    on, so only [0, c) reads the member mask."""
     (lo, hi), = window.bounds
+    c = semigroup.conductor
     coeffs = series.expand(window)
-    member = bytes(max(0, -lo)) + semigroup.mask(max(0, hi + 1))[max(0, lo):]
+    member = (bytes(max(0, min(hi + 1, 0) - lo))
+              + semigroup.mask(max(0, min(hi + 1, c)))[max(0, lo):]
+              + b"\1" * max(0, hi + 1 - max(lo, c)))
     witnesses = tuple(itertools.compress(range(lo, hi + 1),
                                          map(operator.ne, coeffs, member)))
     return VerificationReport(check, not witnesses, witnesses, window.bounds,

@@ -360,11 +360,21 @@ class RationalGF:
         once.  Returns a flat list of the coefficients in the order of
         window.points(): each row along the last variable is a slice of
         the grid, after as many zeros as the row has points below lo.
+
+        With one variable and one factor (v,), F[n] = F[n - v] beyond the
+        numerator's degree, so a window starting more than v past it is
+        first moved down by a multiple of v, next to the degree; the box
+        then spans the numerator and the window, not [lo, window top].
         """
         if not isinstance(window, Window):
             raise TypeError("expand needs a Window")
         if window.arity != self.arity:
             raise ArityMismatch("window arity does not match the series")
+        if len(self._den) == 1 and self.arity == 1 and self._num:
+            ((a, hi),), ((v,),) = window.bounds, self._den
+            shift = (a - max(e for e, in self._num._terms) - 1) // v * v
+            if shift > 0:
+                window = Window((a - shift, hi - shift))
         top = [hi for _, hi in window.bounds]
         lo = self._num.min_exponents() or top
         sizes = [max(0, hi - x) + 1 for hi, x in zip(top, lo)]

@@ -11,8 +11,8 @@ predicate is thus written once, as a function of a point's class read
 off the strip and those two tables, and the point methods only reduce
 a point to its class.  Window scans and checks ask each class once, so
 they cost O(g * period + witnesses + output), not the window's area;
-expand slices one digit string per column class, O(g * period + output
-bytes).
+expand lays out one digit string per column class and slices each row
+from it, O(g * period + rows) Python steps.
 
 Two dimension functions are deliberately kept side by side: dim_jump
 mirrors the sheaf dimension ell(m) - ell(m-1) through one-sided jumps
@@ -23,6 +23,9 @@ measures that instead of hiding it.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from itertools import repeat
 
 from .checks import KIND_CHECKS, VerificationReport, verify
 from .errors import (AxiomViolation, InvalidSemigroup, WindowTooSmall,
@@ -251,19 +254,26 @@ class TwoPointSemigroup:
 
     # the window table
 
-    def dim_jump_digits(self, window: Window):
-        """dim_jump on the window, one string per m1 (m2 ascending): every
-        value is one digit 0-2, and a row slices its column class's digits
-        on the sums [0, 2g], padded with 0 below sum 0 and 2 above 2g."""
+    def dim_jump_digits(self, window: Window, sep=""):
+        """dim_jump on the window, one string per m1 (m2 ascending), its
+        digits 0-2 joined by sep.  Each column class lays out its digits
+        once over the window's sums [lo1 + lo2, hi1 + hi2], padded with 0
+        below sum 0 and 2 above 2g, and row m1 is one slice of its class's
+        string, starting at the sum m1 + lo2: O(g * period + rows) steps."""
         (lo1, hi1), (lo2, hi2) = window.bounds
-        top = 2 * self.genus
-        band = ["".join(["012"[self._d(s, a)] for s in range(top + 1)])
-                for a in range(self.period)]
-        return ["0" * max(0, min(-1, m1 + hi2) - m1 - lo2 + 1)
-                + band[m1 % self.period][max(0, m1 + lo2):
-                                         max(0, min(top, m1 + hi2) + 1)]
-                + "2" * max(0, m1 + hi2 - max(top + 1, m1 + lo2) + 1)
-                for m1 in range(lo1, hi1 + 1)]
+        lo, hi, top = lo1 + lo2, hi1 + hi2, 2 * self.genus
+        w, n = 1 + len(sep), hi2 - lo2 + 1
+        below = ("0" + sep) * max(0, min(hi + 1, 0) - lo)
+        above = ("2" + sep) * max(0, hi - max(lo - 1, top))
+        sums = range(max(0, lo), min(top, hi) + 1)
+        digit = ("0" + sep, "1" + sep, "2" + sep)
+        # the class string of m1 sits at (m1 - lo1) % period
+        lines = [below + "".join([digit[d] for d in map(self._d, sums,
+                                                          repeat(a))]) + above
+                 for a in range(lo1, lo1 + min(self.period, hi1 - lo1 + 1))]
+        th, cut = self.period, w * n - len(sep)
+        return [lines[i % th][w * i:w * i + cut]
+                for i in range(hi1 - lo1 + 1)]
 
     def gap_class_count(self):
         return sum(1 for row in self.strip for x in row if not x)
@@ -331,9 +341,51 @@ class TwoPointSemigroup:
                                       min(2 * self.genus + 2, hi1 + hi2) + 1)
                 for a in range(self.period)]
 
+    def _support(self, window):
+        """The band classes of the window's sums where c_prop, c_identity
+        or corner_translates can fail, at most 4 * period of them.
+
+        Each of _c's four terms is one line-minimum equality, true only
+        on (C(a), a), (C(a) + 1, a + 1), (R(b) + 1, a') and (R(b) + 2, a')
+        with a' = R(b) + 1 - b.  _max holds only where s is both line
+        minima of the class, so _max(s, a) adds nothing to (C(a), a), and
+        _max(s - 2, a - 1) nothing to (R(b) + 2, a')."""
+        (lo1, hi1), (lo2, hi2) = window.bounds
+        th = self.period
+        support = set()
+        for a, c in enumerate(self._colmin):
+            support.update(((c, a), (c + 1, (a + 1) % th)))
+        for b, r in enumerate(self._rowmin):
+            support.update(((r + 1, (r + 1 - b) % th),
+                            (r + 2, (r + 1 - b) % th)))
+        return [(s, a) for s, a in support if lo1 + lo2 <= s <= hi1 + hi2]
+
     def _points_of(self, window, classes):
+        """Window points of the classes (s, a), in Window.points() order.
+
+        Up to one class per two window rows, each class is expanded on
+        its own and the points sorted; with more, each column class's
+        sums are sorted once and row m1 takes the slice of its class's
+        sums in [m1 + lo2, m1 + hi2], already in order."""
+        (lo1, hi1), (lo2, hi2) = window.bounds
+        th = self.period
+        if 2 * len(classes) <= hi1 - lo1 + 1:
+            return self._class_points(window, classes)
+        sums = [[] for _ in range(th)]
+        for s, a in classes:
+            sums[a % th].append(s)
+        for col in sums:
+            col.sort()
+        points = []
+        for m1 in range(lo1, hi1 + 1):
+            col = sums[m1 % th]
+            points += [(m1, s - m1) for s in col[
+                bisect_left(col, m1 + lo2):bisect_right(col, m1 + hi2)]]
+        return points
+
+    def _class_points(self, window, classes):
         """Window points of the classes (s, a[, lo, hi]), m1 clipped to
-        [lo, hi] when given, in Window.points() order."""
+        [lo, hi] when given, one class at a time, then sorted."""
         (lo1, hi1), (lo2, hi2) = window.bounds
         points = []
         for s, a, *clip in classes:
@@ -343,10 +395,13 @@ class TwoPointSemigroup:
         points.sort()
         return points
 
-    def _where(self, window, pred):
-        """Window points of the band classes (s, a) where pred(s, a) holds."""
-        return self._points_of(window, [
-            (s, a) for s, a in self._band(window) if pred(s, a)])
+    def _where(self, window, pred, classes=None):
+        """Window points of the classes (s, a) where pred(s, a) holds,
+        among the given classes or else all band classes."""
+        if classes is None:
+            classes = self._band(window)
+        return self._points_of(window, [(s, a) for s, a in classes
+                                        if pred(s, a)])
 
     # verification
 
@@ -358,7 +413,9 @@ class TwoPointSemigroup:
         when passed holds and there are no witnesses.  A pointwise check
         asks the class functions once per band class and expands only
         failing classes into points: O(g * period + witnesses) whatever
-        the window, plus period^2 for funceq."""
+        the window, plus period^2 for funceq.  c_prop, c_identity and
+        corner_translates ask only the at most 4 * period classes of
+        _support, O(period + witnesses)."""
         witnesses = tuple(witnesses)
         return VerificationReport(
             check, passed and not witnesses, witnesses, window.bounds,
@@ -374,7 +431,8 @@ class TwoPointSemigroup:
             return (c == -1) != self._max(s - 2, a - 1) or \
                 (c == 1) != self._max(s, a)
 
-        witnesses = self._where(interior_region(window), fails)
+        region = interior_region(window)
+        witnesses = self._where(region, fails, self._support(region))
         # the violations where m and m - (1, 1) are not both maximal
         stray = [m for m in witnesses if not (
             self.is_maximal(m) and self.is_maximal((m[0] - 1, m[1] - 1)))]
@@ -385,15 +443,17 @@ class TwoPointSemigroup:
 
     def _check_c_identity(self, window):
         """c(m) with dim_jump equals 1_M(m) - 1_M(m-1)."""
+        region = interior_region(window)
         return self._report("c_identity", window, self._where(
-            interior_region(window),
-            lambda s, a: self._c(s, a) != self._step(s, a)))
+            region, lambda s, a: self._c(s, a) != self._step(s, a),
+            self._support(region)))
 
     def _check_corner_translates(self, window):
-        # is_maximal asked per band class, not the line-minimum shortcut
-        # behind maximal_points_in and the corner, so the two can disagree
+        # is_maximal asked on every class where it can hold, not the
+        # line-minimum shortcut behind maximal_points_in and the corner,
+        # so the two can disagree
         region = interior_region(window)
-        scanned = set(self._where(region, self._max))
+        scanned = set(self._where(region, self._max, self._support(region)))
         translated = set(self.corner_translates_in(region))
         return self._report("corner_translates", window,
                             sorted(scanned ^ translated),
@@ -411,7 +471,7 @@ class TwoPointSemigroup:
         clips = [(s, a, max(1, self._colmin[a]),
                   s - max(1, self._rowmin[(s - a) % self.period]))
                  for s, a in self._band(region) if self._d(s, a) != 2]
-        return self._report("lemma4", window, self._points_of(
+        return self._report("lemma4", window, self._class_points(
             region, [c for c in clips if c[2] <= c[3]]))
 
     def _check_d_agreement(self, window):

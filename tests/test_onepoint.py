@@ -233,6 +233,40 @@ def test_indicator_witnesses_match_point_scan(case):
     assert _indicator_report("indicator", series, s, window).witnesses == scan
 
 
+@settings(max_examples=100)
+@given(st.one_of(numerical_semigroups(), delta_semigroups_with_extras()),
+       st.one_of(st.integers(0, 300), st.integers(0, 10**12)),
+       st.integers(0, 40))
+def test_far_windows_expand_to_membership(s, lo, width):
+    # beyond the Apery series' degree the expansion repeats with the
+    # multiplicity, so a window of 41 points costs 41 points however far
+    window = Window((lo, lo + width))
+    members = [int(s.contains(n)) for n in range(lo, lo + width + 1)]
+    assert apery_series(s).expand(window) == members
+    # the indicator is 1 from the conductor on and reads no mask there;
+    # one more term makes witnesses every multiplicity from c + 1 on
+    a = len(s.apery)
+    series = RationalGF(apery_series(s).num + LaurentPoly(
+        {(s.conductor + 1,): 1}, arity=1), [(a,)])
+    assert _indicator_report("indicator", series, s, window).witnesses == \
+        tuple(n for n in range(lo, lo + width + 1)
+              if n > s.conductor and (n - s.conductor - 1) % a == 0)
+
+
+def test_expand_and_indicator_on_a_window_near_10_to_the_9(tmp_path):
+    S = NumericalSemigroup([3, 5])
+    window = Window((10**9, 10**9 + 10))
+    assert S.verify("indicator", window).passed
+    path = tmp_path / "ns.json"
+    path.write_text('{"kind": "numerical", "generators": [3, 5]}')
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["expand", str(path), "--json", "--window",
+                         str(10**9), str(10**9 + 10)])
+    assert code == 0
+    assert json.loads(out.getvalue())["coefficients"] == [1] * 11
+
+
 def test_symmetric_means_conductor_twice_genus():
     for gens in ([2, 3], [2, 5], [3, 4], [3, 5], [4, 6, 7], [1]):
         s = NumericalSemigroup(gens)

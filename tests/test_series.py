@@ -306,6 +306,20 @@ def test_expand_matches_convolution_oracle(data):
     assert got == expand_by_convolution(f, window)
 
 
+@settings(max_examples=200)
+@given(poly_strategy(1), st.integers(min_value=1, max_value=10),
+       st.one_of(st.integers(-20, 60), st.integers(-20, 10**12)),
+       st.integers(min_value=0, max_value=20))
+def test_one_factor_expansion_far_beyond_the_numerator(num, v, offset, width):
+    # F[n] = F[n - v] past the numerator's degree, so a far window is
+    # moved down next to it; read off the numerator directly instead
+    top = max((e for (e,), _ in num.terms()), default=0)
+    window = Window((top + offset, top + offset + width))
+    assert RationalGF(num, [(v,)]).expand(window) == [
+        sum(c for (e,), c in num.terms() if n >= e and (n - e) % v == 0)
+        for (n,) in window.points()]
+
+
 ONE_VAR = RationalGF(L({(-2,): 3, (0,): -1, (5,): 2}), [(1,), (7,), (7,)])
 TWO_VAR = RationalGF(L({(-1, 2): 2, (0, -3): -1, (3, 1): 1}),
                      [(0, 1), (2, 0), (1, 3), (4, 4)])

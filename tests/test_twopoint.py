@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import os
+import random
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +27,9 @@ from wsemigroups import cli
 from wsemigroups.oracle import Fixture, semigroup_from_fixture
 
 import twopoint_oracle as oracle
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import random_members  # noqa: E402
 
 T, F = True, False
 
@@ -343,8 +349,8 @@ def test_class_loops_match_point_scans(S, data):
 
 def render_windows(S):
     """Windows wholly below sum 0, wholly above sum 2g, straddling the
-    band [0, 2g] on both sides, of a single cell, and with sums near
-    +-10^9."""
+    band [0, 2g] on both sides, of a single cell, row or column, and
+    with sums near +-10^9."""
     top, th = 2 * S.genus, S.period
     at = st.integers(min_value=-top - 3 * th, max_value=top + 3 * th)
     width = st.integers(min_value=0, max_value=2 * th + 3)
@@ -362,6 +368,8 @@ def render_windows(S):
             (x, x + w1), (-x - w1 - k1, top - x + k2)),
             at, width, gap, gap),
         st.builds(lambda x, y: Window((x, x), (y, y)), at, at),
+        st.builds(lambda x, y, w: Window((x, x), (y, y + w)), at, at, width),
+        st.builds(lambda x, y, w: Window((x, x + w), (y, y)), at, at, width),
         st.builds(lambda x, k, w1, w2: Window(
             (x, x + w1), (k - x, k - x + w2)), at, far, width, width))
 
@@ -403,6 +411,7 @@ def test_expand_renders_the_point_scan(S, data):
         top = 2 * S.genus
         windows = (Window((-9, -3), (-6, 2)), Window((3, 9), (top, top + 5)),
                    Window((-7, 4), (-5, top + 8)), Window((1, 1), (-1, -1)),
+                   Window((2, 2), (-5, top + 3)), Window((-6, top), (0, 0)),
                    Window((-3, 3), (10**9, 10**9 + 6)),
                    Window((-10**9 - 5, -10**9), (-2, 4)))
     for W in windows:
@@ -410,17 +419,64 @@ def test_expand_renders_the_point_scan(S, data):
         digits = S.dim_jump_digits(W)
         assert len(digits) == hi1 - lo1 + 1
         assert all(len(row) == hi2 - lo2 + 1 for row in digits)
+        rows = oracle.dim_jump_rows(S, W)
+        for sep in ("", ",", " "):
+            assert S.dim_jump_digits(W, sep) == \
+                [sep.join(map(str, row)) for row in rows], (sep, W.bounds)
         expected = json.dumps({"window": W.bounds,
-                               "dim_jump": oracle.dim_jump_rows(S, W)},
+                               "dim_jump": rows},
                               separators=(",", ":"))
         assert expand_stdout(S, W, "--json") == expected + "\n", W.bounds
         assert expand_stdout(S, W) == oracle.expand_text(S, W) + "\n", \
             W.bounds
 
 
+def seeded_strips(seed):
+    """A strip from the benchmark's generator draw, genus and period up
+    to 10."""
+    rng = random.Random(f"support:{seed}")
+    g, th = rng.randint(0, 10), rng.randint(1, 10)
+    members = random_members(rng, g, th, rng.randint(1, 4))
+    return rng, TwoPointSemigroup.from_members(g, th, members)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_support_scans_match_band_scans(seed):
+    # c_prop, c_identity and corner_translates ask only the classes next
+    # to a line minimum; asking every band class must give the same report
+    rng, S = seeded_strips(seed)
+    top, th = 2 * S.genus, S.period
+    reach = top + 3 * th + 6
+
+    def at():
+        return rng.randint(-reach, reach)
+
+    def box(x, y, w1, w2):
+        return Window((x, x + w1), (y, y + w2))
+
+    windows = [S.default_window()]
+    windows += [box(at(), at(), rng.randint(4, 3 * th + 6),
+                    rng.randint(4, 3 * th + 6)) for _ in range(3)]
+    x, w1, w2 = at(), rng.randint(4, 12), rng.randint(4, 12)
+    # interior sums wholly below the band, then wholly above it
+    windows.append(box(x, -x - w1 - w2 - rng.randint(0, 5), w1, w2))
+    windows.append(box(x, top + 3 - x + rng.randint(0, 5), w1, w2))
+    # 4 wide, a single interior row or column or cell
+    windows += [box(at(), at(), 4, rng.randint(4, 12)),
+                box(at(), at(), rng.randint(4, 12), 4), box(at(), at(), 4, 4)]
+    # interior sums wholly above 2g, touching the band's top
+    windows.append(box(x, top - 3 - x + rng.randint(0, 2), w1, w2))
+    for W in windows:
+        for check in ("c_prop", "c_identity", "corner_translates"):
+            rep = S.verify(check, W)
+            assert (rep.passed, rep.witnesses, rep.details) == \
+                oracle.band_verify(S, check, W), (check, W.bounds)
+
+
 def test_corner_translates_check_compares_two_derivations(monkeypatch):
-    # the scanned side asks is_maximal on the band, the translated side
-    # reads the corner maximals; a corner missing a point must fail it
+    # the scanned side asks is_maximal on every class where it can hold,
+    # the translated side reads the corner maximals; a corner missing a
+    # point must fail it
     S = fixture("elliptic", 2)
     assert S.verify("corner_translates").passed
     dropped = S.corner_maximals()[1:]

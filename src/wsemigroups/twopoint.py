@@ -256,24 +256,29 @@ class TwoPointSemigroup:
 
     def dim_jump_digits(self, window: Window, sep=""):
         """dim_jump on the window, one string per m1 (m2 ascending), its
-        digits 0-2 joined by sep.  Each column class lays out its digits
-        once over the window's sums [lo1 + lo2, hi1 + hi2], padded with 0
-        below sum 0 and 2 above 2g, and row m1 is one slice of its class's
-        string, starting at the sum m1 + lo2: O(g * period + rows) steps."""
+        digits 0-2 joined by sep.  Each column class of the window lays
+        out its digits, each followed by sep, once over the sums [0, 2g],
+        padded with one row's width of 0 below and of 2 above; row m1 is
+        one slice of its class's string, from the sum m1 + lo2, and a row
+        wholly below 0 or above 2g is one shared pad.  O(g * period +
+        rows) steps and O(g * period + output) memory."""
         (lo1, hi1), (lo2, hi2) = window.bounds
-        lo, hi, top = lo1 + lo2, hi1 + hi2, 2 * self.genus
-        w, n = 1 + len(sep), hi2 - lo2 + 1
-        below = ("0" + sep) * max(0, min(hi + 1, 0) - lo)
-        above = ("2" + sep) * max(0, hi - max(lo - 1, top))
-        sums = range(max(0, lo), min(top, hi) + 1)
+        th, top, lo = self.period, 2 * self.genus, lo1 + lo2
+        w, n, count = 1 + len(sep), hi2 - lo2 + 1, hi1 - lo1 + 1
+        zeros, twos, cut = ("0" + sep) * n, ("2" + sep) * n, w * n - len(sep)
         digit = ("0" + sep, "1" + sep, "2" + sep)
-        # the class string of m1 sits at (m1 - lo1) % period
-        lines = [below + "".join([digit[d] for d in map(self._d, sums,
-                                                          repeat(a))]) + above
-                 for a in range(lo1, lo1 + min(self.period, hi1 - lo1 + 1))]
-        th, cut = self.period, w * n - len(sep)
-        return [lines[i % th][w * i:w * i + cut]
-                for i in range(hi1 - lo1 + 1)]
+        # rows [first, last) meet the sums [0, 2g]; the class of row i
+        # sits at (i - first) % period and its sum s at w * (s + n)
+        first = min(max(0, 1 - n - lo), count)
+        last = min(max(first, top + 1 - lo), count)
+        lines = [zeros + "".join([digit[d] for d in map(
+                     self._d, range(top + 1), repeat(a))]) + twos
+                 for a in range(lo1 + first, lo1 + min(last, first + th))]
+        return ([zeros[:cut]] * first
+                + [lines[(i - first) % th][w * (lo + n + i):
+                                           w * (lo + n + i) + cut]
+                   for i in range(first, last)]
+                + [twos[:cut]] * (count - last))
 
     def gap_class_count(self):
         return sum(1 for row in self.strip for x in row if not x)

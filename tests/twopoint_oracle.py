@@ -6,11 +6,8 @@ member.  `TwoPointSemigroup` answers the same questions from its two
 line-minimum tables.  The window scans further down visit every window
 point and call the semigroup's own point predicates there, where
 `TwoPointSemigroup` asks each predicate once per class (m1 + m2,
-m1 mod period).  `band_verify` runs c_prop, c_identity and
-corner_translates asking their point predicates once per band class,
-where `TwoPointSemigroup` asks only the few classes where they can fail.
-The property tests in test_twopoint.py check each pair against each
-other.
+m1 mod period).  The property tests in test_twopoint.py check each
+pair against each other.
 """
 
 from functools import cache
@@ -212,43 +209,30 @@ def _max_step(S, m):
     return int(S.is_maximal(m)) - int(S.is_maximal((m[0] - 1, m[1] - 1)))
 
 
-def point_scan(S, region, pred):
-    """The region points where pred holds, one call per point."""
-    return [m for m in region.points() if pred(m)]
-
-
-def band_scan(S, region, pred):
-    """The region points whose class (m1 + m2, m1 mod period) has a band
-    sum s in [-2, 2g + 2] and satisfies pred at its point (a, s - a): one
-    call per band class, the scan that TwoPointSemigroup narrows to the
-    classes where c_prop, c_identity and corner_translates can fail."""
-    th = S.period
-    hits = {(s, a) for s in range(-2, 2 * S.genus + 3) for a in range(th)
-            if pred((a, s - a))}
-    return [m for m in region.points() if (m[0] + m[1], m[0] % th) in hits]
-
-
-def _c_prop(S, region, scan=point_scan):
-    def fails(m):
+def _c_prop(S, region):
+    witnesses = []
+    stray = []
+    for m in region.points():
         c = euler_c(S, m)
-        return (c == -1) != S.is_maximal((m[0] - 1, m[1] - 1)) or \
-            (c == 1) != S.is_maximal(m)
-
-    witnesses = scan(S, region, fails)
-    stray = [m for m in witnesses if not (
-        S.is_maximal(m) and S.is_maximal((m[0] - 1, m[1] - 1)))]
+        prev_max = S.is_maximal((m[0] - 1, m[1] - 1))
+        here_max = S.is_maximal(m)
+        if ((c == -1) != prev_max) or ((c == 1) != here_max):
+            witnesses.append(m)
+            if not (prev_max and here_max):
+                stray.append(m)
     details = {"violations_both_maximal": not stray}
     if stray:
         details["stray"] = stray
     return witnesses, details
 
 
-def _c_identity(S, region, scan=point_scan):
-    return scan(S, region, lambda m: euler_c(S, m) != _max_step(S, m)), {}
+def _c_identity(S, region):
+    return [m for m in region.points()
+            if euler_c(S, m) != _max_step(S, m)], {}
 
 
-def _corner_translates(S, region, scan=point_scan):
-    scanned = set(scan(S, region, S.is_maximal))
+def _corner_translates(S, region):
+    scanned = set(maximal_points_in(S, region))
     translated = set(S.corner_translates_in(region))
     details = {"scanned": len(scanned), "translates": len(translated)}
     return sorted(scanned ^ translated), details
@@ -306,11 +290,3 @@ def verify(S, check, window):
     # symmetry and funceq fail outright without a symmetry point
     passed = not witnesses and details.get("sigma", True) is not None
     return passed, tuple(witnesses), {"scan": region.bounds, **details}
-
-
-def band_verify(S, check, window):
-    """(passed, witnesses, details) of c_prop, c_identity or
-    corner_translates with its predicate asked on every band class."""
-    region = interior_region(window)
-    witnesses, details = _CHECKS[check](S, region, band_scan)
-    return not witnesses, tuple(witnesses), {"scan": region.bounds, **details}

@@ -9,7 +9,9 @@ A Poincare series, alone or inside a verification report, is rendered
 one %-format per numerator term, to the bytes that encoding its
 `to_json()` would give.  An `analyze` gap list is rendered from the gap
 mask one block of 1000 values at a time, to the bytes that encoding the
-`gaps` tuple would give.  Every other value goes through one encoder.
+`gaps` tuple would give.  A one-point `expand` is the window's
+membership bytes as digits, to the bytes that encoding the expanded
+coefficients would give.  Every other value goes through one encoder.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, replace
 from .checks import KIND_CHECKS, VerificationReport
 from .errors import InputError
 from .onepoint import (DeltaSequence, NumericalSemigroup, OnePointSemigroup,
-                       apery_series, direct_series, poincare_delta_product,
+                       direct_series, poincare_delta_product,
                        poincare_onepoint, series_first_difference)
 from .oracle import Fixture, semigroup_from_fixture
 from .series import LaurentPoly, RationalGF, Window
@@ -274,12 +276,14 @@ def _run_expand(model: Model, cmd):
         head = f"dim_jump on m1 in [{lo1}, {hi1}], m2 in [{lo2}, {hi2}]"
         return 0, "\n".join([head, *map("{}: {}".format,
                                          range(lo1, hi1 + 1), rows)])
-    values = apery_series(model.semigroup).expand(window)
+    # every one-point coefficient is a membership byte, one digit each
+    digits = model.semigroup.indicator(window).translate(_BIT_DIGITS).decode()
     if cmd.json_output:
-        return 0, _dump({"window": window.bounds,
-                         "coefficients": values})
-    return 0, "\n".join(f"{n}: {v}"
-                        for (n,), v in zip(window.points(), values))
+        return 0, ('{"window":' + _dump(window.bounds) + ',"coefficients":['
+                   + ",".join(digits) + "]}")
+    (lo, hi), = window.bounds
+    return 0, "\n".join([f"{n}: {d}"
+                         for n, d in zip(range(lo, hi + 1), digits)])
 
 
 def _run_verify(model: Model, cmd):
@@ -320,6 +324,8 @@ def _series_json(series: RationalGF) -> str:
     return ('{"num":[' + ",".join(terms) + '],"den":' + _dump(series.den)
             + "}")
 
+
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a 0/1 byte as its digit
 
 # the decimal strings of 0-999, bare for the first block of a gap list
 # and padded to three digits after a later block's prefix

@@ -10,11 +10,15 @@ orders, and the Poincare series P(t) = sum_{n in S} t^n with
 L(t) = (1 - t) P(t) in its closed forms.  Both semigroup classes share
 one Apery-set base class (a one-point semigroup lowers its base's table
 by the extras) and answer `verify(check)` for the checks their input
-kind has in `checks.KIND_CHECKS`.  Checks and `expand` read the Apery form
-P(t) = sum_{w in Ap} t^w / (1 - t^a), a numerator terms, not c: it decides
-the `funceq` signs in O(a), the `symmetry` and `funceq` reports carry it,
-and `indicator` expands it (delta product plus extras on a one-point
-semigroup).  Of the checks only `l_identity` builds the O(c) L-polynomial.
+kind has in `checks.KIND_CHECKS`.  The coefficient of P at n is 1 for a
+member n and 0 otherwise, so `indicator(window)` gives P's coefficients
+on a window as membership bytes, and one-point `expand` prints them.
+Checks read the Apery form P(t) = sum_{w in Ap} t^w / (1 - t^a), a
+numerator terms, not c: it decides the `funceq` signs in O(a), the
+`symmetry` and `funceq` reports carry it, and `indicator` expands it
+(delta product plus extras on a one-point semigroup) against the
+membership bytes.  Of the checks only `l_identity` builds the O(c)
+L-polynomial.
 """
 
 from __future__ import annotations
@@ -59,12 +63,14 @@ class _AperySemigroup:
 
     __contains__ = contains
 
-    def mask(self, hi):
-        """A bytearray m of length hi with m[n] = 1 exactly for members n."""
+    def mask(self, hi, lo=0):
+        """A bytearray m of length hi - lo, for 0 <= lo <= hi, with
+        m[n - lo] = 1 exactly for members n."""
         a = len(self.apery)
-        member = bytearray(hi)
+        member = bytearray(hi - lo)
         for w in self.apery:
-            member[w::a] = b"\1" * len(range(w, hi, a))
+            n = max(w, lo + (w - lo) % a)  # the class's first member >= lo
+            member[n - lo::a] = b"\1" * len(range(n, hi, a))
         return member
 
     def gap_mask(self):
@@ -92,6 +98,18 @@ class _AperySemigroup:
         # with equality exactly when no witness exists
         return self.conductor == 2 * self.genus
 
+    def indicator(self, window) -> bytes:
+        """The membership bytes of the one-point window [lo, hi], the
+        coefficients of P(t) = sum_{n in S} t^n there: 0 below 0, the
+        mask on [0, c) and 1 from the conductor c on, so O(window + a)
+        steps however far the window lies."""
+        (lo, hi), = window.bounds
+        c = self.conductor
+        start = max(0, lo)
+        return (bytes(max(0, min(hi + 1, 0) - lo))
+                + self.mask(max(start, min(hi + 1, c)), start)
+                + b"\1" * max(0, hi + 1 - max(lo, c)))
+
     def default_window(self) -> Window:
         return Window((0, max(3 * self.conductor, 8)))
 
@@ -108,7 +126,14 @@ class _AperySemigroup:
         lpoly = l_polynomial(self)
         p = apery_series(self)
         (a,), = p.den
-        ok = (p * _ONE_MINUS_T).num == lpoly - lpoly.shift((a,))
+        # L (1 - t^a): L's terms, less each term moved up by a
+        rhs = dict(lpoly._terms)
+        for (n,), c in lpoly._terms.items():
+            if s := rhs.get((n + a,), 0) - c:
+                rhs[(n + a,)] = s
+            else:
+                del rhs[(n + a,)]
+        ok = (p * _ONE_MINUS_T).num == LaurentPoly._trusted(rhs, 1)
         return VerificationReport("l_identity", ok, (), None, {},
                                   RationalGF(lpoly))
 
@@ -322,16 +347,10 @@ class OnePointSemigroup(_AperySemigroup):
 
 def _indicator_report(check, series, semigroup, window) -> VerificationReport:
     """Where the expansion of series on the window is not the membership
-    indicator of semigroup, which is 0 below 0 and 1 from the conductor c
-    on, so only [0, c) reads the member mask."""
+    indicator of semigroup."""
     (lo, hi), = window.bounds
-    c = semigroup.conductor
-    coeffs = series.expand(window)
-    member = (bytes(max(0, min(hi + 1, 0) - lo))
-              + semigroup.mask(max(0, min(hi + 1, c)))[max(0, lo):]
-              + b"\1" * max(0, hi + 1 - max(lo, c)))
-    witnesses = tuple(itertools.compress(range(lo, hi + 1),
-                                         map(operator.ne, coeffs, member)))
+    witnesses = tuple(itertools.compress(range(lo, hi + 1), map(
+        operator.ne, series.expand(window), semigroup.indicator(window))))
     return VerificationReport(check, not witnesses, witnesses, window.bounds,
                               {}, series)
 

@@ -332,11 +332,14 @@ class RationalGF:
         return RationalGF(num, self._den)
 
     def equals(self, other):
-        """Exact equality by cross-multiplication, no cancellation."""
+        """Exact equality, no cancellation: over the same denominator the
+        numerators are compared, else cross-multiplied."""
         if not isinstance(other, RationalGF):
             raise TypeError("can only compare with another RationalGF")
         if self.arity != other.arity:
             raise ArityMismatch("mixed arities in rational function equality")
+        if self._den == other._den:
+            return self._num == other._num  # N1 / D = N2 / D iff N1 = N2
         return self._num * other.den_poly() == other._num * self.den_poly()
 
     def expand(self, window):
@@ -357,7 +360,10 @@ class RationalGF:
 
         Cost: O(|box| * |den|) additions plus O(|window|) reads, where
         |box| is the number of grid cells; the numerator is touched
-        once.  Returns a flat list of the coefficients in the order of
+        once.  A factor (0, ..., 0, v) takes min(v, n / v) slice steps
+        per row of n cells: v strided prefix sums, or n / v block
+        additions when those are fewer; any other factor takes one.
+        Returns a flat list of the coefficients in the order of
         window.points(): each row along the last variable is a slice of
         the grid, after as many zeros as the row has points below lo.
 
@@ -399,8 +405,15 @@ class RationalGF:
                     grid[base + step:base + n] = map(
                         operator.add, grid[base + step:base + n],
                         grid[src:src + n - step])
+                elif step * step > n:
+                    # fewer blocks of step cells than residues: add each
+                    # block to the next
+                    for r in range(base + step, base + n, step):
+                        end = min(r + step, base + n)
+                        grid[r:end] = map(operator.add, grid[r:end],
+                                          grid[r - step:end - step])
                 else:
-                    for r in range(base, base + min(step, n)):
+                    for r in range(base, base + step):
                         grid[r:base + n:step] = itertools.accumulate(
                             grid[r:base + n:step])
         *outer, (a, hi) = window.bounds

@@ -25,7 +25,7 @@ measures that instead of hiding it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import repeat
+from itertools import compress, repeat
 
 from .checks import KIND_CHECKS, VerificationReport, verify
 from .errors import (AxiomViolation, InvalidSemigroup, WindowTooSmall,
@@ -90,15 +90,18 @@ class TwoPointSemigroup:
                 f"quotient closure fails: classes {s1} + {s2} -> {target} "
                 f"is not a member", witnesses=bad)
         # least member sum on each column class (m1 = a mod period) and
-        # each row class (m2 = b mod period); 2g when the strip has none
+        # each row class (m2 = b mod period); 2g when the strip has none.
+        # Row s read down from its cell (s, s mod period) meets the row
+        # classes b = 0, 1, ... in turn, as the class (s, a) has b = s - a
         top = 2 * genus
-        self._colmin = tuple(
-            next((s for s in range(top) if self.strip[s][a]), top)
-            for a in range(period))
-        self._rowmin = tuple(
-            next((s for s in range(top) if self.strip[s][(s - b) % period]),
-                 top)
-            for b in range(period))
+
+        def least(lines):  # genus 0 has no lines, and every minimum is 0
+            return tuple(next(compress(range(top), line), top)
+                         for line in lines) or (top,) * period
+
+        self._colmin = least(zip(*self.strip))
+        self._rowmin = least(zip(*[row[s % period::-1] + row[:s % period:-1]
+                                   for s, row in enumerate(self.strip)]))
 
     @classmethod
     def from_members(cls, genus, period, gens):
@@ -130,14 +133,16 @@ class TwoPointSemigroup:
                 if cls_new not in classes:
                     classes.add(cls_new)
                     frontier.append(cls_new)
-        rows = [[(s, a) in classes for a in range(period)]
-                for s in range(2 * genus)]
+        rows = [[False] * period for _ in range(2 * genus)]
+        for s, a in classes:
+            if s < 2 * genus:  # genus 0 keeps no row, not even the origin
+                rows[s][a] = True
         return cls(genus, period, rows)
 
     def _closure_witnesses(self):
         """All class pairs whose sum escapes the member set."""
-        members = [(s, a) for s in range(2 * self.genus)
-                   for a in range(self.period) if self.strip[s][a]]
+        members = [(s, a) for s, row in enumerate(self.strip)
+                   for a in compress(range(self.period), row)]
         bad = []
         for i, (s1, a1) in enumerate(members):
             for s2, a2 in members[i:]:
@@ -281,7 +286,7 @@ class TwoPointSemigroup:
                 + [twos[:cut]] * (count - last))
 
     def gap_class_count(self):
-        return sum(1 for row in self.strip for x in row if not x)
+        return sum(row.count(False) for row in self.strip)
 
     # series and symmetry
 
@@ -302,14 +307,15 @@ class TwoPointSemigroup:
     def _sigma_candidate(self):
         """First corner maximal with sum 2g whose reflection preserves
         the corner maximals; None if no candidate works."""
+        # cand - p has the class (2g - s, cand1 - a) for p in the class
+        # (s, a), and a corner maximal is the one of its class
+        top, th = 2 * self.genus, self.period
         corner = self.corner_maximals()
-        corner_set = set(corner)
+        classes = {(p1 + p2, p1 % th) for p1, p2 in corner}
         for cand in corner:
-            if cand[0] + cand[1] != 2 * self.genus:
-                continue
-            image = [self.normalize((cand[0] - p[0], cand[1] - p[1]))
-                     for p in corner]
-            if all(q in corner_set for q in image):
+            if cand[0] + cand[1] == top and all(
+                    (top - s, (cand[0] - a) % th) in classes
+                    for s, a in classes):
                 return cand
         return None
 

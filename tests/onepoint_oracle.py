@@ -26,10 +26,16 @@ the two against each other.
 they carried the Apery form: the indicator expands `direct_series`, the
 symmetry report carries `poincare_direct` and a symmetric funceq report
 the L-polynomial, with its signs decided by cross-multiplication.
-`expand_stdout_by_direct_series` is the one-point `expand` output as it
-was printed from the expansion of `direct_series`.  The library builds
-all of them from `apery_series`; test_onepoint.py checks that the series
-agree in value (the funceq one times 1 - t) and all else is identical.
+The library builds all of them from `apery_series`; test_onepoint.py
+checks that the series agree in value (the funceq one times 1 - t) and
+all else is identical.
+
+`expand_stdout_by_series` is the one-point `expand` output as it was
+printed from the expansion of a series of P, `direct_series` and later
+`apery_series`: one Python int per window point, through the JSON
+encoder or one f-string line each.  The CLI now prints the window's
+membership bytes (`indicator(window)`) as digits; test_onepoint.py
+checks the renderings byte for byte.
 
 `base_plus_extras_mask` and `base_or_extra` are the membership of a
 one-point semigroup as it was read before it shared the Apery-set class:
@@ -139,9 +145,10 @@ def funceq_by_direct_series(semigroup):
                               RationalGF(l_polynomial(semigroup)))
 
 
-def expand_stdout_by_direct_series(semigroup, window, json_output):
-    """The stdout of one-point `expand` on the window, `--json` or text."""
-    values = direct_series(semigroup).expand(window)
+def expand_stdout_by_series(series, window, json_output):
+    """The stdout of one-point `expand` on the window, `--json` or text,
+    from the expansion of series."""
+    values = series.expand(window)
     if json_output:
         return json.dumps({"window": window.bounds, "coefficients": values},
                           separators=(",", ":")) + "\n"

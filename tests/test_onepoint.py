@@ -5,6 +5,7 @@ so the series identities are checked against values that never touch
 the factored-series code path.
 """
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -13,6 +14,7 @@ import math
 import os
 import random
 import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -47,7 +49,7 @@ from wsemigroups.onepoint import (
     series_first_difference,
 )
 from onepoint_oracle import (base_or_extra, base_plus_extras_mask,
-                             closure_sieve, expand_stdout_by_direct_series,
+                             closure_sieve, expand_stdout_by_series,
                              funceq_by_direct_series,
                              indicator_by_direct_series,
                              l_identity_by_cross_multiplication,
@@ -193,6 +195,8 @@ def test_is_symmetric_matches_witness_scan(s):
 def test_mask_readers_match_membership_scans(s):
     c = s.conductor
     assert list(s.mask(c + 7)) == [int(s.contains(n)) for n in range(c + 7)]
+    for lo in {0, 1, c // 2, c, c + 7}:
+        assert s.mask(c + 7, lo) == s.mask(c + 7)[lo:]
     assert c == 0 or not s.contains(c - 1)
     assert s.gaps == tuple(n for n in range(c) if not s.contains(n))
     assert s.genus == len(s.gaps)
@@ -265,6 +269,22 @@ def test_expand_and_indicator_on_a_window_near_10_to_the_9(tmp_path):
                          str(10**9), str(10**9 + 10)])
     assert code == 0
     assert json.loads(out.getvalue())["coefficients"] == [1] * 11
+
+
+def test_indicator_costs_its_window_not_the_conductor():
+    # c = 2 * 10^7: the parts of [0, c) outside the window are never laid
+    # out, so the peak stays far below the 20 MB of a mask up to c
+    S = NumericalSemigroup([2, 2 * 10**7 + 1])
+    c = S.conductor
+    tracemalloc.start()
+    try:
+        near = S.indicator(Window((c - 6, c + 5)))
+        far = S.indicator(Window((10**9, 10**9 + 10)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert near == b"\1\0" * 3 + b"\1" * 6 and far == b"\1" * 11
 
 
 def test_symmetric_means_conductor_twice_genus():
@@ -744,8 +764,49 @@ def test_apery_reports_and_expand_match_direct_series_oracle(s, data):
                 code = cli.main(["expand", path, *flags]
                                 + ["--json"] * json_output)
             assert code == 0
-            assert out.getvalue() == expand_stdout_by_direct_series(
-                s, resolved, json_output)
+            assert out.getvalue() == expand_stdout_by_series(
+                direct_series(s), resolved, json_output)
+
+
+def indicator_windows(s):
+    """The default window and windows below 0, straddling 0, straddling
+    the conductor c, of a single point and wholly beyond c, near and far."""
+    c, a = s.conductor, len(s.apery)
+    return [s.default_window(), Window((-9, -1)), Window((-4, c // 2)),
+            Window((max(0, c - a), c + a)), Window((-1, -1)), Window((0, 0)),
+            Window((c - 1, c - 1)), Window((c, c)),
+            Window((c + 3, c + 3 * a + 7)),
+            Window((10**6 + c, 10**6 + c + 2 * a))]
+
+
+@pytest.mark.parametrize("s", ONE_POINT_INPUTS, ids=repr)
+def test_indicator_is_the_apery_series_expansion(s):
+    p = apery_series(s)
+    for window in indicator_windows(s):
+        assert list(s.indicator(window)) == p.expand(window), window
+
+
+@pytest.mark.parametrize("s", ONE_POINT_INPUTS, ids=repr)
+def test_expand_renders_as_the_series_expansion(s):
+    model = cli.Model(cli_input(s)["kind"], s)
+    for window in [None, *indicator_windows(s)]:
+        flags = None if window is None else list(window.bounds[0])
+        for json_output in (False, True):
+            code, text = cli._run_expand(model, argparse.Namespace(
+                window=flags, json_output=json_output))
+            assert code == 0
+            assert text + "\n" == expand_stdout_by_series(
+                apery_series(s), window or s.default_window(), json_output)
+
+
+@pytest.mark.parametrize("s", ONE_POINT_INPUTS[::10], ids=repr)
+def test_l_identity_fails_on_a_changed_l_polynomial(s, monkeypatch):
+    # one term more or less on either side of the identity breaks it
+    for n in (0, 1, s.conductor, s.conductor + len(s.apery)):
+        for c in (1, -1):
+            monkeypatch.setattr(onepoint, "l_polynomial", lambda t: (
+                l_polynomial(t) + LaurentPoly({(n,): c}, arity=1)))
+            assert not s.verify("l_identity").passed, (n, c)
 
 
 SEEDED_DELTA_INPUTS = [s for s in ONE_POINT_INPUTS

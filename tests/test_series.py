@@ -147,6 +147,19 @@ def test_equality_with_different_denominator_multisets():
     assert a.equals(b)
 
 
+def test_equality_over_one_denominator_compares_numerators():
+    # over one denominator multiset, in any order, only equal numerators
+    # agree; (1 - t^2)/(1 - t)^2 is (1 + t)/(1 - t) over another one
+    den = [(1,), (3,)]
+    a = RationalGF(L({(0,): 1, (1,): 1}), den)
+    assert a.equals(RationalGF(L({(1,): 1, (0,): 1}), den[::-1]))
+    assert not a.equals(RationalGF(L({(0,): 1, (1,): 2}), den))
+    assert not a.equals(RationalGF(L({(0,): 1}), den))
+    b = RationalGF(L({(0,): 1, (2,): -1}), [(1,), (1,)])
+    assert b.equals(RationalGF(L({(0,): 1, (1,): 1}), [(1,)]))
+    assert not b.equals(RationalGF(L({(0,): 1, (1,): 1}), [(1,), (2,)]))
+
+
 def test_evaluate_exact_rational():
     f = RationalGF(L({(0,): 1, (1,): -1, (2,): 1}), [(1,)])
     # (1 - 2 + 4)/(1 - 2) = -3
@@ -295,6 +308,18 @@ def window_strategy(num, arity):
                             for b, (off, width) in zip(base, bs)]))
 
 
+@settings(max_examples=150)
+@given(st.data())
+def test_equality_matches_cross_multiplication(data):
+    arity = data.draw(st.sampled_from([1, 2]))
+    n1, n2 = data.draw(poly_strategy(arity)), data.draw(poly_strategy(arity))
+    d1 = data.draw(factor_strategy(arity))
+    d2 = data.draw(st.one_of(st.just(d1), factor_strategy(arity)))
+    f, g = RationalGF(n1, d1), RationalGF(n2, d2)
+    assert f.equals(g) == (n1 * g.den_poly() == n2 * f.den_poly())
+    assert f.equals(RationalGF(n1, d1[::-1]))
+
+
 @settings(max_examples=300)
 @given(st.data())
 def test_expand_matches_convolution_oracle(data):
@@ -318,6 +343,24 @@ def test_one_factor_expansion_far_beyond_the_numerator(num, v, offset, width):
     assert RationalGF(num, [(v,)]).expand(window) == [
         sum(c for (e,), c in num.terms() if n >= e and (n - e) % v == 0)
         for (n,) in window.points()]
+
+
+@pytest.mark.parametrize("step", [2, 5, 9])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_row_recurrence_branches_match_convolution(step, extra):
+    # a row of n = step^2 + extra cells adds blocks of step cells when
+    # step^2 > n, else runs step strided prefix sums
+    n = step * step + extra
+    num = L({(0,): 1, (2,): -3, (step + 1,): 2})
+    for den in ([(step,)], [(step,), (step,), (1,)]):
+        f, window = RationalGF(num, den), Window((0, n - 1))
+        got = dict(zip(window.points(), f.expand(window), strict=True))
+        assert got == expand_by_convolution(f, window), den
+    f = RationalGF(L({(0, 0): 1, (1, 3): -2, (0, step): 1}),
+                   [(0, step), (1, step), (0, step)])
+    window = Window((0, 3), (0, n - 1))
+    got = dict(zip(window.points(), f.expand(window), strict=True))
+    assert got == expand_by_convolution(f, window)
 
 
 ONE_VAR = RationalGF(L({(-2,): 3, (0,): -1, (5,): 2}), [(1,), (7,), (7,)])

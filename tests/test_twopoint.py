@@ -492,6 +492,28 @@ def test_support_scans_match_point_scans(seed):
                 oracle.verify(S, check, W), (check, W.bounds)
 
 
+def line_minima_strips():
+    """Seeded strips with genus and period up to 10, the same draws at
+    genus 0 and at period 1, and the symmetric fixtures."""
+    out = [fixture("projective_line"), fixture("elliptic", 2),
+           fixture("elliptic", 3), genus2_line(), strip_4x5()]
+    for seed in range(30):
+        rng = random.Random(f"line-minima:{seed}")
+        g, th = rng.randint(1, 10), rng.randint(1, 10)
+        out += [TwoPointSemigroup.from_members(
+                    genus, period,
+                    random_members(rng, genus, period, rng.randint(1, 4)))
+                for genus, period in ((g, th), (0, th), (g, 1))]
+    return out
+
+
+@pytest.mark.parametrize("S", line_minima_strips(), ids=repr)
+def test_line_minima_and_sigma_match_strip_scans(S):
+    assert (S._colmin, S._rowmin) == oracle.line_minima(S)
+    assert S._sigma_candidate() == oracle.sigma_candidate(S)
+    assert S.gap_class_count() == sum(not x for row in S.strip for x in row)
+
+
 def test_corner_translates_check_compares_two_derivations(monkeypatch):
     # the scanned side asks is_maximal on every class where it can hold,
     # the translated side reads the corner maximals; a corner missing a

@@ -6,8 +6,10 @@ member.  `TwoPointSemigroup` answers the same questions from its two
 line-minimum tables.  The window scans further down visit every window
 point and call the semigroup's own point predicates there, where
 `TwoPointSemigroup` asks each predicate once per class (m1 + m2,
-m1 mod period).  The property tests in test_twopoint.py check each
-pair against each other.
+m1 mod period).  `line_minima` and `sigma_candidate` are the constructor's
+line-minimum tables and the symmetry-point search as they were computed,
+one strip cell or one normalized point at a time.  The property tests
+in test_twopoint.py check each pair against each other.
 """
 
 from functools import cache
@@ -141,6 +143,24 @@ def find_symmetry_point(S, window):
         n for n in window.points()
         if S.contains(n) != (not nabla_union(
             S, (sigma[0] - n[0], sigma[1] - n[1]))))
+
+
+# the strip scans the constructor's tables replaced, one class at a time
+
+def line_minima(S):
+    """(colmin, rowmin): the least member sum of each column class a and
+    each row class b, scanning the sums up from 0; 2g when there is none."""
+    top, th = 2 * S.genus, S.period
+    return (tuple(next((s for s in range(top) if S.strip[s][a]), top)
+                  for a in range(th)),
+            tuple(next((s for s in range(top) if S.strip[s][(s - b) % th]),
+                       top) for b in range(th)))
+
+
+def sigma_candidate(S):
+    """The first corner maximal of sum 2g whose reflection, normalized
+    point by point, maps the corner maximals into themselves."""
+    return _symmetry_point(S.corner_maximals(), S.genus, S.period)
 
 
 # window scans, one predicate call per window point

@@ -11,7 +11,8 @@ one %-format per numerator term, to the bytes that encoding its
 mask one block of 1000 values at a time, to the bytes that encoding the
 `gaps` tuple would give.  A one-point `expand` is the window's
 membership bytes as digits, to the bytes that encoding the expanded
-coefficients would give.  Every other value goes through one encoder.
+coefficients would give, and as text its lines are joined one block of
+1000 values at a time.  Every other value goes through one encoder.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import functools
 import itertools
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -69,7 +71,9 @@ _FIELDS = {
     "delta": {"r": _INTS, "extras": _INTS},
     "two_point_strip": {
         "genus": _INT, "period": _INT,
-        "strip": (_list_of(_list_of(lambda x: type(x) is bool)),
+        # one C-level type scan per row, not a call per cell
+        "strip": (_list_of(lambda row: type(row) is list
+                           and {bool}.issuperset(map(type, row))),
                   "a list of rows of JSON booleans")},
     "two_point": {
         "genus": _INT, "period": _INT,
@@ -281,9 +285,8 @@ def _run_expand(model: Model, cmd):
     if cmd.json_output:
         return 0, ('{"window":' + _dump(window.bounds) + ',"coefficients":['
                    + ",".join(digits) + "]}")
-    (lo, hi), = window.bounds
-    return 0, "\n".join([f"{n}: {d}"
-                         for n, d in zip(range(lo, hi + 1), digits)])
+    (lo, _), = window.bounds
+    return 0, _expand_lines(lo, digits)
 
 
 def _run_verify(model: Model, cmd):
@@ -348,6 +351,36 @@ def _gaps_json(gap, sep: str) -> str:
         if low:
             blocks.append(prefix + low)
     return "[" + sep.join(blocks) + "]"
+
+
+@functools.cache
+def _line_labels():
+    """The labels "n: " of text `expand` lines, bare for the first block
+    and padded to three digits after a later block's prefix; built on
+    first use, so a process that never prints them holds none."""
+    return (tuple(s + ": " for s in _DIGITS),
+            tuple(s + ": " for s in _PAD3))
+
+
+def _expand_lines(lo: int, digits: str) -> str:
+    """The lines "n: d" for n = lo, lo + 1, ... and the digits d,
+    joined by newlines.
+
+    Block q >= 1 of 1000 values is str(q) before each of its padded
+    labels, so the only Python-level step is one per block; a negative
+    n takes its own line."""
+    end = lo + len(digits)
+    parts = [f"{n}: {d}" for n, d in zip(range(lo, min(end, 0)), digits)]
+    bare, padded = _line_labels()
+    n = max(lo, 0)
+    while n < end:
+        q, i = divmod(n, 1000)
+        j = min(i + end - n, 1000)  # the block's labels i, ..., j - 1
+        prefix, labels = (str(q), padded) if q else ("", bare)
+        parts.append(prefix + ("\n" + prefix).join(map(
+            operator.add, labels[i:j], digits[n - lo:n - lo + j - i])))
+        n += j - i
+    return "\n".join(parts)
 
 
 def _report_json(rep: VerificationReport) -> str:

@@ -13,6 +13,7 @@ by the extras) and answer `verify(check)` for the checks their input
 kind has in `checks.KIND_CHECKS`.  The coefficient of P at n is 1 for a
 member n and 0 otherwise, so `indicator(window)` gives P's coefficients
 on a window as membership bytes, and one-point `expand` prints them.
+The symmetry witnesses are one range per residue class of the table.
 Checks read the Apery form P(t) = sum_{w in Ap} t^w / (1 - t^a), a
 numerator terms, not c: it decides the `funceq` signs in O(a), the
 `symmetry` and `funceq` reports carry it, and `indicator` expands it
@@ -43,10 +44,11 @@ class _AperySemigroup:
     `apery[r]` is the least member congruent to r modulo a = len(apery),
     a member: the multiplicity, but for a one-point semigroup the base's
     (<4,6,7> + {3, 9} has multiplicity 3 and the table (0, 9, 6, 3)).
-    Membership, every mask, the conductor (max Ap - a + 1) and the genus
-    (sum of floor(w / a)), which hold modulo any member, come from it;
-    `gap_mask()` and `gaps` are built from a membership mask on each
-    access, at O(c) cost.
+    Membership, every mask, the conductor (max Ap - a + 1), the genus
+    (sum of floor(w / a)) and the symmetry witnesses (one range per
+    class, O(a + W log W) for W witnesses), which hold modulo any member,
+    come from it; `gap_mask()` and `gaps` are built from a membership
+    mask on each access, at O(c) cost.
     """
 
     __slots__ = ("apery", "conductor", "genus")
@@ -85,13 +87,25 @@ class _AperySemigroup:
                                         self.gap_mask()))
 
     def symmetry_witnesses(self):
-        """Values n in [0, c) where n and c-1-n are both in or both out."""
+        """Values n in [0, c) where n and c-1-n are both in or both out,
+        in increasing order.
+
+        Both are never members: their sum c - 1 is a gap.  In the class r
+        of n, with least member w, the partner c-1-n is a gap exactly
+        when n > top = c-1-Ap[(c-1-r) mod a], and top is in class r too.
+        So the class's witnesses are range(top + a, w, a), as w < c + a
+        leaves no value of the class in [c, w): O(a) steps and one sort
+        of the W witnesses."""
         c = self.conductor
         if c == 2 * self.genus:
             return []
-        member = self.mask(c)
-        return list(itertools.compress(
-            range(c), map(operator.eq, member, reversed(member))))
+        apery = self.apery
+        a = len(apery)
+        k = (c - 1) % a
+        # top + a for r = 0, ..., a-1, from Ap[(c-1-r) mod a]
+        starts = [c - 1 + a - p for p in apery[k::-1] + apery[:k:-1]]
+        return sorted(itertools.chain.from_iterable(
+            map(range, starts, apery, itertools.repeat(a))))
 
     def is_symmetric(self):
         # every member n < c pairs with the gap c-1-n, so g >= c/2,

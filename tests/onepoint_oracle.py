@@ -37,6 +37,14 @@ encoder or one f-string line each.  The CLI now prints the window's
 membership bytes (`indicator(window)`) as digits; test_onepoint.py
 checks the renderings byte for byte.
 
+`expand_lines_per_point` is the text of one-point `expand` as the CLI
+rendered it from those digits, one f-string per line; the CLI now
+renders a block of 1000 values per Python-level step.
+
+`symmetry_witnesses_by_scan` lists the symmetry witnesses by comparing
+the membership mask on [0, c) with its reverse, an O(c) walk; the
+library reads them off the Apery table, two ranges per residue class.
+
 `base_plus_extras_mask` and `base_or_extra` are the membership of a
 one-point semigroup as it was read before it shared the Apery-set class:
 the base's mask with the extras set, and "in the base or an extra".
@@ -57,6 +65,7 @@ library's L-polynomial with their difference.
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 from wsemigroups import LaurentPoly, RationalGF, VerificationReport, Window
@@ -154,6 +163,22 @@ def expand_stdout_by_series(series, window, json_output):
                           separators=(",", ":")) + "\n"
     return "\n".join(f"{n}: {v}" for (n,), v in
                      zip(window.points(), values)) + "\n"
+
+
+def expand_lines_per_point(lo, digits):
+    """The lines "n: d" for n = lo, lo + 1, ... and the digits d."""
+    return "\n".join([f"{n}: {d}"
+                      for n, d in zip(range(lo, lo + len(digits)), digits)])
+
+
+def symmetry_witnesses_by_scan(semigroup):
+    """The n in [0, c) where n and c-1-n are both members or both gaps."""
+    c = semigroup.conductor
+    if c == 2 * semigroup.genus:
+        return []
+    member = semigroup.mask(c)
+    return list(itertools.compress(
+        range(c), map(operator.eq, member, reversed(member))))
 
 
 def base_plus_extras_mask(ops, hi):

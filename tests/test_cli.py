@@ -133,6 +133,23 @@ def test_parse_rejects_string_strip_row(tmp_path, capsys):
         "strip")
 
 
+@pytest.mark.parametrize("strip, got", [
+    ([[True, False], [False, 1]], "[[true, false], [false, 1]]"),
+    ([[True, False], [None]], "[[true, false], [null]]"),
+    ([[True, False], 7], "[[true, false], 7]"),
+    ([[True, False], {"0": True}], '[[true, false], {"0": true}]'),
+    ({"0": [True]}, '{"0": [true]}'),
+])
+def test_strip_shape_error_text(strip, got):
+    data = json.dumps({"kind": "two_point_strip", "genus": 1, "period": 2,
+                       "strip": strip}).encode()
+    with pytest.raises(wsemigroups.InputError) as exc:
+        parse_input(data)
+    assert str(exc.value) == (
+        "malformed 'two_point_strip' input: 'strip' must be a list of rows"
+        f" of JSON booleans, got {got}")
+
+
 def test_parse_rejects_float_genus(tmp_path, capsys):
     exits_2_naming(
         tmp_path, capsys,

@@ -49,7 +49,8 @@ from wsemigroups.onepoint import (
     series_first_difference,
 )
 from onepoint_oracle import (base_or_extra, base_plus_extras_mask,
-                             closure_sieve, expand_stdout_by_series,
+                             closure_sieve, expand_lines_per_point,
+                             expand_stdout_by_series,
                              funceq_by_direct_series,
                              indicator_by_direct_series,
                              l_identity_by_cross_multiplication,
@@ -57,7 +58,8 @@ from onepoint_oracle import (base_or_extra, base_plus_extras_mask,
                              paper_product_by_addition,
                              representation_counts, series_modes_by_expansion,
                              sieved, signs_by_cross_multiplication,
-                             symmetry_by_direct_series)
+                             symmetry_by_direct_series,
+                             symmetry_witnesses_by_scan)
 
 
 def sieve_membership(gens):
@@ -187,7 +189,47 @@ def delta_semigroups_with_extras(draw):
 @settings(max_examples=150)
 @given(st.one_of(numerical_semigroups(), delta_semigroups_with_extras()))
 def test_is_symmetric_matches_witness_scan(s):
-    assert s.is_symmetric() == (not s.symmetry_witnesses())
+    witnesses = s.symmetry_witnesses()
+    assert s.is_symmetric() == (not witnesses)
+    assert witnesses == symmetry_witnesses_by_scan(s)
+
+
+@pytest.mark.parametrize("s", [
+    NumericalSemigroup([1]), OnePointSemigroup([1]),  # a = 1, c = 0
+    NumericalSemigroup([2, 3]), NumericalSemigroup([2, 101]),  # a = 2
+    NumericalSemigroup([3, 4]), NumericalSemigroup([4, 6, 7]),
+    OnePointSemigroup([4, 6, 7], [3, 9]),  # Apery modulus 4, multiplicity 3
+    NumericalSemigroup([997, 1009])], ids=repr)
+def test_symmetric_inputs_have_no_witnesses(s):
+    assert s.is_symmetric()
+    assert s.symmetry_witnesses() == [] == symmetry_witnesses_by_scan(s)
+
+
+def large_non_symmetric_inputs():
+    """Three named numerical semigroups with multiplicity up to 1500 and
+    conductor up to 5 * 10^5, two seeded ones, and a free chain of
+    conductor 63,000 with its gaps from 62,500 on added as extras."""
+    rng = random.Random(25)
+    out = [NumericalSemigroup(g) for g in ((320, 431, 509), (997, 1009, 1013),
+                                           (1500, 1501, 1999))]
+    while len(out) < 5:
+        a = rng.randint(200, 1500)
+        s = NumericalSemigroup([a, *rng.sample(range(a + 1, 2 * a), 2)])
+        if s.conductor <= 5 * 10**5 and not s.is_symmetric():
+            out.append(s)
+    base = DeltaSequence([1000, 1025, 1001])
+    out.append(OnePointSemigroup(
+        base, [n for n in base.semigroup.gaps if n >= 62500]))
+    return out
+
+
+def test_large_apery_witnesses_match_the_scan():
+    inputs = large_non_symmetric_inputs()
+    assert inputs[-1].base.semigroup.conductor == 63000
+    for s in inputs:
+        assert len(s.apery) <= 1500 and s.conductor <= 5 * 10**5
+        witnesses = s.symmetry_witnesses()
+        assert witnesses and witnesses == symmetry_witnesses_by_scan(s), s
 
 
 @settings(max_examples=100)
@@ -599,6 +641,18 @@ def test_functional_equation_requires_symmetry():
         functional_equation_signs(NumericalSemigroup([3, 4, 5]))
 
 
+@pytest.mark.parametrize("s", [
+    NumericalSemigroup([3, 4, 5]), NumericalSemigroup([5, 7, 9]),
+    OnePointSemigroup([4, 6, 7], [9]), OnePointSemigroup([6, 9, 10], [23])],
+    ids=repr)
+def test_not_symmetric_message_lists_the_scanned_witnesses(s):
+    with pytest.raises(NotSymmetric) as exc:
+        functional_equation_signs(s)
+    assert str(exc.value) == (
+        "functional equation needs a symmetric semigroup; "
+        f"witnesses {symmetry_witnesses_by_scan(s)}")
+
+
 def test_symmetric_membership_pairing():
     # for symmetric S, exactly one of n and 2g-1-n is a member
     for gens in ([2, 3], [2, 5], [3, 4], [3, 5], [4, 6, 7]):
@@ -797,6 +851,57 @@ def test_expand_renders_as_the_series_expansion(s):
             assert code == 0
             assert text + "\n" == expand_stdout_by_series(
                 apery_series(s), window or s.default_window(), json_output)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-25, -1), (-1, -1), (-1001, 2), (-3, 999), (0, 0), (998, 1002),
+    (999, 999), (1000, 1000), (1001, 1001), (999, 2001), (1079, 3240),
+    (5000, 7100), (123456, 130000), (10**9 - 3, 10**9 + 1001)])
+def test_text_expand_matches_the_per_line_renderer(lo, hi):
+    s = NumericalSemigroup([31, 37])  # c = 1080
+    model = cli.Model("numerical", s)
+    digits = s.indicator(Window((lo, hi))).translate(
+        bytes.maketrans(b"\0\1", b"01")).decode()
+    code, text = cli._run_expand(model, argparse.Namespace(
+        window=[lo, hi], json_output=False))
+    assert code == 0 and text == expand_lines_per_point(lo, digits)
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.integers(-2500, 2500), st.integers(10**9, 10**9 + 10**4)),
+       st.text(alphabet="012", max_size=2600))
+@example(1001, "")
+def test_block_renderer_matches_the_per_line_renderer(lo, digits):
+    assert cli._expand_lines(lo, digits) == expand_lines_per_point(lo, digits)
+
+
+# numerical and delta inputs with extras (test_seeded_inputs_cover_every_kind)
+NON_SYMMETRIC_INPUTS = [s for s in ONE_POINT_INPUTS if not s.is_symmetric()]
+
+
+@pytest.mark.parametrize("s", NON_SYMMETRIC_INPUTS, ids=repr)
+def test_cli_symmetry_reports_match_the_scan_oracle(s, monkeypatch,
+                                                    tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(cli_input(s)))
+
+    def outputs():
+        found = []
+        for check, flags in itertools.product(("symmetry", "funceq", "all"),
+                                              ([], ["--json"])):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["verify", str(path), "--check", check,
+                                 *flags])
+            found.append((code, out.getvalue()))
+        return found
+
+    new = outputs()
+    assert all(code == 1 for code, _ in new)
+    for cls in (NumericalSemigroup, OnePointSemigroup):
+        monkeypatch.setattr(cls, "symmetry_witnesses",
+                            symmetry_witnesses_by_scan)
+    assert outputs() == new
 
 
 @pytest.mark.parametrize("s", ONE_POINT_INPUTS[::10], ids=repr)

@@ -13,13 +13,17 @@ by the extras) and answer `verify(check)` for the checks their input
 kind has in `checks.KIND_CHECKS`.  The coefficient of P at n is 1 for a
 member n and 0 otherwise, so `indicator(window)` gives P's coefficients
 on a window as membership bytes, and one-point `expand` prints them.
-The symmetry witnesses are one range per residue class of the table.
-Checks read the Apery form P(t) = sum_{w in Ap} t^w / (1 - t^a), a
-numerator terms, not c: it decides the `funceq` signs in O(a), the
-`symmetry` and `funceq` reports carry it, and `indicator` expands it
-(delta product plus extras on a one-point semigroup) against the
-membership bytes.  Of the checks only `l_identity` builds the O(c)
-L-polynomial.
+The symmetry witnesses and the L-polynomial's run starts and ends are
+one range per residue class of the table.  Checks read the Apery form
+P(t) = sum_{w in Ap} t^w / (1 - t^a), a numerator terms, not c: it
+decides the `funceq` signs in O(a), and the `symmetry` and `funceq`
+reports carry it.  `indicator` (the Apery form, or the delta product
+plus extras on a one-point semigroup) and `delta_product` divide their
+series' numerator exactly by every denominator factor but 1 - t^a; a
+series that reduces so to the Apery form is P, so it passes on every
+window with nothing expanded, and only a series that does not is
+expanded on the window against the membership bytes.  Of the checks
+only `l_identity` builds the L-polynomial, with its O(g) terms.
 """
 
 from __future__ import annotations
@@ -361,27 +365,78 @@ class OnePointSemigroup(_AperySemigroup):
 
 def _indicator_report(check, series, semigroup, window) -> VerificationReport:
     """Where the expansion of series on the window is not the membership
-    indicator of semigroup."""
-    (lo, hi), = window.bounds
-    witnesses = tuple(itertools.compress(range(lo, hi + 1), map(
-        operator.ne, series.expand(window), semigroup.indicator(window))))
+    indicator of semigroup.  A series that reduces exactly to the Apery
+    form is P itself, whose expansion is the indicator on every window,
+    so it passes with nothing expanded; any other series is expanded on
+    the window and compared point by point."""
+    witnesses = ()
+    if not _reduces_to_apery_form(series, semigroup, window):
+        (lo, hi), = window.bounds
+        witnesses = tuple(itertools.compress(range(lo, hi + 1), map(
+            operator.ne, series.expand(window), semigroup.indicator(window))))
     return VerificationReport(check, not witnesses, witnesses, window.bounds,
                               {}, series)
+
+
+def _reduces_to_apery_form(series, semigroup, window) -> bool:
+    """Whether series = N / ((1 - t^a) prod_v (1 - t^v)), a = len(apery),
+    with N divided exactly by every (1 - t^v) to sum_{w in Ap} t^w, the
+    Apery form's numerator.
+
+    Q (1 - t^v) = N is solved per residue class modulo v: Q is the
+    running sum of the class's coefficients of N, from each of its
+    exponents up to the next, and the division is exact when every
+    class sums to 0.  The quotients lay out no more terms, all told,
+    than the grid [min N, window top] that expand would fill; a
+    division past that answers False, as does an inexact one."""
+    apery = semigroup.apery
+    den = list(series.den)
+    if (len(apery),) not in den:
+        return False
+    den.remove((len(apery),))
+    terms = {e: c for (e,), c in series.num._terms.items()}
+    (_, hi), = window.bounds
+    budget = max(0, hi - min(terms, default=hi)) + 1
+    for (v,) in den:
+        classes = {}
+        for e in sorted(terms):
+            classes.setdefault(e % v, []).append(e)
+        runs = []
+        for exps in classes.values():
+            run = 0
+            for e, nxt in zip(exps, exps[1:]):
+                run += terms[e]
+                if run:
+                    runs.append((e, nxt, run))
+            if run + terms[exps[-1]]:
+                return False
+        budget -= sum((nxt - e) // v for e, nxt, _ in runs)
+        if budget < 0:
+            return False
+        terms = {}
+        for e, nxt, run in runs:
+            terms.update(dict.fromkeys(range(e, nxt, v), run))
+    return terms == dict.fromkeys(apery, 1)
 
 
 def l_polynomial(semigroup) -> LaurentPoly:
     """The L-polynomial (1 - t) P(t) = t^c + (1 - t) sum_{n in S, n < c} t^n.
 
     It is the numerator of P over (1 - t).  Its coefficient at t^n is
-    the jump [n in S] - [n - 1 in S] of the membership indicator on
-    [0, c]: +1 where a run of members starts (the first at 0), -1 where
-    one ends (the last, through c, never)."""
-    member = semigroup.mask(semigroup.conductor + 1)
-    terms, start = {}, 0
-    while (end := member.find(0, start)) >= 0:
-        terms[(start,)], terms[(end,)] = 1, -1
-        start = member.find(1, end)
-    terms[(start,)] = 1
+    the jump [n in S] - [n - 1 in S] of the membership indicator: +1
+    where a run of members starts (the first at 0), -1 where one ends
+    (the last, from c on, never).  Both are read off the Apery table,
+    one range per residue class r: with p = Ap[r - 1] the least member
+    of the class of n - 1, runs start at the members n <= p of class r,
+    range(Ap[r], p + 1, a), and end at its gaps n > p, range(p + 1,
+    Ap[r], a), as p + 1 lies in class r."""
+    apery = semigroup.apery
+    after = [p + 1 for p in apery[-1:] + apery[:-1]]
+    terms = {}
+    for lows, highs, jump in ((apery, after, 1), (after, apery, -1)):
+        runs = itertools.chain.from_iterable(
+            map(range, lows, highs, itertools.repeat(len(apery))))
+        terms.update(zip(zip(sorted(runs)), itertools.repeat(jump)))
     return LaurentPoly._trusted(terms, 1)
 
 

@@ -21,6 +21,18 @@ which cross-multiplies sparse polynomials.  The library decides both on
 the Apery form, with a numerator terms, instead; test_onepoint.py checks
 the two against each other.
 
+`indicator_report_by_expansion` builds the `indicator` and
+`delta_product` reports by expanding the series on the window and
+comparing it with the membership bytes point by point.  The library
+first divides the series' numerator down to the Apery form, and passes
+a series that reduces to it with nothing expanded; test_onepoint.py
+checks the two reports equal on seeded, perturbed and unreducible
+series.
+
+`l_polynomial_by_mask` reads the L-polynomial's run starts and ends off
+the membership mask on [0, c] with `bytearray.find`; the library reads
+them off the Apery table, one range per residue class.
+
 `indicator_by_direct_series`, `symmetry_by_direct_series` and
 `funceq_by_direct_series` build those reports as they were built before
 they carried the Apery form: the indicator expands `direct_series`, the
@@ -69,10 +81,9 @@ import operator
 from dataclasses import dataclass
 
 from wsemigroups import LaurentPoly, RationalGF, VerificationReport, Window
-from wsemigroups.onepoint import (_indicator_report, _matching_sign,
-                                  direct_series, l_polynomial,
-                                  poincare_delta_product, poincare_direct,
-                                  poincare_onepoint)
+from wsemigroups.onepoint import (_matching_sign, direct_series,
+                                  l_polynomial, poincare_delta_product,
+                                  poincare_direct, poincare_onepoint)
 
 _ONE_MINUS_T = LaurentPoly({(0,): 1, (1,): -1})
 
@@ -129,9 +140,31 @@ def signs_by_cross_multiplication(semigroup):
     return _matching_sign(lpoly, rhs_l), _matching_sign(p, rhs_p)
 
 
+def indicator_report_by_expansion(check, series, semigroup, window):
+    """The report of `check`: the points of the window where the
+    expansion of series is not the membership indicator of semigroup."""
+    (lo, hi), = window.bounds
+    witnesses = tuple(itertools.compress(range(lo, hi + 1), map(
+        operator.ne, series.expand(window), semigroup.indicator(window))))
+    return VerificationReport(check, not witnesses, witnesses, window.bounds,
+                              {}, series)
+
+
 def indicator_by_direct_series(semigroup, window):
-    return _indicator_report("indicator", direct_series(semigroup),
-                             semigroup, window)
+    return indicator_report_by_expansion("indicator", direct_series(semigroup),
+                                         semigroup, window)
+
+
+def l_polynomial_by_mask(semigroup):
+    """The L-polynomial from the membership mask on [0, c]: +1 at each
+    run of members' start, -1 at its end, found by `bytearray.find`."""
+    member = semigroup.mask(semigroup.conductor + 1)
+    terms, start = {}, 0
+    while (end := member.find(0, start)) >= 0:
+        terms[(start,)], terms[(end,)] = 1, -1
+        start = member.find(1, end)
+    terms[(start,)] = 1
+    return LaurentPoly._trusted(terms, 1)
 
 
 def symmetry_by_direct_series(semigroup):

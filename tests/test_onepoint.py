@@ -39,6 +39,7 @@ from wsemigroups.onepoint import (
     NumericalSemigroup,
     OnePointSemigroup,
     _indicator_report,
+    _reduces_to_apery_form,
     apery_series,
     direct_series,
     functional_equation_signs,
@@ -53,7 +54,9 @@ from onepoint_oracle import (base_or_extra, base_plus_extras_mask,
                              expand_stdout_by_series,
                              funceq_by_direct_series,
                              indicator_by_direct_series,
+                             indicator_report_by_expansion,
                              l_identity_by_cross_multiplication,
+                             l_polynomial_by_mask,
                              l_polynomial_comparison, l_polynomial_paper,
                              paper_product_by_addition,
                              representation_counts, series_modes_by_expansion,
@@ -251,15 +254,15 @@ def test_mask_readers_match_membership_scans(s):
 
 
 @st.composite
-def indicator_cases(draw):
-    """A semigroup, its direct series with a few coefficients changed
-    (negative exponents included) and a window that starts below 0, cuts
-    the conductor or lies wholly above it."""
+def indicator_cases(draw, series_of=direct_series):
+    """A semigroup, its series (the direct one by default) with a few
+    coefficients changed (negative exponents included) and a window that
+    starts below 0, cuts the conductor or lies wholly above it."""
     s = draw(st.one_of(numerical_semigroups(), delta_semigroups_with_extras()))
     c = s.conductor
     changes = draw(st.dictionaries(st.integers(-6, c + 12),
                                    st.integers(-2, 2), max_size=3))
-    series = direct_series(s) + LaurentPoly(
+    series = series_of(s) + LaurentPoly(
         {(e,): v for e, v in changes.items()}, arity=1)
     lo, hi = draw(st.sampled_from([(-12, -1), (0, c - 1), (c, c + 10)]))
     lo = draw(st.integers(lo, max(lo, hi)))
@@ -268,15 +271,20 @@ def indicator_cases(draw):
 
 
 @settings(max_examples=150)
-@given(indicator_cases())
+@given(st.one_of(indicator_cases(), indicator_cases(apery_series)))
 def test_indicator_witnesses_match_point_scan(case):
-    # the per-point scan the mask comparison replaced; expand itself is
-    # checked against the convolution oracle in test_series.py
+    # the per-point scan the mask comparison replaced, and the expansion
+    # oracle: a changed series reduces to no Apery form and is expanded,
+    # an unchanged one (no changes drawn) passes unexpanded; expand
+    # itself is checked against the convolution oracle in test_series.py
     s, series, window = case
     coeffs = dict(zip(window.points(), series.expand(window), strict=True))
     scan = tuple(n for (n,) in window.points()
                  if coeffs[(n,)] != int(s.contains(n)))
-    assert _indicator_report("indicator", series, s, window).witnesses == scan
+    report = _indicator_report("indicator", series, s, window)
+    assert report.witnesses == scan
+    assert report == indicator_report_by_expansion("indicator", series, s,
+                                                   window)
 
 
 @settings(max_examples=100)
@@ -327,6 +335,61 @@ def test_indicator_costs_its_window_not_the_conductor():
         tracemalloc.stop()
     assert peak < 100_000
     assert near == b"\1\0" * 3 + b"\1" * 6 and far == b"\1" * 11
+
+
+def traced_peak(call):
+    """call()'s result and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the free chain r_i = 2^(10-i) 3^i with every d_i = 2: 1024 numerator
+# terms over 11 factors, conductor 173,052
+CHAIN_1024 = [2 ** (10 - i) * 3 ** i for i in range(11)]
+
+
+def test_far_delta_indicator_lays_out_no_grid():
+    # expanding the delta product would fill a grid of 10^9 cells
+    s = OnePointSemigroup([4, 6, 13])
+    report, peak = traced_peak(
+        lambda: s.verify("indicator", Window((10**9, 10**9 + 10))))
+    assert report.passed and report.witnesses == ()
+    assert report.window == ((10**9, 10**9 + 10),)
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("make, check, bound", [
+    (lambda: NumericalSemigroup([997, 1009]), "indicator", 1_000_000),
+    (lambda: OnePointSemigroup(CHAIN_1024), "indicator", 2_000_000),
+    (lambda: OnePointSemigroup(CHAIN_1024), "delta_product", 2_000_000)],
+    ids=["997-1009-indicator", "chain-indicator", "chain-delta_product"])
+def test_default_window_checks_lay_out_no_grid(make, check, bound):
+    # the default windows span 3.0 * 10^6, 5.2 * 10^5 and 3.5 * 10^5
+    # points; the grids once laid out over them peaked at 72, 12.6 and
+    # 8.4 MB
+    s = make()
+    report, peak = traced_peak(lambda: s.verify(check))
+    assert report.passed and report.witnesses == ()
+    assert peak < bound
+
+
+def test_apery_reduction_lays_out_no_more_than_the_grid():
+    # (1 - t^12)(1 - t^14) / ((1 - t^4)(1 - t^6)(1 - t^7)): dividing by
+    # 1 - t^6 lays out 1 + t^6 - t^14 - t^20, by 1 - t^7 then the
+    # 4 terms of the Apery numerator 1 + t^6 + t^7 + t^13, 8 in all
+    s = OnePointSemigroup([4, 6, 7])
+    series = poincare_onepoint(s)
+    assert _reduces_to_apery_form(series, s, Window((0, 7)))
+    assert not _reduces_to_apery_form(series, s, Window((0, 6)))
+    assert not _reduces_to_apery_form(series, s, Window((-9, -1)))
+    assert _indicator_report("indicator", series, s, Window((0, 6))).passed
+    # no factor 1 - t^a, or an inexact division: no reduction
+    assert not _reduces_to_apery_form(poincare_direct(s), s, Window((0, 99)))
+    inexact = RationalGF(series.num + LaurentPoly({(1,): 1}), series.den)
+    assert not _reduces_to_apery_form(inexact, s, Window((0, 99)))
 
 
 def test_symmetric_means_conductor_twice_genus():
@@ -606,6 +669,28 @@ def test_l_polynomial_whole_line():
     assert l_polynomial(NumericalSemigroup([1])) == LaurentPoly.one(1)
 
 
+@settings(max_examples=150)
+@given(st.one_of(numerical_semigroups(), delta_semigroups_with_extras()))
+def test_l_polynomial_matches_the_mask_walk(s):
+    assert l_polynomial(s) == l_polynomial_by_mask(s)
+
+
+@pytest.mark.parametrize("s, symmetric", [
+    (NumericalSemigroup([1]), True), (OnePointSemigroup([1]), True),  # a = 1
+    (NumericalSemigroup([2, 3]), True), (NumericalSemigroup([2, 101]), True),
+    (NumericalSemigroup([4, 6, 7]), True),
+    (NumericalSemigroup([3, 4, 5]), False),
+    (NumericalSemigroup([5, 7, 9]), False),
+    (OnePointSemigroup([4, 6, 7], [3, 9]), True),
+    (OnePointSemigroup([4, 6, 7], [9]), False),
+    (NumericalSemigroup([997, 1009]), True)], ids=repr)
+def test_l_polynomial_cases_match_the_mask_walk(s, symmetric):
+    lpoly = l_polynomial(s)
+    assert lpoly == l_polynomial_by_mask(s)
+    assert s.is_symmetric() == symmetric
+    assert (lpoly.reverse().shift((2 * s.genus,)) == lpoly) == symmetric
+
+
 def test_l_is_one_minus_t_times_poincare():
     one_minus_t = LaurentPoly({(0,): 1, (1,): -1})
     for gens in ([2, 3], [2, 5], [3, 4], [4, 6, 7], [3, 4, 5]):
@@ -838,6 +923,49 @@ def test_indicator_is_the_apery_series_expansion(s):
     p = apery_series(s)
     for window in indicator_windows(s):
         assert list(s.indicator(window)) == p.expand(window), window
+
+
+def unreducible_series(series, s):
+    """Series of the same value as P or near it that the indicator report
+    must expand: P + t^k (every factor divides its numerator, which still
+    is not the Apery numerator), a numerator that 1 - t^(a+1) does not
+    divide, and P over 1 - t, with no factor 1 - t^a once a > 1."""
+    a, k = len(s.apery), s.conductor + 1
+    bump = LaurentPoly({(k,): 1})
+    return [series + bump,
+            RationalGF(series.num * LaurentPoly({(0,): 1, (a + 1,): -1})
+                       + bump, [*series.den, (a + 1,)]),
+            poincare_direct(s)]
+
+
+@pytest.mark.parametrize("s", ONE_POINT_INPUTS[::3], ids=repr)
+def test_indicator_reports_match_the_expansion_oracle(s):
+    own = poincare_onepoint(s) if isinstance(s, OnePointSemigroup) \
+        else apery_series(s)
+    assert s.verify("indicator") == indicator_report_by_expansion(
+        "indicator", own, s, s.default_window())
+    pairs = [(own, s)]
+    if isinstance(s, OnePointSemigroup):
+        base = s.base.semigroup
+        product = poincare_delta_product(s.base)
+        assert s.verify("delta_product") == indicator_report_by_expansion(
+            "delta_product", product, base,
+            Window((0, max(2 * base.conductor, 8))))
+        pairs.append((product, base))
+    for series, sg in pairs:
+        _, *near, far = indicator_windows(sg)
+        for candidate in (series, *unreducible_series(series, sg)):
+            for window in near:
+                assert _indicator_report("x", candidate, sg, window) == \
+                    indicator_report_by_expansion("x", candidate, sg, window)
+        # far out the one-factor Apery form is the oracle's cheap stand-in
+        # for a series of the same value, which it would expand from 0
+        for window in (far, Window((10**9, 10**9 + 2 * len(sg.apery)))):
+            expected = indicator_report_by_expansion(
+                "x", apery_series(sg), sg, window)
+            assert expected.passed
+            assert _indicator_report("x", series, sg, window) == \
+                replace(expected, series=series)
 
 
 @pytest.mark.parametrize("s", ONE_POINT_INPUTS, ids=repr)

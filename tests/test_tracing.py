@@ -29,7 +29,7 @@ PKG = types.SimpleNamespace(cli=cli, onepoint=onepoint, series=series,
 INPUTS = {
     "numerical": ({"kind": "numerical", "generators": [3, 4, 5]}, {
         "onepoint.NumericalSemigroup", "onepoint.symmetry_witnesses",
-        "onepoint.l_polynomial", "series.RationalGF.expand"}),
+        "onepoint.l_polynomial", "series.LaurentPoly.mul"}),
     "delta": ({"kind": "delta", "r": [4, 6, 7]}, {
         "onepoint.DeltaSequence", "onepoint.OnePointSemigroup",
         "onepoint.symmetry_witnesses", "onepoint.l_polynomial",

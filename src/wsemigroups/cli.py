@@ -11,8 +11,10 @@ one %-format per numerator term, to the bytes that encoding its
 mask one block of 1000 values at a time, to the bytes that encoding the
 `gaps` tuple would give.  A one-point `expand` is the window's
 membership bytes as digits, to the bytes that encoding the expanded
-coefficients would give, and as text its lines are joined one block of
-1000 values at a time.  Every other value goes through one encoder.
+coefficients would give: as `--json` the digit bytes are written
+between its commas by one strided write, and as text its lines are
+joined one block of 1000 values at a time.  Every other value goes
+through one encoder.
 """
 
 from __future__ import annotations
@@ -281,11 +283,11 @@ def _run_expand(model: Model, cmd):
         return 0, "\n".join([head, *map("{}: {}".format,
                                          range(lo1, hi1 + 1), rows)])
     # every one-point coefficient is a membership byte, one digit each
-    digits = model.semigroup.indicator(window).translate(_BIT_DIGITS).decode()
+    digits = model.semigroup.indicator(window).translate(_BIT_DIGITS)
     if cmd.json_output:
-        return 0, ('{"window":' + _dump(window.bounds) + ',"coefficients":['
-                   + ",".join(digits) + "]}")
+        return 0, _coefficients_json(window, digits)
     (lo, _), = window.bounds
+    digits = digits.decode()  # the bytes go before the lines are built
     return 0, _expand_lines(lo, digits)
 
 
@@ -351,6 +353,18 @@ def _gaps_json(gap, sep: str) -> str:
         if low:
             blocks.append(prefix + low)
     return "[" + sep.join(blocks) + "]"
+
+
+def _coefficients_json(window: Window, digits: bytes) -> str:
+    """The `--json` output of one-point `expand`, the digit bytes
+    written one strided slice between the commas."""
+    head = ('{"window":' + _dump(window.bounds) + ',"coefficients":[').encode()
+    n, at = len(digits), len(head)
+    out = bytearray(b",") * (at + 2 * n + 1)
+    out[:at] = head
+    out[at:at + 2 * n - 1:2] = digits
+    out[-2:] = b"]}"
+    return out.decode()
 
 
 @functools.cache

@@ -10,9 +10,11 @@ the members below a point on its column or row.  Every pointwise
 predicate is thus written once, as a function of a point's class read
 off the strip and those two tables, and the point methods only reduce
 a point to its class.  Window scans and checks ask each class once, so
-they cost O(g * period + witnesses + output), not the window's area;
-expand lays out one digit string per column class and slices each row
-from it, O(g * period + rows) Python steps.
+they cost O(g * period + witnesses + output), not the window's area.
+expand reads dim_jump on every class of the band off one byte table
+laid out by O(g + period) strided runs, writes one digit string per
+column class from it and slices each row from that string,
+O(g + period + rows) Python steps.
 
 Two dimension functions are deliberately kept side by side: dim_jump
 mirrors the sheaf dimension ell(m) - ell(m-1) through one-sided jumps
@@ -25,7 +27,7 @@ measures that instead of hiding it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import compress, repeat
+from itertools import compress
 
 from .checks import KIND_CHECKS, VerificationReport, verify
 from .errors import (AxiomViolation, InvalidSemigroup, WindowTooSmall,
@@ -33,6 +35,7 @@ from .errors import (AxiomViolation, InvalidSemigroup, WindowTooSmall,
 from .series import LaurentPoly, RationalGF, Window
 
 CHECKS = KIND_CHECKS["two-point"]
+_JUMP_DIGITS = bytes.maketrans(b"\0\1\2", b"012")  # a jump byte as its digit
 
 
 def interior_region(window: Window) -> Window:
@@ -259,26 +262,49 @@ class TwoPointSemigroup:
 
     # the window table
 
+    def _d_table(self):
+        """_d on every class (s, a) of the sums [0, 2g], as bytes at
+        s * period + a.  [s >= C(a)] is one strided run per column class;
+        [s - 1 >= R(b)] is one per row class, laid out at s * period + b
+        and turned to a-order row by row, as b = s - a; the two 0/1 byte
+        strings add as integers without a carry.  O(g + period) steps."""
+        th, top = self.period, 2 * self.genus
+        size = th * (top + 1)
+        col, row = bytearray(size), bytearray(size)
+        for a, c in enumerate(self._colmin):
+            col[c * th + a::th] = b"\1" * (top + 1 - c)
+        for b, r in enumerate(self._rowmin):
+            row[(r + 1) * th + b::th] = b"\1" * (top - r)
+        row = b"".join([line[s % th::-1] + line[:s % th:-1] for s, line in
+                        enumerate(row[i:i + th] for i in range(0, size, th))])
+        return (int.from_bytes(col, "big")
+                + int.from_bytes(row, "big")).to_bytes(size, "big")
+
     def dim_jump_digits(self, window: Window, sep=""):
         """dim_jump on the window, one string per m1 (m2 ascending), its
         digits 0-2 joined by sep.  Each column class of the window lays
-        out its digits, each followed by sep, once over the sums [0, 2g],
-        padded with one row's width of 0 below and of 2 above; row m1 is
-        one slice of its class's string, from the sum m1 + lo2, and a row
-        wholly below 0 or above 2g is one shared pad.  O(g * period +
-        rows) steps and O(g * period + output) memory."""
+        out its digits, each followed by sep, once over the sums [0, 2g]
+        by one strided write from _d_table, padded with one row's width
+        of 0 below and of 2 above; row m1 is one slice of its class's
+        string, from the sum m1 + lo2, and a row wholly below 0 or above
+        2g is one shared pad.  O(g + period + rows) steps and
+        O(g * period + output) memory."""
         (lo1, hi1), (lo2, hi2) = window.bounds
         th, top, lo = self.period, 2 * self.genus, lo1 + lo2
         w, n, count = 1 + len(sep), hi2 - lo2 + 1, hi1 - lo1 + 1
         zeros, twos, cut = ("0" + sep) * n, ("2" + sep) * n, w * n - len(sep)
-        digit = ("0" + sep, "1" + sep, "2" + sep)
         # rows [first, last) meet the sums [0, 2g]; the class of row i
         # sits at (i - first) % period and its sum s at w * (s + n)
         first = min(max(0, 1 - n - lo), count)
         last = min(max(first, top + 1 - lo), count)
-        lines = [zeros + "".join([digit[d] for d in map(
-                     self._d, range(top + 1), repeat(a))]) + twos
-                 for a in range(lo1 + first, lo1 + min(last, first + th))]
+        lines = []
+        if first < last:  # the table only serves rows that meet the band
+            table = self._d_table().translate(_JUMP_DIGITS)
+            cell = ("0" + sep).encode()
+            cells = bytearray(cell * (top + 1))
+            for a in range(lo1 + first, lo1 + min(last, first + th)):
+                cells[::len(cell)] = table[a % th::th]
+                lines.append(zeros + cells.decode() + twos)
         return ([zeros[:cut]] * first
                 + [lines[(i - first) % th][w * (lo + n + i):
                                            w * (lo + n + i) + cut]

@@ -968,10 +968,23 @@ def test_indicator_reports_match_the_expansion_oracle(s):
                 replace(expected, series=series)
 
 
-@pytest.mark.parametrize("s", ONE_POINT_INPUTS, ids=repr)
+# windows across each width of n in the text lines (9 | 10, ...,
+# 10^9 - 1 | 10^9, and -10^9 | -10^9 + 1, ..., -10 | -9), of a single
+# point, wholly negative, straddling 0 and near 10^9
+RENDER_WINDOWS = [
+    *((10**k - 5, 10**k + 5) for k in range(1, 10)),
+    *((-10**k - 5, -10**k + 5) for k in range(1, 10)),
+    (0, 0), (-1, -1), (9, 9), (10, 10), (999, 999), (1000, 1000),
+    (10**5, 10**5), (10**9, 10**9), (-25, -1), (-10**9 - 3, -10**9 + 3),
+    (-7, 12), (-1001, 1003), (10**9 - 1003, 10**9 + 1001)]
+
+
+@pytest.mark.parametrize(
+    "s", [NumericalSemigroup([31, 37]), *ONE_POINT_INPUTS], ids=repr)
 def test_expand_renders_as_the_series_expansion(s):
     model = cli.Model(cli_input(s)["kind"], s)
-    for window in [None, *indicator_windows(s)]:
+    for window in [None, *indicator_windows(s),
+                   *(Window(bounds) for bounds in RENDER_WINDOWS)]:
         flags = None if window is None else list(window.bounds[0])
         for json_output in (False, True):
             code, text = cli._run_expand(model, argparse.Namespace(
@@ -981,10 +994,11 @@ def test_expand_renders_as_the_series_expansion(s):
                 apery_series(s), window or s.default_window(), json_output)
 
 
-@pytest.mark.parametrize("lo, hi", [
+@pytest.mark.parametrize("lo, hi", sorted({
     (-25, -1), (-1, -1), (-1001, 2), (-3, 999), (0, 0), (998, 1002),
     (999, 999), (1000, 1000), (1001, 1001), (999, 2001), (1079, 3240),
-    (5000, 7100), (123456, 130000), (10**9 - 3, 10**9 + 1001)])
+    (5000, 7100), (123456, 130000), (10**9 - 3, 10**9 + 1001),
+    *RENDER_WINDOWS}))
 def test_text_expand_matches_the_per_line_renderer(lo, hi):
     s = NumericalSemigroup([31, 37])  # c = 1080
     model = cli.Model("numerical", s)
@@ -1001,6 +1015,28 @@ def test_text_expand_matches_the_per_line_renderer(lo, hi):
 @example(1001, "")
 def test_block_renderer_matches_the_per_line_renderer(lo, digits):
     assert cli._expand_lines(lo, digits) == expand_lines_per_point(lo, digits)
+
+
+def test_expand_json_holds_the_output_once_or_twice():
+    # 6 MB of output: the digit bytes (3 MB), then the output as bytes
+    # and as text, 15 MB in all; a 1-character string per digit would
+    # add 24 MB of list pointers alone (33 MB traced peak)
+    model = cli.Model("numerical", NumericalSemigroup([997, 1009]))
+    ns = argparse.Namespace(window=[0, 3 * 10**6], json_output=True)
+    (code, text), peak = traced_peak(lambda: cli._run_expand(model, ns))
+    assert code == 0 and len(text) > 6 * 10**6
+    assert peak < 26_000_000
+
+
+def test_text_expand_holds_the_output_about_twice():
+    # the blocks of lines, then their join: 6.2 MB traced peak for
+    # 2.9 MB of lines; the digits' bytes are dropped before the lines
+    # are built
+    model = cli.Model("numerical", NumericalSemigroup([997, 1009]))
+    ns = argparse.Namespace(window=[0, 3 * 10**5], json_output=False)
+    (code, text), peak = traced_peak(lambda: cli._run_expand(model, ns))
+    assert code == 0 and text.endswith("\n300000: 1")
+    assert peak < 2.2 * len(text)
 
 
 # numerical and delta inputs with extras (test_seeded_inputs_cover_every_kind)

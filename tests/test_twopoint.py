@@ -396,6 +396,39 @@ def expand_stdout(S, window, *flags):
     return out.getvalue()
 
 
+def d_table_draws(seed):
+    """A seeded strip with genus and period up to 12, and the same draw
+    at genus 0 and at period 1."""
+    rng = random.Random(f"d-table:{seed}")
+    g, th = rng.randint(0, 12), rng.randint(1, 12)
+    return [TwoPointSemigroup.from_members(
+                genus, period,
+                random_members(rng, genus, period, rng.randint(1, 4)))
+            for genus, period in ((g, th), (0, th), (g, 1))]
+
+
+def d_table_strips():
+    """d_table_draws of 40 seeds, and every fixture."""
+    return [fixture("projective_line"), genus2_line(), strip_4x5(),
+            *(fixture("elliptic", th) for th in range(1, 6)),
+            *(S for seed in range(40) for S in d_table_draws(seed))]
+
+
+def band_edge_windows(S):
+    """Windows whose sums straddle 0 or 2g, cover the band, lie wholly
+    below or above it, or lie near +-10^9, of several shapes."""
+    top, th = 2 * S.genus, S.period
+    windows = [Window((-top - th - 2, top + th + 2),
+                      (-top - th - 3, top + th + 1))]
+    for w1, w2 in ((0, 0), (0, th + 2), (th + 2, 0), (3, 2 * th + 1)):
+        for low in (-w1 - w2 - 3, -w1 - 1, -1, top - w1 - 1, top - w2,
+                    top + 1, -w1 - w2 - 2 * th - 5, top + 2 * th + 5,
+                    10**9, -10**9 - w1 - w2):
+            for x in (-th - 1, 0, 7):
+                windows.append(Window((x, x + w1), (low - x, low - x + w2)))
+    return windows
+
+
 @settings(max_examples=25, deadline=None)
 @given(strip_semigroups(), st.data())
 @example(fixture("projective_line"), None)
@@ -403,6 +436,10 @@ def expand_stdout(S, window, *flags):
 @example(fixture("elliptic", 2), None)
 @example(fixture("elliptic", 3), None)
 @example(strip_4x5(), None)
+@example(d_table_draws(0)[0], None)
+@example(d_table_draws(0)[1], None)
+@example(d_table_draws(0)[2], None)
+@example(d_table_draws(1)[0], None)
 def test_expand_renders_the_point_scan(S, data):
     # the CLI joins per-class digit strings; its bytes must equal the
     # point scan's table encoded int by int, in JSON and in text
@@ -414,7 +451,8 @@ def test_expand_renders_the_point_scan(S, data):
                    Window((-7, 4), (-5, top + 8)), Window((1, 1), (-1, -1)),
                    Window((2, 2), (-5, top + 3)), Window((-6, top), (0, 0)),
                    Window((-3, 3), (10**9, 10**9 + 6)),
-                   Window((-10**9 - 5, -10**9), (-2, 4)))
+                   Window((-10**9 - 5, -10**9), (-2, 4)),
+                   *band_edge_windows(S))
     for W in windows:
         (lo1, hi1), (lo2, hi2) = W.bounds
         digits = S.dim_jump_digits(W)
@@ -447,6 +485,26 @@ def test_expand_lays_out_no_more_than_its_rows():
         tracemalloc.stop()
     assert peak < 2_000_000
     assert rows == [str(S.dim_jump((m1, 0))) for m1 in range(-20_000, 20_001)]
+
+
+@pytest.mark.parametrize("S", d_table_strips(), ids=repr)
+def test_d_table_is_d_on_every_class(S):
+    top, th = 2 * S.genus, S.period
+    table = S._d_table()
+    assert len(table) == (top + 1) * th
+    assert [table[s * th + a] for s in range(top + 1) for a in range(th)] \
+        == [S._d(s, a) for s in range(top + 1) for a in range(th)]
+
+
+def test_expand_builds_no_table_for_rows_off_the_band(monkeypatch):
+    # rows wholly below sum 0 or above 2g are shared pads of 0 or 2
+    S = strip_4x5()
+    monkeypatch.setattr(TwoPointSemigroup, "_d_table",
+                        lambda self: pytest.fail("the d table was built"))
+    for W in (Window((0, 3), (10**9, 10**9 + 3)),
+              Window((-5, 5), (-30, -20)), Window((9, 9), (0, 0))):
+        assert S.dim_jump_digits(W, ",") == [
+            ",".join(map(str, row)) for row in oracle.dim_jump_rows(S, W)]
 
 
 def seeded_strips(seed):

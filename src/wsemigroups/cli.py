@@ -32,12 +32,12 @@ from .checks import KIND_CHECKS, VerificationReport
 from .errors import InputError
 from .onepoint import (DeltaSequence, NumericalSemigroup, OnePointSemigroup,
                        direct_series, poincare_delta_product,
-                       poincare_onepoint, series_first_difference)
+                       series_first_difference)
 from .oracle import Fixture, semigroup_from_fixture
-from .series import LaurentPoly, RationalGF, Window
+from .series import RationalGF, Window
 from .twopoint import TwoPointSemigroup
 
-FORMS = ("direct", "closed", "corner", "paper")
+FORMS = ("direct", "closed", "corner")
 # the checks a user can name: every input kind's, in table order
 VERIFY_CHECKS = (*dict.fromkeys(
     name for names in KIND_CHECKS.values() for name in names), "all")
@@ -252,19 +252,10 @@ def _run_poincare(model: Model, cmd):
         raise InputError("form 'corner' needs a two-point input")
     elif form == "direct":
         series = direct_series(model.semigroup)
-    elif form == "closed":
-        if model.kind == "delta":
-            series = poincare_delta_product(model.semigroup.base)
-        else:
-            series = poincare_delta_product(
-                DeltaSequence(model.semigroup.generators))
-    else:
-        if model.kind == "delta":
-            series = poincare_onepoint(model.semigroup, "paper_product")
-        else:
-            g = model.semigroup.genus
-            num = LaurentPoly([((0,), 1), ((1,), -1), ((2 * g,), 1)])
-            series = RationalGF(num, [(1,)])
+    else:  # closed: the delta product of the chain
+        series = poincare_delta_product(
+            model.semigroup.base if model.kind == "delta"
+            else DeltaSequence(model.semigroup.generators))
     return 0, _series_json(series)
 
 

@@ -39,6 +39,9 @@ from .errors import (AxiomViolation, InvalidSemigroup, NotSymmetric,
 from .series import LaurentPoly, RationalGF, Window
 
 _ONE_MINUS_T = LaurentPoly({(0,): 1, (1,): -1})
+# the largest multiplicity a that is built: the Apery table has a entries
+# and its Dijkstra runs over Z/a, so a bounds both time and memory
+MAX_MULTIPLICITY = 2 ** 20
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # swaps a mask's 0 and 1 bytes
 
 
@@ -202,9 +205,13 @@ class NumericalSemigroup(_AperySemigroup):
         if math.gcd(*gens) != 1:
             raise InvalidSemigroup(
                 f"gcd of generators is {math.gcd(*gens)}, not 1")
+        a = gens[0]
+        if a > MAX_MULTIPLICITY:
+            raise InvalidSemigroup(
+                f"multiplicity {a} exceeds the budget {MAX_MULTIPLICITY} "
+                f"(the Apery table has one entry per residue modulo it)")
         self.generators = tuple(gens)
         # Dijkstra over Z/a, with an edge r -> r + g of weight g per g
-        a = gens[0]
         apery = [0] + [None] * (a - 1)
         heap = [(0, 0)]
         while heap:
@@ -457,7 +464,7 @@ def direct_series(semigroup) -> RationalGF:
     """P(t) from the members themselves: the direct form of a numerical
     semigroup, the delta product plus the extras of a one-point one."""
     if isinstance(semigroup, OnePointSemigroup):
-        return poincare_onepoint(semigroup, "finite_sum")
+        return poincare_onepoint(semigroup)
     return poincare_direct(semigroup)
 
 
@@ -475,37 +482,19 @@ def poincare_delta_product(ds: DeltaSequence) -> RationalGF:
     return RationalGF(num, [(ri,) for ri in ds.r])
 
 
-def poincare_onepoint(ops: OnePointSemigroup, mode="finite_sum") -> RationalGF:
-    """Poincare series of a one-point semigroup with extra members.
-
-    mode "finite_sum" adds sum_{m in extras} t^m to the delta product;
-    mode "paper_product" instead adds the published correction product
-    prod_j 1/(1 - t^{s_j}) over the extras, restricted to the nonzero
-    combinations (i.e. minus its constant term, which would double
-    count 0).  With no extras both corrections vanish.
-    """
-    if mode not in ("finite_sum", "paper_product"):
-        raise ValueError(f"unknown mode {mode!r}")
+def poincare_onepoint(ops: OnePointSemigroup) -> RationalGF:
+    """P(t) of a one-point semigroup: the delta product of its base plus
+    sum_{m in extras} t^m (the delta product alone without extras)."""
     base_gf = poincare_delta_product(ops.base)
     if not ops.extras:
         return base_gf
-    if mode == "finite_sum":
-        return base_gf + LaurentPoly({(m,): 1 for m in ops.extras})
-    # base N/D plus (1 - E)/E, E = prod_j (1 - t^{s_j}) multiplied out
-    # once: (D + E (N - D)) / DE
-    geo = RationalGF.geometric(*[(m,) for m in ops.extras])
-    d = base_gf.den_poly()
-    return RationalGF(d + geo.den_poly() * (base_gf.num - d),
-                      base_gf.den + geo.den)
+    return base_gf + LaurentPoly({(m,): 1 for m in ops.extras})
 
 
 def series_first_difference(ops: OnePointSemigroup) -> int | None:
-    """The first exponent where the expansions of the two modes of
-    poincare_onepoint differ on [0, conductor + max(extras) + 10], or
-    None when they agree there (always without extras).  The paper
-    product exceeds the finite sum at n by the number of ways to write n
-    as a sum of two or more extras, so the first difference is
-    2 min(extras) when the window reaches it; nothing is expanded."""
+    """2 min(extras), the least sum of two or more extras, when it lies
+    in [0, conductor + max(extras) + 10]; None otherwise (always without
+    extras).  It is read off the extras in O(1), nothing expanded."""
     if ops.extras and 2 * ops.extras[0] <= ops.conductor + ops.extras[-1] + 10:
         return 2 * ops.extras[0]
     return None

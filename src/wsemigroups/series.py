@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .errors import ArityMismatch, InputError, strict_index
+from .errors import ArityMismatch, strict_index
 
 
 def _check_exponent(e, arity=None):
@@ -219,17 +219,6 @@ class Window:
         return f"Window({', '.join(map(str, self._bounds))})"
 
 
-def _json_ints(values):
-    """values as a tuple when it is a JSON list of JSON integers (not
-    bools or floats); TypeError naming the first offender otherwise."""
-    if type(values) is not list:
-        raise TypeError(f"expected a list, got {values!r}")
-    for x in values:
-        if type(x) is not int:
-            raise TypeError(f"expected an integer, got {x!r}")
-    return tuple(values)
-
-
 def _factor_poly(v, arity):
     """The Laurent polynomial 1 - t^v."""
     return LaurentPoly({(0,) * arity: 1, v: -1}, arity=arity)
@@ -259,13 +248,6 @@ class RationalGF:
             factors.append(v)
         self._num = num
         self._den = tuple(sorted(factors))
-
-    @classmethod
-    def geometric(cls, *vectors):
-        """1 / prod (1 - t^v) for the given vectors."""
-        vectors = [tuple(v) for v in vectors]
-        arity = len(vectors[0])
-        return cls(LaurentPoly.one(arity), vectors)
 
     @property
     def num(self):
@@ -435,26 +417,6 @@ class RationalGF:
             "num": [{"e": list(e), "c": c} for e, c in self._num.terms()],
             "den": [list(v) for v in self._den],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        """The inverse of to_json; nothing is coerced."""
-        if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
-            raise InputError("series JSON needs 'num' and 'den' fields")
-        try:
-            terms = [(_json_ints(t["e"]), t["c"]) for t in obj["num"]]
-            den = [_json_ints(v) for v in obj["den"]]
-            _json_ints([c for _, c in terms])
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"malformed series JSON: {exc}") from exc
-        arity = None
-        if terms:
-            arity = len(terms[0][0])
-        elif den:
-            arity = len(den[0])
-        if arity is None:
-            raise InputError("series JSON carries no arity information")
-        return cls(LaurentPoly(terms, arity=arity), den)
 
     def __eq__(self, other):
         if not isinstance(other, RationalGF):

@@ -61,14 +61,15 @@ library reads them off the Apery table, two ranges per residue class.
 one-point semigroup as it was read before it shared the Apery-set class:
 the base's mask with the extras set, and "in the base or an extra".
 
-`series_modes_by_expansion` finds the first difference of the two modes
-of `poincare_onepoint` by expanding both on [0, c + max(extras) + 10];
-the library reads it off the extras in closed form.
-
-`paper_product_by_addition` is `poincare_onepoint(ops, "paper_product")`
-as it was built, by `RationalGF.__add__`, which multiplies out the
-extras' denominator product a second time; the library multiplies it
-out once, to the same numerator and denominator.
+`paper_product_by_addition` is the published product: the delta
+product plus the correction prod_j 1/(1 - t^{s_j}) - 1 over the extras,
+added by `RationalGF.__add__`.  It is the only builder of that product,
+since the library no longer has it; it exceeds P at n by the number of
+ways to write n as a sum of two or more extras.
+`series_modes_by_expansion` finds the first point where it and
+`poincare_onepoint` differ by expanding both on
+[0, c + max(extras) + 10]; the library's `series_first_difference`
+reads that point off the extras in closed form.
 
 `l_polynomial_paper` is the published display of the L-polynomial,
 kept verbatim, and `l_polynomial_comparison` sets it beside the
@@ -228,12 +229,12 @@ def base_or_extra(ops, n):
 
 
 def series_modes_by_expansion(ops):
-    """The series_first_difference of ops, from the expansions of both
-    modes."""
+    """The series_first_difference of ops, from the expansions of P and
+    the published product."""
     hi = ops.conductor + (ops.extras[-1] if ops.extras else 0) + 10
     window = Window((0, hi))
-    ef = poincare_onepoint(ops, "finite_sum").expand(window)
-    ep = poincare_onepoint(ops, "paper_product").expand(window)
+    ef = poincare_onepoint(ops).expand(window)
+    ep = paper_product_by_addition(ops).expand(window)
     return next((n for n, (x, y) in enumerate(zip(ef, ep)) if x != y), None)
 
 
@@ -243,7 +244,7 @@ def paper_product_by_addition(ops):
     base_gf = poincare_delta_product(ops.base)
     if not ops.extras:
         return base_gf
-    geo = RationalGF.geometric(*[(m,) for m in ops.extras])
+    geo = RationalGF(LaurentPoly.one(1), [(m,) for m in ops.extras])
     return base_gf + RationalGF(LaurentPoly.one(1) - geo.den_poly(), geo.den)
 
 

@@ -10,12 +10,25 @@ test_series.py check the fast expansion against it.
 `evaluate` gives the exact rational value of a LaurentPoly or a
 RationalGF at a point; the tests use it to check identities such as
 the reciprocal numerically.
+
+`series_from_json` decodes the series JSON that `RationalGF.to_json`
+and the CLI print back to a RationalGF; the library reads no series
+JSON, so the tests check the round trip with it.
 """
 
 import itertools
 from fractions import Fraction
 
-from wsemigroups import ArityMismatch, LaurentPoly
+from wsemigroups import ArityMismatch, LaurentPoly, RationalGF
+
+
+def series_from_json(obj):
+    """The RationalGF of a decoded `to_json` object; its arity is read
+    off the first numerator term, or the first factor of a zero one."""
+    terms = [(tuple(t["e"]), t["c"]) for t in obj["num"]]
+    den = [tuple(v) for v in obj["den"]]
+    arity = len(terms[0][0] if terms else den[0])
+    return RationalGF(LaurentPoly(terms, arity=arity), den)
 
 
 def expand_by_convolution(gf, window):

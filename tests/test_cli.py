@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,7 @@ from wsemigroups.oracle import FixtureSemigroup, d_oracle
 from wsemigroups.twopoint import interior_region
 
 import twopoint_oracle as oracle
+from series_oracle import series_from_json
 
 
 def invoke(argv, capsys):
@@ -242,6 +244,26 @@ def test_validate_delta_with_huge_conductor(tmp_path, capsys, monkeypatch):
                    "genus 500000000000\n")
 
 
+@pytest.mark.parametrize("payload", [
+    {"kind": "numerical", "generators": [10**9, 10**9 + 1]},
+    {"kind": "delta", "r": [10**9, 10**9 + 1]}], ids=["numerical", "delta"])
+def test_multiplicity_over_the_budget_exits_2_at_once(payload, tmp_path,
+                                                      capsys):
+    # the Apery table of <10^9, 10^9 + 1> would hold 10^9 entries
+    path = write(tmp_path, "huge.json", payload)
+    tracemalloc.start()
+    try:
+        code, out, err = invoke(["validate", path], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == ("error: multiplicity 1000000000 exceeds the budget "
+                   "1048576 (the Apery table has one entry per residue "
+                   "modulo it)\n")
+    assert peak < 1_000_000
+
+
 # ------------------------------------------------------------------- analyze
 
 def test_analyze_numerical_json(ns23, capsys):
@@ -309,22 +331,30 @@ def test_poincare_forms_round_trip(tmp_path, capsys):
     lib = poincare_direct(NumericalSemigroup((4, 6, 7)))
     code, out, _ = invoke(["poincare", ns, "--form", "direct"], capsys)
     assert code == 0
-    assert RationalGF.from_json(json.loads(out)).equals(lib)
+    assert series_from_json(json.loads(out)).equals(lib)
 
     code, out, _ = invoke(["poincare", ns, "--form", "closed"], capsys)
     assert code == 0
-    closed = RationalGF.from_json(json.loads(out))
+    closed = series_from_json(json.loads(out))
     assert closed.equals(poincare_delta_product(DeltaSequence((4, 6, 7))))
 
 
 def test_poincare_corner_two_point(elliptic2, capsys):
     code, out, _ = invoke(["poincare", elliptic2, "--form", "corner"], capsys)
     assert code == 0
-    gf = RationalGF.from_json(json.loads(out))
+    gf = series_from_json(json.loads(out))
     window = Window((-2, 2), (-2, 2))
     coeffs = dict(zip(window.points(), gf.expand(window), strict=True))
     assert coeffs[(1, 1)] == 1 and coeffs[(2, -2)] == 1
     assert coeffs[(0, 0)] == 0 and coeffs[(1, 0)] == 0
+
+
+def test_poincare_form_paper_is_refused(ns23, capsys):
+    # the published form is gone; argparse refuses it like any other word
+    code, out, err = invoke(["poincare", ns23, "--form", "paper"], capsys)
+    assert (code, out) == (2, "")
+    assert "argument --form: invalid choice: 'paper'" in err
+    assert "Traceback" not in err
 
 
 def test_poincare_form_model_mismatch(ns23, elliptic2, capsys):
@@ -498,7 +528,7 @@ def test_identical_invocations_byte_identical(elliptic2, ns23, capsys):
     for argv in (
         ["verify", elliptic2, "--check", "all", "--json"],
         ["analyze", elliptic2],
-        ["poincare", ns23, "--form", "paper"],
+        ["poincare", ns23, "--form", "closed"],
         ["maximals", elliptic2, "--json"],
     ):
         first = invoke(argv, capsys)
@@ -1111,6 +1141,38 @@ def test_analyze_matches_the_encoder_over_gap_tuples(seed, tmp_path, capsys):
     # every input form, and gap lists that are empty or cross a block edge
     assert kinds == {("numerical", False), ("delta", False), ("delta", True)}
     assert 0 in conductors and max(conductors) > 1000
+
+
+def _closed_is_p(payload):
+    """Whether `poincare --form closed`, the delta product of the chain
+    (a numerical input's sorted generators, a delta input's base), is P:
+    the chain must be free and the input must have no extras."""
+    if payload["kind"] == "delta":
+        return not payload.get("extras")
+    try:
+        DeltaSequence(sorted(payload["generators"]))
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("form", [f for f in cli.FORMS if f != "corner"])
+def test_every_one_point_form_prints_p(form, seed, tmp_path, capsys):
+    # P(t) = sum_{n in S} t^n, so its expansion is the membership indicator
+    checked = 0
+    for i, payload in enumerate(_seeded_one_point(seed)):
+        if form == "closed" and not _closed_is_p(payload):
+            continue
+        path = write(tmp_path, f"in-{i}.json", payload)
+        code, out, err = invoke(["poincare", path, "--form", form], capsys)
+        assert (code, err) == (0, ""), payload
+        S = parse_input(json.dumps(payload).encode()).semigroup
+        window = Window((0, 3 * S.conductor))
+        assert series_from_json(json.loads(out)).expand(window) == \
+            list(S.indicator(window)), payload
+        checked += 1
+    assert checked >= 10
 
 
 def test_analyze_largest_rung_is_pinned(tmp_path, capsys):

@@ -31,6 +31,30 @@ def test_no_private_name_crosses_a_module(path):
     assert private == []
 
 
+def _imported_names(tree):
+    """The names the module's import statements bind, but __future__'s."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.partition(".")[0]
+                        for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    # no linter runs on the package, so an import a removal leaves
+    # behind shows here; a name listed in __all__ is exported, so used
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    used.update(item.value for node in ast.walk(tree)
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+                for item in node.value.elts)
+    assert sorted(set(_imported_names(tree)) - used) == []
+
+
 def test_every_module_has_a_layer():
     assert {p.stem for p in SOURCES} - {"__init__", "__main__"} == set(LAYERS)
 

@@ -103,6 +103,22 @@ def test_semigroup_rejects_bad_input():
         NumericalSemigroup([0, 3])
 
 
+def test_multiplicity_budget_is_checked_before_the_build(monkeypatch):
+    # <1000003, 1000033> still builds; lowered to 7, the budget admits
+    # multiplicity 7 and refuses 8 on every input kind, after the gcd
+    assert onepoint.MAX_MULTIPLICITY >= 1000003
+    monkeypatch.setattr(onepoint, "MAX_MULTIPLICITY", 7)
+    assert NumericalSemigroup([7, 9]).conductor == 6 * 8
+    message = "multiplicity 8 exceeds the budget 7 "
+    for build in (lambda: NumericalSemigroup([9, 8]),
+                  lambda: DeltaSequence([8, 12, 13]),
+                  lambda: OnePointSemigroup([8, 12, 13], [11])):
+        with pytest.raises(InvalidSemigroup, match=message):
+            build()
+    with pytest.raises(InvalidSemigroup, match="gcd of generators is 2"):
+        NumericalSemigroup([8, 10])
+
+
 def test_membership_matches_reference_sieve():
     rng = random.Random(7)
     for _ in range(25):
@@ -597,42 +613,23 @@ def test_one_point_semigroup_validation():
         OnePointSemigroup(base, extras=[5])  # 5 + 4 = 9 missing
 
 
-def test_poincare_onepoint_modes_disagree_beyond_first_extra():
+def test_published_product_first_differs_at_twice_the_least_extra():
+    # P stays the 0/1 indicator; the published product counts 9 + 9 again
     ops = OnePointSemigroup(DeltaSequence([4, 6, 7]), extras=[9])
-    finite = poincare_onepoint(ops, "finite_sum")
-    product = poincare_onepoint(ops, "paper_product")
-    first = series_first_difference(ops)
-    assert first is not None
-    assert first == 18
-    got = finite.expand(Window((0, 20)))
-    # the finite-sum form stays a 0/1 indicator
-    for n in range(21):
-        assert got[n] == int(ops.contains(n))
-    gp = product.expand(Window((0, 20)))
+    assert series_first_difference(ops) == 18
+    assert series_modes_by_expansion(ops) == 18
+    got = poincare_onepoint(ops).expand(Window((0, 20)))
+    assert got == [int(ops.contains(n)) for n in range(21)]
+    gp = paper_product_by_addition(ops).expand(Window((0, 20)))
     assert gp[9] == 1
     assert gp[18] == 2  # 18 in S and 9+9 counted again
 
 
-def test_poincare_onepoint_no_extras_modes_coincide():
+def test_published_product_without_extras_is_p():
     ops = OnePointSemigroup(DeltaSequence([4, 6, 7]))
-    a = poincare_onepoint(ops, "finite_sum")
-    b = poincare_onepoint(ops, "paper_product")
-    assert a.equals(b)
+    assert poincare_onepoint(ops).equals(paper_product_by_addition(ops))
     assert series_first_difference(ops) is None
-
-
-@pytest.mark.parametrize("r, least_extra", [
-    ([4, 6, 7], 9), ([4, 6, 7], 5), ([4, 6, 7], 1), ([8, 12, 14, 15], 20),
-    ([8, 12, 14, 15], 1), ([6, 9, 11], 7), ([2, 3], 1)])
-def test_paper_product_is_the_sum_of_the_two_series(r, least_extra):
-    # the gaps from least_extra on are closed extras: a member plus one
-    # of them, or two of them, is at least least_extra
-    ds = DeltaSequence(r)
-    extras = [n for n in ds.semigroup.gaps if n >= least_extra]
-    ops = OnePointSemigroup(ds, extras)
-    got = poincare_onepoint(ops, "paper_product")
-    want = paper_product_by_addition(ops)
-    assert (got.num, got.den) == (want.num, want.den)
+    assert series_modes_by_expansion(ops) is None
 
 
 @pytest.mark.parametrize("r, extras, first", [

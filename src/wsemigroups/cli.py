@@ -5,16 +5,18 @@ validate / analyze / maximals / poincare / expand / verify, and prints
 either a human-readable report or (with --json) canonical JSON.  Exit
 codes: 0 success, 1 a verification check found violations, 2 invalid
 input or usage.  Identical invocations produce byte-identical output.
-A Poincare series, alone or inside a verification report, is rendered
-one %-format per numerator term, to the bytes that encoding its
-`to_json()` would give.  An `analyze` gap list is rendered from the gap
-mask one block of 1000 values at a time, to the bytes that encoding the
-`gaps` tuple would give.  A one-point `expand` is the window's
-membership bytes as digits, to the bytes that encoding the expanded
-coefficients would give: as `--json` the digit bytes are written
-between its commas by one strided write, and as text its lines are
-joined one block of 1000 values at a time.  Every other value goes
-through one encoder.
+The direct form of a numerical input's Poincare series is printed
+straight from the sorted jumps of its L-polynomial, two joins over
+their decimal strings; every other series, alone or inside a
+verification report, is rendered one %-format per numerator term.
+Both give the bytes that encoding the series' `to_json()` would give.
+An `analyze` gap list is rendered from the gap mask one block of 1000
+values at a time, to the bytes that encoding the `gaps` tuple would
+give.  A one-point `expand` is the window's membership bytes as
+digits, to the bytes that encoding the expanded coefficients would
+give: as `--json` the digit bytes are written between its commas by
+one strided write, and as text its lines are joined one block of 1000
+values at a time.  Every other value goes through one encoder.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, replace
 from .checks import KIND_CHECKS, VerificationReport
 from .errors import InputError
 from .onepoint import (DeltaSequence, NumericalSemigroup, OnePointSemigroup,
-                       direct_series, poincare_delta_product,
+                       direct_series, l_jumps, poincare_delta_product,
                        series_first_difference)
 from .oracle import Fixture, semigroup_from_fixture
 from .series import RationalGF, Window
@@ -251,6 +253,8 @@ def _run_poincare(model: Model, cmd):
     elif form == "corner":
         raise InputError("form 'corner' needs a two-point input")
     elif form == "direct":
+        if model.kind == "numerical":
+            return 0, _direct_json(l_jumps(model.semigroup))
         series = direct_series(model.semigroup)
     else:  # closed: the delta product of the chain
         series = poincare_delta_product(
@@ -319,6 +323,17 @@ def _series_json(series: RationalGF) -> str:
     terms = [term % (*e, c) for e, c in series.num.terms()]
     return ('{"num":[' + ",".join(terms) + '],"den":' + _dump(series.den)
             + "}")
+
+
+def _direct_json(jumps) -> str:
+    """`_series_json(poincare_direct(S))` from the sorted jumps of S's
+    L-polynomial, whose signs alternate +1, -1, ..., +1: each (start,
+    end) pair is joined by one separator and the pairs by the other, so
+    the decimal strings are built once and no term is formatted."""
+    digits = list(map(str, jumps))
+    pairs = map('],"c":1},{"e":['.join, zip(digits[::2], digits[1::2]))
+    return ('{"num":[{"e":[' + '],"c":-1},{"e":['.join([*pairs, digits[-1]])
+            + '],"c":1}],"den":[[1]]}')
 
 
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a 0/1 byte as its digit

@@ -2,28 +2,35 @@
 
 A numerical semigroup is given by generators with gcd 1 and read off
 its Apery set: the least member in each residue class modulo
-a = min(generators).  That table of a entries gives membership, the
-conductor, the genus and membership masks.  On top of that sit
-gcd-descent generator chains (delta sequences, proved free by h Apery
-tests of multiplicity <= r_0, so at no O(c) cost), optional extra pole
-orders, and the Poincare series P(t) = sum_{n in S} t^n with
-L(t) = (1 - t) P(t) in its closed forms.  Both semigroup classes share
-one Apery-set base class (a one-point semigroup lowers its base's table
-by the extras) and answer `verify(check)` for the checks their input
-kind has in `checks.KIND_CHECKS`.  The coefficient of P at n is 1 for a
-member n and 0 otherwise, so `indicator(window)` gives P's coefficients
-on a window as membership bytes, and one-point `expand` prints them.
-The symmetry witnesses and the L-polynomial's run starts and ends are
-one range per residue class of the table.  Checks read the Apery form
-P(t) = sum_{w in Ap} t^w / (1 - t^a), a numerator terms, not c: it
-decides the `funceq` signs in O(a), and the `symmetry` and `funceq`
-reports carry it.  `indicator` (the Apery form, or the delta product
-plus extras on a one-point semigroup) and `delta_product` divide their
-series' numerator exactly by every denominator factor but 1 - t^a; a
-series that reduces so to the Apery form is P, so it passes on every
-window with nothing expanded, and only a series that does not is
-expanded on the window against the membership bytes.  Of the checks
-only `l_identity` builds the L-polynomial, with its O(g) terms.
+a = min(generators), found by a Dijkstra over Z/a with one edge per
+nonzero residue class of the generators.  Its work, a times the edges,
+and a itself are budgeted (`MAX_RELAXATIONS`, `MAX_MULTIPLICITY`).
+That table of a entries gives membership, the conductor, the genus and
+membership masks.  On top of that sit gcd-descent generator chains
+(delta sequences, proved free by h Apery tests of multiplicity <= r_0,
+so at no O(c) cost), optional extra pole orders, and the Poincare
+series P(t) = sum_{n in S} t^n with L(t) = (1 - t) P(t) in its closed
+forms.  Both semigroup classes share one Apery-set base class (a
+one-point semigroup lowers its base's table by the extras) and answer
+`verify(check)` for the checks their input kind has in
+`checks.KIND_CHECKS`.  The coefficient of P at n is 1 for a member n
+and 0 otherwise, so `indicator(window)` gives P's coefficients on a
+window as membership bytes, and one-point `expand` prints them.  The
+symmetry witnesses and the L-polynomial's run starts and ends are one
+range per residue class of the table; `l_jumps` sorts the starts and
+ends into one list, whose signs alternate +1, -1, ..., +1.  Checks
+read the Apery form P(t) = sum_{w in Ap} t^w / (1 - t^a), a numerator
+terms, not c: it decides the `funceq` signs in O(a), and the
+`symmetry` and `funceq` reports carry it.  `indicator` (the Apery
+form, or the delta product plus extras on a one-point semigroup) and
+`delta_product` divide their series' numerator exactly by every
+denominator factor but 1 - t^a; a series that reduces so to the Apery
+form is P, so it passes on every window with nothing expanded, and
+only a series that does not is expanded on the window against the
+membership bytes.  Of the checks only `l_identity` reads L: it decides
+(1 - t) sum_w t^w = L (1 - t^a) as one equality of sorted lists of
+L's jumps, and its report carries the L-polynomial, with its O(g)
+terms.
 """
 
 from __future__ import annotations
@@ -42,6 +49,9 @@ _ONE_MINUS_T = LaurentPoly({(0,): 1, (1,): -1})
 # the largest multiplicity a that is built: the Apery table has a entries
 # and its Dijkstra runs over Z/a, so a bounds both time and memory
 MAX_MULTIPLICITY = 2 ** 20
+# the largest a x edges that is built: the Dijkstra relaxes every edge, one
+# per nonzero residue class of the generators mod a, from every residue
+MAX_RELAXATIONS = 2 ** 21
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # swaps a mask's 0 and 1 bytes
 
 
@@ -142,21 +152,20 @@ class _AperySemigroup:
         return _indicator_report("indicator", apery_series(self), self, window)
 
     def _check_l_identity(self, window):
-        """(1 - t) P(t) is the L-polynomial, decided on the Apery form
-        as (1 - t) sum_w t^w = L(t) (1 - t^a), one pass over L."""
-        lpoly = l_polynomial(self)
-        p = apery_series(self)
-        (a,), = p.den
-        # L (1 - t^a): L's terms, less each term moved up by a
-        rhs = dict(lpoly._terms)
-        for (n,), c in lpoly._terms.items():
-            if s := rhs.get((n + a,), 0) - c:
-                rhs[(n + a,)] = s
-            else:
-                del rhs[(n + a,)]
-        ok = (p * _ONE_MINUS_T).num == LaurentPoly._trusted(rhs, 1)
+        """(1 - t) P(t) is the L-polynomial, decided on the Apery form as
+        (1 - t) sum_w t^w = L(t) (1 - t^a).  Every coefficient of either
+        side is +1 or -1, so moving the negative terms across makes it
+        one equality of sorted exponent lists, read off L's jumps:
+        Ap + ends + (starts + a) against (Ap + 1) + starts + (ends + a)."""
+        apery = self.apery
+        a = len(apery)
+        jumps = l_jumps(self)
+        starts, ends = jumps[::2], jumps[1::2]
+        lhs = [*apery, *ends, *map(a.__add__, starts)]
+        rhs = [*(w + 1 for w in apery), *starts, *map(a.__add__, ends)]
+        ok = sorted(lhs) == sorted(rhs)
         return VerificationReport("l_identity", ok, (), None, {},
-                                  RationalGF(lpoly))
+                                  RationalGF(l_polynomial(self)))
 
     def _check_symmetry(self, window):
         witnesses = tuple(self.symmetry_witnesses())
@@ -210,15 +219,27 @@ class NumericalSemigroup(_AperySemigroup):
             raise InvalidSemigroup(
                 f"multiplicity {a} exceeds the budget {MAX_MULTIPLICITY} "
                 f"(the Apery table has one entry per residue modulo it)")
+        # Dijkstra over Z/a, with an edge r -> r + g of weight g for the
+        # least generator g of each nonzero class: a larger one of the
+        # class, or one of class 0, never shortens a path
+        least = {}
+        for g in gens[1:]:
+            least.setdefault(g % a, g)
+        least.pop(0, None)
+        edges = tuple(least.values())
+        if a * len(edges) > MAX_RELAXATIONS:
+            raise InvalidSemigroup(
+                f"multiplicity {a} times {len(edges)} generator classes "
+                f"exceeds the budget {MAX_RELAXATIONS} (the Apery table's "
+                f"Dijkstra relaxes every class from every residue)")
         self.generators = tuple(gens)
-        # Dijkstra over Z/a, with an edge r -> r + g of weight g per g
         apery = [0] + [None] * (a - 1)
         heap = [(0, 0)]
         while heap:
             w, r = heapq.heappop(heap)
             if w > apery[r]:
                 continue
-            for g in gens[1:]:
+            for g in edges:
                 v, s = w + g, (r + g) % a
                 if apery[s] is None or v < apery[s]:
                     apery[s] = v
@@ -426,25 +447,31 @@ def _reduces_to_apery_form(series, semigroup, window) -> bool:
     return terms == dict.fromkeys(apery, 1)
 
 
-def l_polynomial(semigroup) -> LaurentPoly:
-    """The L-polynomial (1 - t) P(t) = t^c + (1 - t) sum_{n in S, n < c} t^n.
+def l_jumps(semigroup) -> list[int]:
+    """The exponents of the L-polynomial (1 - t) P(t) in increasing order.
 
-    It is the numerator of P over (1 - t).  Its coefficient at t^n is
-    the jump [n in S] - [n - 1 in S] of the membership indicator: +1
-    where a run of members starts (the first at 0), -1 where one ends
-    (the last, from c on, never).  Both are read off the Apery table,
-    one range per residue class r: with p = Ap[r - 1] the least member
-    of the class of n - 1, runs start at the members n <= p of class r,
-    range(Ap[r], p + 1, a), and end at its gaps n > p, range(p + 1,
-    Ap[r], a), as p + 1 lies in class r."""
+    L's coefficient at t^n is the jump [n in S] - [n - 1 in S] of the
+    membership indicator: +1 where a run of members starts (the first at
+    0), -1 where one ends (the last, from c on, never).  Runs of members
+    and of gaps alternate, so the signs alternate +1, -1, ..., +1 along
+    the list, which ends at the conductor.  Both kinds are read off the
+    Apery table, one range per residue class r: with p = Ap[r - 1] the
+    least member of the class of n - 1, runs start at the members n <= p
+    of class r, range(Ap[r], p + 1, a), and end at its gaps n > p,
+    range(p + 1, Ap[r], a), as p + 1 lies in class r.  One sort orders
+    both kinds."""
     apery = semigroup.apery
     after = [p + 1 for p in apery[-1:] + apery[:-1]]
-    terms = {}
-    for lows, highs, jump in ((apery, after, 1), (after, apery, -1)):
-        runs = itertools.chain.from_iterable(
-            map(range, lows, highs, itertools.repeat(len(apery))))
-        terms.update(zip(zip(sorted(runs)), itertools.repeat(jump)))
-    return LaurentPoly._trusted(terms, 1)
+    return sorted(itertools.chain.from_iterable(map(
+        range, [*apery, *after], [*after, *apery],
+        itertools.repeat(len(apery)))))
+
+
+def l_polynomial(semigroup) -> LaurentPoly:
+    """The L-polynomial (1 - t) P(t) = t^c + (1 - t) sum_{n in S, n < c} t^n,
+    the numerator of P over (1 - t): +1 and -1 in turn along `l_jumps`."""
+    return LaurentPoly._trusted(dict(zip(
+        zip(l_jumps(semigroup)), itertools.cycle((1, -1)))), 1)
 
 
 def poincare_direct(semigroup) -> RationalGF:

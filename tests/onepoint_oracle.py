@@ -21,6 +21,13 @@ which cross-multiplies sparse polynomials.  The library decides both on
 the Apery form, with a numerator terms, instead; test_onepoint.py checks
 the two against each other.
 
+`l_identity_by_dict_loop` is the `l_identity` check as the library
+decided it on L's terms: it builds L (1 - t^a) by moving each term of
+the L-polynomial up by a in a Python loop over a dict, and compares it
+with (1 - t) times the Apery form's numerator.  The library decides the
+same identity as one equality of sorted exponent lists read off
+`l_jumps`; test_onepoint.py checks the two reports equal.
+
 `indicator_report_by_expansion` builds the `indicator` and
 `delta_product` reports by expanding the series on the window and
 comparing it with the membership bytes point by point.  The library
@@ -82,9 +89,10 @@ import operator
 from dataclasses import dataclass
 
 from wsemigroups import LaurentPoly, RationalGF, VerificationReport, Window
-from wsemigroups.onepoint import (_matching_sign, direct_series,
-                                  l_polynomial, poincare_delta_product,
-                                  poincare_direct, poincare_onepoint)
+from wsemigroups.onepoint import (_matching_sign, apery_series,
+                                  direct_series, l_polynomial,
+                                  poincare_delta_product, poincare_direct,
+                                  poincare_onepoint)
 
 _ONE_MINUS_T = LaurentPoly({(0,): 1, (1,): -1})
 
@@ -128,6 +136,24 @@ def l_identity_by_cross_multiplication(semigroup):
     lpoly = RationalGF(l_polynomial(semigroup))
     ok = (direct_series(semigroup) * _ONE_MINUS_T).equals(lpoly)
     return VerificationReport("l_identity", ok, (), None, {}, lpoly)
+
+
+def l_identity_by_dict_loop(semigroup):
+    """The l_identity report: (1 - t) sum_w t^w = L(t) (1 - t^a) on the
+    Apery form, with L (1 - t^a) built term by term."""
+    lpoly = l_polynomial(semigroup)
+    p = apery_series(semigroup)
+    (a,), = p.den
+    # L (1 - t^a): L's terms, less each term moved up by a
+    rhs = dict(lpoly._terms)
+    for (n,), c in lpoly._terms.items():
+        if s := rhs.get((n + a,), 0) - c:
+            rhs[(n + a,)] = s
+        else:
+            del rhs[(n + a,)]
+    ok = (p * _ONE_MINUS_T).num == LaurentPoly._trusted(rhs, 1)
+    return VerificationReport("l_identity", ok, (), None, {},
+                              RationalGF(lpoly))
 
 
 def signs_by_cross_multiplication(semigroup):

@@ -21,6 +21,7 @@ from wsemigroups import (
     NumericalSemigroup,
     RationalGF,
     Window,
+    direct_series,
     poincare_delta_product,
     poincare_direct,
 )
@@ -261,6 +262,24 @@ def test_multiplicity_over_the_budget_exits_2_at_once(payload, tmp_path,
     assert err == ("error: multiplicity 1000000000 exceeds the budget "
                    "1048576 (the Apery table has one entry per residue "
                    "modulo it)\n")
+    assert peak < 1_000_000
+
+
+def test_relaxation_budget_exits_2_at_once(tmp_path, capsys):
+    # <2048, ..., 4095> relaxes 2047 generator classes from each of 2048
+    # residues, over the budget, though its multiplicity is within its own
+    path = write(tmp_path, "dense.json",
+                 {"kind": "numerical", "generators": list(range(2048, 4096))})
+    tracemalloc.start()
+    try:
+        code, out, err = invoke(["validate", path], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == ("error: multiplicity 2048 times 2047 generator classes "
+                   "exceeds the budget 2097152 (the Apery table's Dijkstra "
+                   "relaxes every class from every residue)\n")
     assert peak < 1_000_000
 
 
@@ -1173,6 +1192,55 @@ def test_every_one_point_form_prints_p(form, seed, tmp_path, capsys):
             list(S.indicator(window)), payload
         checked += 1
     assert checked >= 10
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_direct_form_prints_the_encoders_bytes(seed, tmp_path, capsys):
+    # a numerical input prints P straight from L's jumps, a delta input
+    # through the series renderer; both are the encoded to_json()
+    payloads = _seeded_one_point(seed)
+    if seed == 1:
+        payloads.append({"kind": "numerical", "generators": [997, 1009]})
+    for i, payload in enumerate(payloads):
+        path = write(tmp_path, f"in-{i}.json", payload)
+        S = parse_input(json.dumps(payload).encode()).semigroup
+        expected = cli._dump(direct_series(S).to_json()) + "\n"
+        for args in ((), ("--form", "direct"), ("--form", "direct", "--json")):
+            assert invoke(["poincare", path, *args], capsys) == \
+                (0, expected, ""), (payload, args)
+
+
+@pytest.mark.parametrize("jumps", [[0], [0, 1, 2], [0, 1, 3, 4, 6],
+                                   [0, 1, 10**12]])
+def test_direct_renderer_matches_the_encoder(jumps):
+    terms = {(e,): (-1) ** i for i, e in enumerate(jumps)}
+    series = RationalGF(LaurentPoly(terms), [(1,)])
+    assert cli._direct_json(jumps) == cli._dump(series.to_json())
+
+
+# P and the l_identity report of the largest rung and of sym-30k's
+# <11, 3049>, as the per-term renderer printed them: 3.3 MB and 337 kB
+_PINNED_LARGE_ONE_POINT = {
+    "997 1009 poincare --json":
+        "01b07f8be19ce891358ca54304498193c5d16ccffd1a864ce2bae613e6379e83",
+    "997 1009 verify --check l_identity --json":
+        "5f6282d8d6676f2d72292eb53c07aafe7792d726e43d28d822e5a852ac5514da",
+    "11 3049 poincare --json":
+        "9672d98a1df64cb4c0142a8924e9bcd462aef326aa6e343d56bb168afe8228d7",
+    "11 3049 verify --check l_identity --json":
+        "7c93ac1b1ed3d9900cf044e5c52c92ea40a200b1fba6e2d020250690c062e83d",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_LARGE_ONE_POINT))
+def test_large_one_point_series_are_pinned(key, tmp_path, capsys):
+    a, b, verb, *args = key.split()
+    path = write(tmp_path, "large.json",
+                 {"kind": "numerical", "generators": [int(a), int(b)]})
+    code, out, err = invoke([verb, path, *args], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        _PINNED_LARGE_ONE_POINT[key]
 
 
 def test_analyze_largest_rung_is_pinned(tmp_path, capsys):

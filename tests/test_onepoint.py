@@ -43,6 +43,7 @@ from wsemigroups.onepoint import (
     apery_series,
     direct_series,
     functional_equation_signs,
+    l_jumps,
     l_polynomial,
     poincare_delta_product,
     poincare_direct,
@@ -56,7 +57,7 @@ from onepoint_oracle import (base_or_extra, base_plus_extras_mask,
                              indicator_by_direct_series,
                              indicator_report_by_expansion,
                              l_identity_by_cross_multiplication,
-                             l_polynomial_by_mask,
+                             l_identity_by_dict_loop, l_polynomial_by_mask,
                              l_polynomial_comparison, l_polynomial_paper,
                              paper_product_by_addition,
                              representation_counts, series_modes_by_expansion,
@@ -117,6 +118,47 @@ def test_multiplicity_budget_is_checked_before_the_build(monkeypatch):
             build()
     with pytest.raises(InvalidSemigroup, match="gcd of generators is 2"):
         NumericalSemigroup([8, 10])
+
+
+def test_relaxation_budget_counts_one_edge_per_class(monkeypatch):
+    # <a, ..., 2a - 1> has a - 1 classes: 2048 * 2047 is over 2^21;
+    # lowered to 12, the budget admits <4, 5, 9, 13, 8> (one class, 5 the
+    # least of it, 8 of class 0), 7 x 1 for <7, 8, 14, 15>, 3 x 2 for six
+    # generators past 3, and 4 x 3 = 12, and refuses 5 x 3 = 15 and
+    # 8 x 2 = 16
+    assert onepoint.MAX_RELAXATIONS >= 1024 * 1023
+    with pytest.raises(InvalidSemigroup, match=(
+            "^multiplicity 2048 times 2047 generator classes exceeds the "
+            "budget 2097152 ")):
+        NumericalSemigroup(range(2048, 4096))
+    monkeypatch.setattr(onepoint, "MAX_RELAXATIONS", 12)
+    assert NumericalSemigroup([4, 5, 9, 13, 8]).apery == (0, 5, 10, 15)
+    assert NumericalSemigroup([7, 8, 14, 15]).conductor == 42
+    assert NumericalSemigroup([3, 4, 5, 7, 8, 11, 14]).conductor == 3
+    assert NumericalSemigroup([4, 5, 6, 7]).conductor == 4
+    for gens, message in (([5, 6, 7, 8], "5 times 3 "),
+                          ([8, 12, 13], "8 times 2 ")):
+        with pytest.raises(InvalidSemigroup, match="^multiplicity " + message):
+            NumericalSemigroup(gens)
+    with pytest.raises(InvalidSemigroup, match="^multiplicity 8 times 2 "):
+        DeltaSequence([8, 12, 13])
+
+
+def test_apery_table_keeps_the_least_generator_of_each_class():
+    # generators that repeat a class or lie in class 0 change nothing
+    rng = random.Random(30)
+    for _ in range(40):
+        a = rng.randint(2, 12)
+        gens = [a, *rng.sample(range(a + 1, 6 * a), rng.randint(1, 8))]
+        if math.gcd(*gens) != 1:
+            continue
+        s = NumericalSemigroup(gens)
+        assert s.generators == tuple(sorted(set(gens)))
+        bound = max(s.apery) + 1
+        member = closure_sieve(gens, bound)
+        assert s.apery == tuple(
+            min(n for n in range(r, bound + 1, a) if member[n])
+            for r in range(a)), gens
 
 
 def test_membership_matches_reference_sieve():
@@ -818,9 +860,10 @@ def test_seeded_inputs_cover_every_kind():
 @pytest.mark.parametrize("s", ONE_POINT_INPUTS, ids=repr)
 def test_apery_checks_match_cross_multiplication_oracle(s, monkeypatch):
     new = s.verify("l_identity")
-    old = l_identity_by_cross_multiplication(s)
-    assert new.passed and old.passed
-    assert new.to_json() == old.to_json()
+    for old in (l_identity_by_cross_multiplication(s),
+                l_identity_by_dict_loop(s)):
+        assert new.passed and old.passed
+        assert new.to_json() == old.to_json()
     if s.is_symmetric():
         signs = functional_equation_signs(s)
         assert signs == signs_by_cross_multiplication(s)
@@ -1067,12 +1110,32 @@ def test_cli_symmetry_reports_match_the_scan_oracle(s, monkeypatch,
 
 @pytest.mark.parametrize("s", ONE_POINT_INPUTS[::10], ids=repr)
 def test_l_identity_fails_on_a_changed_l_polynomial(s, monkeypatch):
-    # one term more or less on either side of the identity breaks it
-    for n in (0, 1, s.conductor, s.conductor + len(s.apery)):
-        for c in (1, -1):
-            monkeypatch.setattr(onepoint, "l_polynomial", lambda t: (
-                l_polynomial(t) + LaurentPoly({(n,): c}, arity=1)))
-            assert not s.verify("l_identity").passed, (n, c)
+    # the check reads L off its jumps: one jump more or less, one moved,
+    # or one repeated breaks the identity, as it breaks the dict-loop
+    # oracle's; on <2, 3> + extras the repeated conductor leaves both
+    # sides with the same set of exponents, so only counting them fails it
+    jumps = l_jumps(s)
+    changed = [sorted(set(jumps) ^ {n})
+               for n in (0, 1, s.conductor, s.conductor + len(s.apery))]
+    changed.append([*jumps[:-1], jumps[-1] + 1])  # the conductor moved
+    changed.append([*jumps, jumps[-1]])  # and repeated
+    for wrong in changed:
+        monkeypatch.setattr(onepoint, "l_jumps", lambda t: list(wrong))
+        report = s.verify("l_identity")
+        assert not report.passed, wrong
+        assert report.to_json() == l_identity_by_dict_loop(s).to_json()
+
+
+@pytest.mark.parametrize(
+    "s", [*ONE_POINT_INPUTS, NumericalSemigroup([997, 1009])], ids=repr)
+def test_l_jumps_are_the_mask_walks_terms_with_alternating_signs(s):
+    jumps = l_jumps(s)
+    lpoly = l_polynomial_by_mask(s)
+    assert jumps == [e for (e,), _ in lpoly.terms()]
+    assert [c for _, c in lpoly.terms()] == [(-1) ** i
+                                             for i in range(len(jumps))]
+    assert jumps[-1] == s.conductor and len(jumps) % 2 == 1
+    assert l_polynomial(s) == lpoly
 
 
 SEEDED_DELTA_INPUTS = [s for s in ONE_POINT_INPUTS
@@ -1109,4 +1172,6 @@ def test_north_star_signs_and_l_identity():
     s = NumericalSemigroup([997, 1009])
     assert functional_equation_signs(s) == (1, -1)
     assert s.genus == 996 * 1008 // 2
-    assert s.verify("l_identity").passed
+    report = s.verify("l_identity")
+    assert report.passed
+    assert report.to_json() == l_identity_by_dict_loop(s).to_json()

@@ -25,15 +25,16 @@ MODULES = (cli, onepoint, series, twopoint, oracle)
 PKG = types.SimpleNamespace(cli=cli, onepoint=onepoint, series=series,
                             twopoint=twopoint, oracle=oracle)
 
-# one input per kind, with the spans its `verify --check all` must record
+# one input per kind, with the spans its `verify --check all` must record;
+# l_identity multiplies no series, the signs of a symmetric input do
 INPUTS = {
     "numerical": ({"kind": "numerical", "generators": [3, 4, 5]}, {
         "onepoint.NumericalSemigroup", "onepoint.symmetry_witnesses",
-        "onepoint.l_polynomial", "series.LaurentPoly.mul"}),
+        "onepoint.l_polynomial"}),
     "delta": ({"kind": "delta", "r": [4, 6, 7]}, {
         "onepoint.DeltaSequence", "onepoint.OnePointSemigroup",
         "onepoint.symmetry_witnesses", "onepoint.l_polynomial",
-        "onepoint.functional_equation_signs",
+        "onepoint.functional_equation_signs", "series.LaurentPoly.mul",
         "onepoint.poincare_delta_product", "onepoint.poincare_onepoint"}),
     "delta-extras": ({"kind": "delta", "r": [4, 6, 7], "extras": [9]}, {
         "onepoint.OnePointSemigroup", "onepoint.symmetry_witnesses",

@@ -5,18 +5,18 @@ validate / analyze / maximals / poincare / expand / verify, and prints
 either a human-readable report or (with --json) canonical JSON.  Exit
 codes: 0 success, 1 a verification check found violations, 2 invalid
 input or usage.  Identical invocations produce byte-identical output.
-The direct form of a numerical input's Poincare series is printed
-straight from the sorted jumps of its L-polynomial, two joins over
-their decimal strings; every other series, alone or inside a
-verification report, is rendered one %-format per numerator term.
-Both give the bytes that encoding the series' `to_json()` would give.
-An `analyze` gap list is rendered from the gap mask one block of 1000
-values at a time, to the bytes that encoding the `gaps` tuple would
-give.  A one-point `expand` is the window's membership bytes as
-digits, to the bytes that encoding the expanded coefficients would
-give: as `--json` the digit bytes are written between its commas by
-one strided write, and as text its lines are joined one block of 1000
-values at a time.  Every other value goes through one encoder.
+Lists printed whole are read off selector bytes by one renderer,
+`_decimal_parts`, a block of 1000 values per Python-level step and no
+int formatted: the `analyze` gap list off the gap mask, text one-point
+`expand` off its membership bytes (a negative n takes its own line) and
+the direct form of a numerical input's Poincare series off the
+L-polynomial's jump mask (a start is a +1 term, an end a -1 term), or
+off its sorted jumps where they are too sparse in [0, c] for a mask.
+One-point `expand --json` writes the digit bytes between its commas by
+one strided write, and every other series, alone or in a verification
+report, is rendered one %-format per numerator term.  Each such output
+is joined once, to the bytes that encoding its value would give.  Every
+other value goes through one encoder.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import argparse
 import functools
 import itertools
 import json
-import operator
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -33,8 +32,8 @@ from dataclasses import dataclass, replace
 from .checks import KIND_CHECKS, VerificationReport
 from .errors import InputError
 from .onepoint import (DeltaSequence, NumericalSemigroup, OnePointSemigroup,
-                       direct_series, l_jumps, poincare_delta_product,
-                       series_first_difference)
+                       direct_series, l_jump_count, l_jumps,
+                       poincare_delta_product, series_first_difference)
 from .oracle import Fixture, semigroup_from_fixture
 from .series import RationalGF, Window
 from .twopoint import TwoPointSemigroup
@@ -207,25 +206,21 @@ def _run_validate(model: Model, cmd):
 
 def _run_analyze(model: Model, cmd):
     summary = _summary(model)
-    if cmd.json_output:
-        if "gaps" not in summary:
-            return 0, _dump(summary)
-        # the fields before and after the gap mask, encoded on each side
-        items = list(summary.items())
-        at = list(summary).index("gaps")
-        head, tail = _dump(dict(items[:at])), _dump(dict(items[at + 1:]))
-        return 0, (head[:-1] + ',"gaps":' + _gaps_json(summary["gaps"], ",")
-                   + "," + tail[1:])
-    lines = []
-    for key, value in summary.items():
-        if key == "gaps":
-            shown = _gaps_json(value, ", ")
-        elif isinstance(value, str):
-            shown = value
-        else:
-            shown = json.dumps(value, separators=(", ", ": "))
-        lines.append(f"{key}: {shown}")
-    return 0, "\n".join(lines)
+    render, sep, at = ((_dump, ",", '"gaps":[') if cmd.json_output
+                       else (_summary_lines, ", ", "gaps: ["))
+    if "gaps" not in summary:
+        return 0, render(summary)
+    # the summary with an empty gap list, split where the gaps go
+    head, _, tail = render({**summary, "gaps": []}).partition(at + "]")
+    return 0, _joined(head + at, _decimal_parts(summary["gaps"], (sep,)),
+                      "]" + tail, len(sep))
+
+
+def _summary_lines(summary: dict) -> str:
+    return "\n".join(
+        f"{key}: " + (value if isinstance(value, str)
+                      else json.dumps(value, separators=(", ", ": ")))
+        for key, value in summary.items())
 
 
 def _run_maximals(model: Model, cmd):
@@ -254,7 +249,7 @@ def _run_poincare(model: Model, cmd):
         raise InputError("form 'corner' needs a two-point input")
     elif form == "direct":
         if model.kind == "numerical":
-            return 0, _direct_json(l_jumps(model.semigroup))
+            return 0, _direct_json(model.semigroup)
         series = direct_series(model.semigroup)
     else:  # closed: the delta product of the chain
         series = poincare_delta_product(
@@ -278,12 +273,19 @@ def _run_expand(model: Model, cmd):
         return 0, "\n".join([head, *map("{}: {}".format,
                                          range(lo1, hi1 + 1), rows)])
     # every one-point coefficient is a membership byte, one digit each
-    digits = model.semigroup.indicator(window).translate(_BIT_DIGITS)
     if cmd.json_output:
-        return 0, _coefficients_json(window, digits)
-    (lo, _), = window.bounds
-    digits = digits.decode()  # the bytes go before the lines are built
-    return 0, _expand_lines(lo, digits)
+        return 0, _coefficients_json(
+            window, model.semigroup.indicator(window).translate(_BIT_DIGITS))
+    (lo, hi), = window.bounds
+    # a negative n takes its own line; from 0 on, the line "n: d" is
+    # chosen by selector byte 2 (n - max(lo, 0)) + d
+    lines = [f"{n}: 0\n" for n in range(lo, min(hi + 1, 0))]
+    sel = bytearray(2 * (hi + 1 - lo - len(lines)))
+    sel[1::2] = model.semigroup.indicator(window)[len(lines):]
+    sel[::2] = sel[1::2].translate(_FLIP)
+    lines += _decimal_parts(sel, (": 0\n", ": 1\n"), max(lo, 0))
+    del sel  # only the lines and their join are held at the peak
+    return 0, _joined("", lines, "", 1)
 
 
 def _run_verify(model: Model, cmd):
@@ -316,49 +318,82 @@ def _report_lines(rep: VerificationReport):
     return [head] + [f"  {w}" for w in rep.witnesses]
 
 
-def _series_json(series: RationalGF) -> str:
-    """`_dump(series.to_json())`, one %-format per numerator term in
-    place of a dict and a list per term."""
+def _series_json(series: RationalGF, head="", tail="") -> str:
+    """head + `_dump(series.to_json())` + tail, one %-format per
+    numerator term in place of a dict and a list per term, joined once:
+    the head goes before the first term and the tail after the last."""
     term = '{"e":[' + ",".join(["%d"] * series.arity) + '],"c":%d}'
-    terms = [term % (*e, c) for e, c in series.num.terms()]
-    return ('{"num":[' + ",".join(terms) + '],"den":' + _dump(series.den)
-            + "}")
+    terms = [term % (*e, c) for e, c in series.num.terms()] or [""]
+    terms[0] = head + '{"num":[' + terms[0]
+    terms[-1] += '],"den":' + _dump(series.den) + "}" + tail
+    return ",".join(terms)
 
 
-def _direct_json(jumps) -> str:
-    """`_series_json(poincare_direct(S))` from the sorted jumps of S's
-    L-polynomial, whose signs alternate +1, -1, ..., +1: each (start,
-    end) pair is joined by one separator and the pairs by the other, so
-    the decimal strings are built once and no term is formatted."""
-    digits = list(map(str, jumps))
-    pairs = map('],"c":1},{"e":['.join, zip(digits[::2], digits[1::2]))
-    return ('{"num":[{"e":[' + '],"c":-1},{"e":['.join([*pairs, digits[-1]])
-            + '],"c":1}],"den":[[1]]}')
+def _direct_json(S) -> str:
+    """`_series_json(poincare_direct(S))` of a numerical S, each jump of L
+    with its term's tail (a start is +1, an end -1, c the last start): off
+    the jump mask where its scan and tables (about 25 ns a value of [0, c]
+    and 0.25 ms) cost less than a str() a jump (250 ns), else off the
+    (start, end) pairs of `l_jumps`; so the cost grows with the terms."""
+    head, tail = '{"num":[{"e":[', '],"c":1}],"den":[[1]]}'
+    start, end = _JUMP_SUFFIXES
+    if S.conductor + 10_000 < 10 * l_jump_count(S):
+        return _joined(head, _decimal_parts(S.jump_mask(), _JUMP_SUFFIXES),
+                       tail, len(start))
+    digits = list(map(str, l_jumps(S)))
+    parts = [*map(start.join, zip(digits[::2], digits[1::2])), digits[-1]]
+    parts[0] = head + parts[0]
+    parts[-1] += tail
+    return end.join(parts)
 
 
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a 0/1 byte as its digit
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")  # swaps a mask's 0 and 1 bytes
+# what follows the exponent of a +1 (start) and a -1 (end) direct term
+_JUMP_SUFFIXES = ('],"c":1},{"e":[', '],"c":-1},{"e":[')
 
-# the decimal strings of 0-999, bare for the first block of a gap list
-# and padded to three digits after a later block's prefix
+# the decimal strings of 0-999, bare for block 0 and padded to three
+# digits after a later block's prefix
 _DIGITS = tuple(map(str, range(1000)))
 _PAD3 = tuple(f"{n:03d}" for n in range(1000))
 
 
-def _gaps_json(gap, sep: str) -> str:
-    """The JSON list, items joined by `sep`, of the n with gap[n] = 1.
+def _decimal_parts(sel, suffixes, start=0) -> list:
+    """Strings whose concatenation is str(n) + suffixes[j] for every set
+    byte k (n - start) + j of sel, in order, where k = len(suffixes) and
+    0 <= start <= n.
 
     Block q of 1000 values is str(q) before each of its padded low parts,
-    so the only Python-level step is one per block; a block with no gap
-    is left out, prefix and all.
+    so the only Python-level step is one per block and no int is
+    formatted; a block with no set byte is left out, prefix and all.  A
+    lone suffix is the join's separator over the digit tables; two or
+    more take tables with each suffix appended, built per call, so no
+    process holds them once its output is joined.
     """
-    blocks = []
-    for lo in range(0, len(gap), 1000):
-        prefix = str(lo // 1000) if lo else ""
-        low = (sep + prefix).join(itertools.compress(
-            _PAD3 if lo else _DIGITS, gap[lo:lo + 1000]))
+    k = len(suffixes)
+    tables, glue, end = (_DIGITS, _PAD3), suffixes[0], suffixes
+    if k > 1:  # entry k i + j: low part i, suffix j
+        padded = [s + suffix for s in _PAD3 for suffix in suffixes]
+        # from 100 on, a bare low part is its padded one
+        tables, glue, end = ([s + suffix for s in _DIGITS[:100] for suffix
+                              in suffixes] + padded[100 * k:], padded), "", ()
+    if start % 1000:  # pad the selector back to the start of its block
+        sel = bytes(k * (start % 1000)) + sel
+    parts = []
+    for q, at in enumerate(range(0, len(sel), 1000 * k), start // 1000):
+        prefix, table = (str(q), tables[1]) if q else ("", tables[0])
+        low = (glue + prefix).join(itertools.compress(
+            table, sel[at:at + 1000 * k]))
         if low:
-            blocks.append(prefix + low)
-    return "[" + sep.join(blocks) + "]"
+            parts += (prefix, low, *end)
+    return parts
+
+
+def _joined(head: str, parts: list, tail: str, drop: int) -> str:
+    """head + "".join(parts)[:-drop] + tail, with one join."""
+    if parts:
+        parts[-1] = parts[-1][:-drop]
+    return "".join([head, *parts, tail])
 
 
 def _coefficients_json(window: Window, digits: bytes) -> str:
@@ -373,45 +408,14 @@ def _coefficients_json(window: Window, digits: bytes) -> str:
     return out.decode()
 
 
-@functools.cache
-def _line_labels():
-    """The labels "n: " of text `expand` lines, bare for the first block
-    and padded to three digits after a later block's prefix; built on
-    first use, so a process that never prints them holds none."""
-    return (tuple(s + ": " for s in _DIGITS),
-            tuple(s + ": " for s in _PAD3))
-
-
-def _expand_lines(lo: int, digits: str) -> str:
-    """The lines "n: d" for n = lo, lo + 1, ... and the digits d,
-    joined by newlines.
-
-    Block q >= 1 of 1000 values is str(q) before each of its padded
-    labels, so the only Python-level step is one per block; a negative
-    n takes its own line."""
-    end = lo + len(digits)
-    parts = [f"{n}: {d}" for n, d in zip(range(lo, min(end, 0)), digits)]
-    bare, padded = _line_labels()
-    n = max(lo, 0)
-    while n < end:
-        q, i = divmod(n, 1000)
-        j = min(i + end - n, 1000)  # the block's labels i, ..., j - 1
-        prefix, labels = (str(q), padded) if q else ("", bare)
-        parts.append(prefix + ("\n" + prefix).join(map(
-            operator.add, labels[i:j], digits[n - lo:n - lo + j - i])))
-        n += j - i
-    return "\n".join(parts)
-
-
 def _report_json(rep: VerificationReport) -> str:
     """`_dump(rep.to_json())`, with the series rendered by `_series_json`
-    between the window and the details."""
+    between the window and the details, in its one join."""
     if rep.series is None:
         return _dump(rep.to_json())
     head = _dump(replace(rep, series=None, details={}).to_json())
     details = ',"details":' + _dump(rep.details) if rep.details else ""
-    return (head[:-1] + ',"series":' + _series_json(rep.series) + details
-            + "}")
+    return _series_json(rep.series, head[:-1] + ',"series":', details + "}")
 
 
 # one encoder for every dump; library values are fresh acyclic trees, and a

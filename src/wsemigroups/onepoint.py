@@ -18,7 +18,8 @@ and 0 otherwise, so `indicator(window)` gives P's coefficients on a
 window as membership bytes, and one-point `expand` prints them.  The
 symmetry witnesses and the L-polynomial's run starts and ends are one
 range per residue class of the table; `l_jumps` sorts the starts and
-ends into one list, whose signs alternate +1, -1, ..., +1.  Checks
+ends into one list, whose signs alternate +1, -1, ..., +1, and
+`jump_mask()` lays them out as bytes, one strided write a run.  Checks
 read the Apery form P(t) = sum_{w in Ap} t^w / (1 - t^a), a numerator
 terms, not c: it decides the `funceq` signs in O(a), and the
 `symmetry` and `funceq` reports carry it.  `indicator` (the Apery
@@ -95,6 +96,19 @@ class _AperySemigroup:
     def gap_mask(self):
         """A bytearray m of length c with m[n] = 1 exactly for gaps n."""
         return self.mask(self.conductor).translate(_FLIP)
+
+    def jump_mask(self):
+        """A bytearray m of length 2(c + 1) with m[2n] = 1 where a run of
+        members starts at n and m[2n + 1] = 1 where one ends: the jumps
+        of `l_jumps`, one strided write per residue class and kind."""
+        apery = self.apery
+        step = 2 * len(apery)
+        jumps = bytearray(2 * self.conductor + 2)
+        for w, p in zip(apery, apery[-1:] + apery[:-1]):
+            # starts at n = w, w + a, ... <= p, ends at n = p + 1, ... < w
+            for lo, hi in ((2 * w, 2 * p + 2), (2 * p + 3, 2 * w + 1)):
+                jumps[lo:hi:step] = b"\1" * len(range(lo, hi, step))
+        return jumps
 
     @property
     def gaps(self):
@@ -465,6 +479,14 @@ def l_jumps(semigroup) -> list[int]:
     return sorted(itertools.chain.from_iterable(map(
         range, [*apery, *after], [*after, *apery],
         itertools.repeat(len(apery)))))
+
+
+def l_jump_count(semigroup) -> int:
+    """len(l_jumps(semigroup)) in O(a): the starts or the ends of class r
+    step by a from Ap[r] to Ap[r - 1] + 1, which lies in class r."""
+    apery = semigroup.apery
+    after = map((1).__add__, apery[-1:] + apery[:-1])
+    return sum(map(abs, map(operator.sub, apery, after))) // len(apery)
 
 
 def l_polynomial(semigroup) -> LaurentPoly:

@@ -60,6 +60,15 @@ checks the renderings byte for byte.
 rendered it from those digits, one f-string per line; the CLI now
 renders a block of 1000 values per Python-level step.
 
+`gaps_json_by_blocks` and `direct_json_by_pairs` are the gap list of
+`analyze` and the direct form of a numerical `poincare` as the CLI
+rendered them before both were read off selector bytes: the first joined
+the padded low parts of each block of 1000 gaps, the second joined the
+decimal strings of `l_jumps` in (start, end) pairs, one join per sign.
+The CLI now renders the gap mask, and `jump_mask()` where the jumps are
+dense in [0, c], through one renderer, `cli._decimal_parts`; test_cli.py
+checks the bytes against both.
+
 `symmetry_witnesses_by_scan` lists the symmetry witnesses by comparing
 the membership mask on [0, c) with its reverse, an O(c) walk; the
 library reads them off the Apery table, two ranges per residue class.
@@ -229,6 +238,34 @@ def expand_lines_per_point(lo, digits):
     """The lines "n: d" for n = lo, lo + 1, ... and the digits d."""
     return "\n".join([f"{n}: {d}"
                       for n, d in zip(range(lo, lo + len(digits)), digits)])
+
+
+_DIGITS = tuple(map(str, range(1000)))
+_PAD3 = tuple(f"{n:03d}" for n in range(1000))
+
+
+def gaps_json_by_blocks(gap, sep):
+    """The JSON list, items joined by `sep`, of the n with gap[n] = 1:
+    block q of 1000 values is str(q) before each of its padded low parts,
+    and a block with no gap is left out, prefix and all."""
+    blocks = []
+    for lo in range(0, len(gap), 1000):
+        prefix = str(lo // 1000) if lo else ""
+        low = (sep + prefix).join(itertools.compress(
+            _PAD3 if lo else _DIGITS, gap[lo:lo + 1000]))
+        if low:
+            blocks.append(prefix + low)
+    return "[" + sep.join(blocks) + "]"
+
+
+def direct_json_by_pairs(jumps):
+    """The direct series' JSON from the sorted jumps of the L-polynomial,
+    whose signs alternate +1, -1, ..., +1: each (start, end) pair joined
+    by one separator and the pairs by the other."""
+    digits = list(map(str, jumps))
+    pairs = map('],"c":1},{"e":['.join, zip(digits[::2], digits[1::2]))
+    return ('{"num":[{"e":[' + '],"c":-1},{"e":['.join([*pairs, digits[-1]])
+            + '],"c":1}],"den":[[1]]}')
 
 
 def symmetry_witnesses_by_scan(semigroup):

@@ -1,11 +1,13 @@
 """Command-line interface: parsing, verbs, exit codes, output determinism."""
 
+import argparse
 import hashlib
 import itertools
 import json
 import math
 import os
 import random
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -28,11 +30,12 @@ from wsemigroups import (
 import wsemigroups
 from wsemigroups import CHECKS, TwoPointSemigroup, VerificationReport, cli
 from wsemigroups.cli import parse_input
-from wsemigroups.onepoint import _AperySemigroup
+from wsemigroups.onepoint import _AperySemigroup, l_jumps
 from wsemigroups.oracle import FixtureSemigroup, d_oracle
 from wsemigroups.twopoint import interior_region
 
 import twopoint_oracle as oracle
+from onepoint_oracle import direct_json_by_pairs, gaps_json_by_blocks
 from series_oracle import series_from_json
 
 
@@ -1096,8 +1099,36 @@ def test_gaps_renderer_past_block_1000():
 def _assert_gaps_render(mask):
     gaps = list(itertools.compress(range(len(mask)), mask))
     for sep in (",", ", "):
-        assert cli._gaps_json(mask, sep) == \
-            json.dumps(gaps, separators=(sep, ":"))
+        shown = cli._joined("[", cli._decimal_parts(mask, (sep,)), "]",
+                            len(sep))
+        assert shown == json.dumps(gaps, separators=(sep, ":")) == \
+            gaps_json_by_blocks(mask, sep)
+
+
+# every list the CLI reads off selector bytes: str() is the oracle, on
+# selectors that are empty, all ones or hold runs, with values crossing
+# the block edges at 1000 and 10^6 and far beyond
+DECIMAL_SUFFIXES = [(",",), (", ",), cli._JUMP_SUFFIXES, (": 0\n", ": 1\n")]
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(DECIMAL_SUFFIXES),
+       st.one_of(st.integers(min_value=0, max_value=2500),
+                 st.sampled_from([999, 1000, 1001, 10**6 - 1, 10**6,
+                                  10**6 - 1500]),
+                 st.integers(min_value=0, max_value=10**12)),
+       gap_masks())
+@example((",",), 0, b"")
+@example(cli._JUMP_SUFFIXES, 998, b"\1" * 4000)
+@example((", ",), 10**6 - 1001, b"\1" * 3500)
+@example((": 0\n", ": 1\n"), 999, b"\0\1" * 3)
+def test_decimal_parts_are_the_str_of_every_selected_value(suffixes, start,
+                                                           sel):
+    k = len(suffixes)
+    sel = sel[:len(sel) - len(sel) % k]  # whole values only
+    expected = "".join(str(start + i // k) + suffixes[i % k]
+                       for i, bit in enumerate(sel) if bit)
+    assert "".join(cli._decimal_parts(sel, suffixes, start)) == expected
 
 
 def _analyze_before_blocks(model, json_output):
@@ -1210,12 +1241,37 @@ def test_direct_form_prints_the_encoders_bytes(seed, tmp_path, capsys):
                 (0, expected, ""), (payload, args)
 
 
-@pytest.mark.parametrize("jumps", [[0], [0, 1, 2], [0, 1, 3, 4, 6],
-                                   [0, 1, 10**12]])
-def test_direct_renderer_matches_the_encoder(jumps):
-    terms = {(e,): (-1) ** i for i, e in enumerate(jumps)}
-    series = RationalGF(LaurentPoly(terms), [(1,)])
-    assert cli._direct_json(jumps) == cli._dump(series.to_json())
+# off the jump mask where the jumps are dense in [0, c], off the sorted
+# jumps where they are sparse (<30, 31>, <1000, 1001>, <200, 201, 203>),
+# and on both sides of the switch (<101, 103, 107, 109> takes the mask)
+@pytest.mark.parametrize("gens", [[1], [2, 3], [4, 6, 7], [5, 7, 9, 11],
+                                  [31, 37], [11, 3049], [30, 31],
+                                  [1000, 1001], [200, 201, 203],
+                                  [101, 103, 107, 109]])
+def test_direct_renderer_matches_the_encoder(gens):
+    S = NumericalSemigroup(gens)
+    code, text = cli._run_poincare(cli.Model("numerical", S),
+                                   argparse.Namespace(form=None))
+    assert code == 0
+    assert text == cli._dump(poincare_direct(S).to_json()) == \
+        direct_json_by_pairs(l_jumps(S))
+
+
+def test_sparse_direct_form_needs_no_conductor_sized_buffer(tmp_path):
+    # <10^5, 10^5 + 1>: c is about 10^10 and L has 2 10^5 - 1 terms; the
+    # console prints P in an address space of 1 GiB, far below 2 (c + 1)
+    gens = [10**5, 10**5 + 1]
+    path = write(tmp_path, "ns-sparse.json",
+                 {"kind": "numerical", "generators": gens})
+    src = str(Path(wsemigroups.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "wsemigroups", "poincare", path, "--json"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=120, preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    expected = direct_json_by_pairs(l_jumps(NumericalSemigroup(gens)))
+    assert proc.stdout.decode() == expected + "\n"
 
 
 # P and the l_identity report of the largest rung and of sym-30k's
@@ -1250,6 +1306,25 @@ def test_analyze_largest_rung_is_pinned(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "509e9b60a63ae03398ccd7254dbf3c0fc366fc35aa11c283922c662bee4fd276"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["analyze", "--json"],
+     "509e9b60a63ae03398ccd7254dbf3c0fc366fc35aa11c283922c662bee4fd276"),
+    (["poincare", "--json"],
+     _PINNED_LARGE_ONE_POINT["997 1009 poincare --json"])])
+def test_console_prints_the_largest_rung_through_a_pipe(argv, digest,
+                                                        tmp_path):
+    # the console entry point prints and flushes the multi-megabyte text
+    path = write(tmp_path, "ns-997-1009.json",
+                 {"kind": "numerical", "generators": [997, 1009]})
+    src = str(Path(wsemigroups.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "wsemigroups", argv[0], path, *argv[1:]],
+        capture_output=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_largest_rung_reports_carry_the_apery_form(tmp_path, capsys):

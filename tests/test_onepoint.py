@@ -43,6 +43,7 @@ from wsemigroups.onepoint import (
     apery_series,
     direct_series,
     functional_equation_signs,
+    l_jump_count,
     l_jumps,
     l_polynomial,
     poincare_delta_product,
@@ -1050,11 +1051,18 @@ def test_text_expand_matches_the_per_line_renderer(lo, hi):
 
 
 @settings(max_examples=200)
-@given(st.one_of(st.integers(-2500, 2500), st.integers(10**9, 10**9 + 10**4)),
-       st.text(alphabet="012", max_size=2600))
+@given(st.one_of(st.integers(0, 2500), st.integers(10**9, 10**9 + 10**4)),
+       st.text(alphabet="01", max_size=2600))
 @example(1001, "")
+@example(999, "0110")
 def test_block_renderer_matches_the_per_line_renderer(lo, digits):
-    assert cli._expand_lines(lo, digits) == expand_lines_per_point(lo, digits)
+    # text expand from 0 on: selector byte 2 (n - lo) + d picks the line
+    # "n: d", each with its newline (the CLI cuts the last one)
+    sel = b"".join(b"\0\1" if d == "1" else b"\1\0" for d in digits)
+    text = "".join(cli._decimal_parts(sel, (": 0\n", ": 1\n"), lo))
+    assert text == "".join(
+        line + "\n" for line in expand_lines_per_point(lo, digits).split("\n")
+        if line)
 
 
 def test_expand_json_holds_the_output_once_or_twice():
@@ -1136,6 +1144,20 @@ def test_l_jumps_are_the_mask_walks_terms_with_alternating_signs(s):
                                              for i in range(len(jumps))]
     assert jumps[-1] == s.conductor and len(jumps) % 2 == 1
     assert l_polynomial(s) == lpoly
+
+
+@pytest.mark.parametrize(
+    "s", [*ONE_POINT_INPUTS, NumericalSemigroup([997, 1009])], ids=repr)
+def test_jump_mask_sets_the_starts_and_ends_of_l_jumps(s):
+    # starts (+1) on even bytes 2n, ends (-1) on odd bytes 2n + 1, and
+    # l_jump_count counts them; the inputs hold <1>, where c = 0 and 0 is
+    # the only jump
+    jumps = l_jumps(s)
+    assert l_jump_count(s) == len(jumps)
+    mask = s.jump_mask()
+    assert len(mask) == 2 * (s.conductor + 1)
+    assert list(itertools.compress(range(len(mask)), mask)) == sorted(
+        [2 * n for n in jumps[::2]] + [2 * n + 1 for n in jumps[1::2]])
 
 
 SEEDED_DELTA_INPUTS = [s for s in ONE_POINT_INPUTS

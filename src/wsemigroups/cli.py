@@ -74,9 +74,10 @@ _FIELDS = {
     "delta": {"r": _INTS, "extras": _INTS},
     "two_point_strip": {
         "genus": _INT, "period": _INT,
-        # one C-level type scan per row, not a call per cell
-        "strip": (_list_of(lambda row: type(row) is list
-                           and {bool}.issuperset(map(type, row))),
+        # two C-level type scans, of the rows and then of every cell
+        "strip": (lambda rows: type(rows) is list
+                  and {list}.issuperset(map(type, rows)) and {bool}.issuperset(
+                      map(type, itertools.chain.from_iterable(rows))),
                   "a list of rows of JSON booleans")},
     "two_point": {
         "genus": _INT, "period": _INT,

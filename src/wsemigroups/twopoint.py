@@ -9,8 +9,14 @@ each column class and on each row class, answer every question about
 the members below a point on its column or row.  Every pointwise
 predicate is thus written once, as a function of a point's class read
 off the strip and those two tables, and the point methods only reduce
-a point to its class.  Window scans and checks ask each class once, so
-they cost O(g * period + witnesses + output), not the window's area.
+a point to its class.  The constructor lists the member classes by one
+C-level pass over the strip, fills both tables from that list and
+refuses a strip on a closure witness of the walk over pairs of member
+classes: O(members^2) Python steps.  Window scans ask each band class
+at most once, at O(g * period + witnesses + output), not the window's
+area; c_prop, c_identity and corner_translates ask at most 4 * period
+classes, d_agreement reads its witness classes off the tables, and
+closure and lemma4, true on every built strip, ask none.
 expand reads dim_jump on every class of the band off one byte table
 laid out by O(g + period) strided runs, writes one digit string per
 column class from it and slices each row from that string,
@@ -27,7 +33,7 @@ measures that instead of hiding it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import compress
+from itertools import chain, compress, repeat
 
 from .checks import KIND_CHECKS, VerificationReport, verify
 from .errors import (AxiomViolation, InvalidSemigroup, WindowTooSmall,
@@ -36,6 +42,7 @@ from .series import LaurentPoly, RationalGF, Window
 
 CHECKS = KIND_CHECKS["two-point"]
 _JUMP_DIGITS = bytes.maketrans(b"\0\1\2", b"012")  # a jump byte as its digit
+_GAPS = bytes.maketrans(b"\0\1", b"\1\0")  # a strip cell as 1 on a gap
 
 
 def interior_region(window: Window) -> Window:
@@ -71,40 +78,36 @@ class TwoPointSemigroup:
             raise InvalidSemigroup(f"genus must be >= 0, got {genus}")
         if period < 1:
             raise InvalidSemigroup(f"period must be >= 1, got {period}")
-        rows = [tuple(row) for row in rows]
-        for row in rows:
-            if not {bool}.issuperset(map(type, row)):
-                raise TypeError(f"strip cells must be bools, got row {row}")
-        if len(rows) != 2 * genus:
+        rows = tuple(map(tuple, rows))
+        if not {bool}.issuperset(map(type, chain.from_iterable(rows))):
+            row = next(r for r in rows if not {bool}.issuperset(map(type, r)))
+            raise TypeError(f"strip cells must be bools, got row {row}")
+        top = 2 * genus
+        if len(rows) != top:
             raise InvalidSemigroup(
-                f"strip must have 2*genus = {2 * genus} rows, got {len(rows)}")
-        if any(len(row) != period for row in rows):
+                f"strip must have 2*genus = {top} rows, got {len(rows)}")
+        if not {period}.issuperset(map(len, rows)):
             raise InvalidSemigroup(f"every strip row must have {period} entries")
-        self.genus = genus
-        self.period = period
-        self.strip = tuple(rows)
-        if genus > 0 and not self.strip[0][0]:
+        self.genus, self.period, self.strip = genus, period, rows
+        if genus > 0 and not rows[0][0]:
             raise AxiomViolation("origin (0,0) is not a member",
                                  witnesses=[((0, 0),)])
-        bad = self._closure_witnesses()
+        # the member classes (s, a) in order, off the flat index s*period+a
+        members = list(map(divmod, compress(
+            range(top * period), chain.from_iterable(rows)), repeat(period)))
+        bad = self._closure_witnesses(members)
         if bad:
             s1, s2, target = bad[0]
             raise AxiomViolation(
                 f"quotient closure fails: classes {s1} + {s2} -> {target} "
                 f"is not a member", witnesses=bad)
-        # least member sum on each column class (m1 = a mod period) and
-        # each row class (m2 = b mod period); 2g when the strip has none.
-        # Row s read down from its cell (s, s mod period) meets the row
-        # classes b = 0, 1, ... in turn, as the class (s, a) has b = s - a
-        top = 2 * genus
-
-        def least(lines):  # genus 0 has no lines, and every minimum is 0
-            return tuple(next(compress(range(top), line), top)
-                         for line in lines) or (top,) * period
-
-        self._colmin = least(zip(*self.strip))
-        self._rowmin = least(zip(*[row[s % period::-1] + row[:s % period:-1]
-                                   for s, row in enumerate(self.strip)]))
+        # least member sum C(a) on each column class (m1 = a mod period) and
+        # R(b) on each row class (m2 = b mod period, b = s - a), else 2g;
+        # walked from the largest sum down, each line's least is written last
+        colmin, rowmin = [top] * period, [top] * period
+        for s, a in reversed(members):
+            colmin[a] = rowmin[(s - a) % period] = s
+        self._colmin, self._rowmin = tuple(colmin), tuple(rowmin)
 
     @classmethod
     def from_members(cls, genus, period, gens):
@@ -124,38 +127,33 @@ class TwoPointSemigroup:
                     f"generator {(m1, m2)} has negative coordinate sum")
             if s < 2 * genus:
                 seeds.add((s, m1 % period))
-        classes = set(seeds)
-        frontier = list(seeds)
-        while frontier:
+        classes, frontier = set(seeds), list(seeds)
+        while frontier:  # each class is summed with every class so far
             s1, a1 = frontier.pop()
-            for s2, a2 in list(classes):
-                s = s1 + s2
-                if s >= 2 * genus:
-                    continue
-                cls_new = (s, (a1 + a2) % period)
-                if cls_new not in classes:
-                    classes.add(cls_new)
-                    frontier.append(cls_new)
+            new = {(s1 + s2, (a1 + a2) % period) for s2, a2 in classes
+                   if s1 + s2 < 2 * genus} - classes
+            classes |= new
+            frontier += new
         rows = [[False] * period for _ in range(2 * genus)]
         for s, a in classes:
             if s < 2 * genus:  # genus 0 keeps no row, not even the origin
                 rows[s][a] = True
         return cls(genus, period, rows)
 
-    def _closure_witnesses(self):
-        """All class pairs whose sum escapes the member set."""
-        members = [(s, a) for s, row in enumerate(self.strip)
-                   for a in compress(range(self.period), row)]
+    def _closure_witnesses(self, members):
+        """Pairs of the member classes, given in order, whose sum below 2g
+        is no member; a walk stops at sum 2g.  O(members^2) steps."""
+        top, th, strip = 2 * self.genus, self.period, self.strip
         bad = []
         for i, (s1, a1) in enumerate(members):
             for s2, a2 in members[i:]:
                 s = s1 + s2
-                if s >= 2 * self.genus:
-                    continue
-                a = (a1 + a2) % self.period
-                if not self.strip[s][a]:
+                if s >= top:
+                    break
+                a = (a1 + a2) % th
+                if not strip[s][a]:
                     bad.append(((s1, a1), (s2, a2), (s, a)))
-        return sorted(bad)
+        return bad
 
     # the class functions: every pointwise predicate, written once on
     # the class (s, a) = (m1 + m2, m1 mod period), a taken mod period here;
@@ -346,16 +344,12 @@ class TwoPointSemigroup:
         return None
 
     def find_symmetry_point(self, window: Window | None = None) -> tuple:
-        """(sigma, witnesses) of the symmetry-point search.
-
-        sigma is the corner maximal with coordinate sum 2g whose
-        reflection m -> normalize(sigma - m) maps the corner maximals
-        into themselves, or None when no candidate works.  The witnesses
-        are the points n of the window (default_window() when None)
-        where n in S <=> nabla(sigma - n) = empty fails; () without
-        sigma.  The semigroup is point-symmetric when sigma is not None
-        and there are no witnesses.
-        """
+        """(sigma, witnesses) of the symmetry-point search.  sigma is the
+        corner maximal of sum 2g whose reflection m -> normalize(sigma - m)
+        maps the corner maximals into themselves, or None; the witnesses
+        are the window points n (default_window() when None) where n in S
+        <=> nabla(sigma - n) = empty fails, () without sigma.  S is
+        point-symmetric when sigma is not None and there are none."""
         if window is None:
             window = self.default_window()
         sigma = self._sigma_candidate()
@@ -365,11 +359,9 @@ class TwoPointSemigroup:
         return sigma, tuple(self._where(window, lambda s, a: self._in(s, a) !=
                                         self._empty(r - s, sigma[0] - a)))
 
-    # class loops: a pointwise predicate reads only the class (s, a) of a
-    # point, s = m1 + m2 and a = m1 mod period, so its class function is
-    # asked once per class.  Below the band s in [-2, 2g+2] d = 0 and
-    # nothing is a member; above it d = 2, everything is a member and
-    # nothing is maximal, so every check but funceq passes there.
+    # class loops: a pointwise predicate is asked once per class.  Below
+    # the band s in [-2, 2g+2] d = 0 and nothing is a member; above it
+    # d = 2, all are members and none maximal: only funceq fails there.
 
     def _band(self, window):
         """The band classes that meet the window's sums."""
@@ -407,7 +399,12 @@ class TwoPointSemigroup:
         (lo1, hi1), (lo2, hi2) = window.bounds
         th = self.period
         if 2 * len(classes) <= hi1 - lo1 + 1:
-            return self._class_points(window, classes)
+            points = []
+            for s, a in classes:
+                lo = max(lo1, s - hi2)
+                points.extend((m1, s - m1) for m1 in range(
+                    lo + (a - lo) % th, min(hi1, s - lo2) + 1, th))
+            return sorted(points)
         sums = [[] for _ in range(th)]
         for s, a in classes:
             sums[a % th].append(s)
@@ -418,18 +415,6 @@ class TwoPointSemigroup:
             col = sums[m1 % th]
             points += [(m1, s - m1) for s in col[
                 bisect_left(col, m1 + lo2):bisect_right(col, m1 + hi2)]]
-        return points
-
-    def _class_points(self, window, classes):
-        """Window points of the classes (s, a[, lo, hi]), m1 clipped to
-        [lo, hi] when given, one class at a time, then sorted."""
-        (lo1, hi1), (lo2, hi2) = window.bounds
-        points = []
-        for s, a, *clip in classes:
-            lo, hi = max(lo1, s - hi2, *clip[:1]), min(hi1, s - lo2, *clip[1:])
-            points.extend((m1, s - m1) for m1 in range(
-                lo + (a - lo) % self.period, hi + 1, self.period))
-        points.sort()
         return points
 
     def _where(self, window, pred, classes=None):
@@ -447,19 +432,19 @@ class TwoPointSemigroup:
     def _report(self, check, window, witnesses, passed=True, **details):
         """The report of a check with its witnesses in the interior region
         of window and "scan", that region, as its first detail; it passes
-        when passed holds and there are no witnesses.  A pointwise check
-        asks the class functions once per band class and expands only
-        failing classes into points: O(g * period + witnesses) whatever
-        the window, plus period^2 for funceq.  c_prop, c_identity and
-        corner_translates ask only the at most 4 * period classes of
-        _support, O(period + witnesses)."""
+        when passed holds and there are no witnesses.  A check expands
+        only its failing classes into points; symmetry and funceq ask the
+        class functions once per band class, O(g * period + witnesses),
+        plus period^2 for funceq, and the others as their docstrings say."""
         witnesses = tuple(witnesses)
         return VerificationReport(
             check, passed and not witnesses, witnesses, window.bounds,
             {"scan": interior_region(window).bounds, **details})
 
     def _check_closure(self, window):
-        return self._report("closure", window, self._closure_witnesses())
+        """No walk: the constructor refused every strip with a witness of
+        _closure_witnesses, so a built semigroup has none.  O(1) steps."""
+        return self._report("closure", window, ())
 
     def _check_c_prop(self, window):
         """c(m) = -1 iff m-1 maximal, and c(m) = 1 iff m maximal."""
@@ -497,24 +482,38 @@ class TwoPointSemigroup:
                             scanned=len(scanned), translates=len(translated))
 
     def _check_lemma4(self, window):
-        """Both projections hit => dim_jump = 2, for m1, m2 > 0.
+        """Both projections hit => dim_jump = 2, for m1, m2 > 0: true on
+        every strip, so no class is asked.  O(1) steps.
 
-        m1 is in the projection along axis 1 when some (m1, y) with
-        y <= 0 is a member, that is when m1 is at least its column minimum;
-        likewise m2 along axis 2 with its row minimum.  On a class the
-        premise clips m1 to [max(1, colmin), s - max(1, rowmin)].
-        """
-        region = interior_region(window)
-        clips = [(s, a, max(1, self._colmin[a]),
-                  s - max(1, self._rowmin[(s - a) % self.period]))
-                 for s, a in self._band(region) if self._d(s, a) != 2]
-        return self._report("lemma4", window, self._class_points(
-            region, [c for c in clips if c[2] <= c[3]]))
+        m1 is in the projection along axis 1 when some (m1, y), y <= 0, is
+        a member, that is m1 >= C(a); m2 along axis 2 when m2 >= R(b).  So
+        the premise clips m1 to [max(1, C(a)), s - max(1, R(b))], and d != 2
+        means s < C(a), where the low end > s > the high end, or s <= R(b),
+        where the high end <= 0 < the low end: the clip is always empty."""
+        return self._report("lemma4", window, ())
 
     def _check_d_agreement(self, window):
-        return self._report("d_agreement", window, self._where(
-            interior_region(window),
-            lambda s, a: self._d(s, a) != self._dn(s, a)))
+        """dim_jump = dim_nabla, read off the line minima.  A member has
+        C(a), R(b) <= s, so d = 1 + [R(b) < s], and dim_nabla = 1 iff C(a) =
+        R(b) = s: they differ on (R(b), R(b) - b) if C(a) < R(b), sum 2g
+        included.  On a gap of [0, 2g) dim_nabla = 0 and d > 0 where s >=
+        C(a) or s > R(b), read off _d_table; below 0 and above 2g they
+        agree.  O(g + period + witnesses) steps."""
+        region = interior_region(window)
+        lo, hi = map(sum, zip(*region.bounds))  # the region's sums
+        th, col = self.period, self._colmin
+        classes = [(r, (r - b) % th) for b, r in enumerate(self._rowmin)
+                   if col[(r - b) % th] < r and lo <= r <= hi]
+        first, last = max(0, lo), min(2 * self.genus, hi + 1)
+        if first < last:  # the gap witnesses of the sums [first, last)
+            gaps = bytes(chain.from_iterable(
+                self.strip[first:last])).translate(_GAPS)
+            jumps = self._d_table()[first * th:last * th]
+            classes += map(divmod, compress(range(first * th, last * th),
+                                            map(min, gaps, jumps)),
+                           repeat(th))
+        return self._report("d_agreement", window,
+                            self._points_of(region, classes))
 
     def _check_symmetry(self, window):
         sigma, witnesses = self.find_symmetry_point(interior_region(window))

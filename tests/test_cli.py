@@ -145,6 +145,9 @@ def test_parse_rejects_string_strip_row(tmp_path, capsys):
     ([[True, False], 7], "[[true, false], 7]"),
     ([[True, False], {"0": True}], '[[true, false], {"0": true}]'),
     ({"0": [True]}, '{"0": [true]}'),
+    (["ab", [True, False]], '["ab", [true, false]]'),
+    ([[True, False], [False, True], 5], "[[true, false], [false, true], 5]"),
+    ([[True, False], [False, "1"]], '[[true, false], [false, "1"]]'),
 ])
 def test_strip_shape_error_text(strip, got):
     data = json.dumps({"kind": "two_point_strip", "genus": 1, "period": 2,

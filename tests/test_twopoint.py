@@ -26,6 +26,7 @@ from wsemigroups import (
 
 from wsemigroups import cli
 from wsemigroups.oracle import Fixture, semigroup_from_fixture
+from wsemigroups.twopoint import interior_region
 
 import twopoint_oracle as oracle
 
@@ -175,6 +176,58 @@ def test_from_strip_shape_errors():
         TwoPointSemigroup(-1, 2, [])
     with pytest.raises(InvalidSemigroup):
         TwoPointSemigroup(1, 0, [[], []])
+
+
+def test_strip_error_texts():
+    # the first row with a non-bool cell is named, before any shape check
+    for rows, bad in (([[T, F], [F, 1]], "(False, 1)"),
+                      ([[T, 0], [F, None]], "(True, 0)"),
+                      ([[T, 1]], "(True, 1)")):
+        with pytest.raises(TypeError) as exc:
+            TwoPointSemigroup(1, 2, rows)
+        assert str(exc.value) == f"strip cells must be bools, got row {bad}"
+    with pytest.raises(InvalidSemigroup) as exc:
+        TwoPointSemigroup(1, 2, [[T, F], [F]])
+    assert str(exc.value) == "every strip row must have 2 entries"
+    with pytest.raises(InvalidSemigroup) as exc:
+        TwoPointSemigroup(1, 2, [[T, F]])
+    assert str(exc.value) == "strip must have 2*genus = 2 rows, got 1"
+    with pytest.raises(InvalidSemigroup) as exc:
+        TwoPointSemigroup(0, 3, [[T, F, F]])
+    assert str(exc.value) == "strip must have 2*genus = 0 rows, got 1"
+
+
+def calls_to_build_and_check(genus, period):
+    """Python-level calls into the package made while building a (genus,
+    period) strip of four member classes and running lemma4 and closure
+    on it; calls elsewhere, such as a garbage-collection callback, are
+    not counted."""
+    rows = [[False] * period for _ in range(2 * genus)]
+    for s, a in ((0, 0), (genus + 1, 3), (genus + 2, 5), (2 * genus - 1, 7)):
+        rows[s][a] = True
+    window = Window((-10, 10), (-10, 10))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and \
+            frame.f_globals.get("__name__", "").startswith("wsemigroups.")
+
+    sys.setprofile(count)
+    try:
+        S = TwoPointSemigroup(genus, period, rows)
+        reports = [S.verify(check, window) for check in ("lemma4", "closure")]
+    finally:
+        sys.setprofile(None)
+    assert all(rep.passed for rep in reports)
+    return calls
+
+
+def test_construction_and_free_checks_make_no_call_per_row_or_class():
+    # the cells are read by C-level scans, the tables filled per member
+    # class, and lemma4 and closure ask no class at all
+    assert calls_to_build_and_check(50, 50) == \
+        calls_to_build_and_check(150, 150)
 
 
 def test_from_members_elliptic():
@@ -334,7 +387,7 @@ def test_class_loops_match_point_scans(S, data):
         assert S.maximal_count_coefficient(m) == \
             oracle.maximal_count_coefficient(S, m), m
     for W in windows:
-        for check in CHECKS[1:]:  # all but closure, which scans no window
+        for check in CHECKS:
             rep = S.verify(check, W)
             assert (rep.passed, rep.witnesses, rep.details) == \
                 oracle.verify(S, check, W), (check, W.bounds)
@@ -346,6 +399,42 @@ def test_class_loops_match_point_scans(S, data):
         assert got_sigma == sigma
         assert witnesses == (
             () if sigma is None else oracle.symmetry_witnesses(S, sigma, W))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_semigroups(), strip_semigroups()), st.data())
+@example(fixture("elliptic", 2), None)
+@example(strip_4x5(), None)
+@example(order_dependent_strip(), None)
+def test_lemma4_band_walk_finds_no_witness(S, data):
+    windows = data.draw(windows_for(S)) if data else ()
+    for W in (S.default_window(), *windows):
+        assert oracle.lemma4_band_walk(S, interior_region(W)) == []
+        assert S.verify("lemma4", W).witnesses == ()
+
+
+def test_lemma4_band_walk_sees_a_wrong_dim_jump(monkeypatch):
+    # the walk is live: with d = 1 everywhere, the premise's points are
+    # witnesses
+    S = strip_4x5()
+    monkeypatch.setattr(TwoPointSemigroup, "_d", lambda self, s, a: 1)
+    assert oracle.lemma4_band_walk(S, interior_region(S.default_window()))
+
+
+@pytest.mark.parametrize("genus, period", [(16, 20), (30, 30)])
+@pytest.mark.parametrize("seed", range(2))
+def test_table_checks_match_point_scans_at_bench_shapes(genus, period, seed):
+    rng = random.Random(f"bench-shape:{genus}x{period}:{seed}")
+    S = TwoPointSemigroup.from_members(
+        genus, period, random_members(rng, genus, period, 3))
+    W = S.default_window()
+    rep = S.verify("d_agreement", W)
+    assert len(rep.witnesses) > 1000
+    assert (rep.passed, rep.witnesses, rep.details) == \
+        oracle.verify(S, "d_agreement", W)
+    assert oracle.lemma4_band_walk(S, interior_region(W)) == []
+    assert oracle.closure_witnesses(S) == []
+    assert S.verify("closure", W).passed and S.verify("lemma4", W).passed
 
 
 def render_windows(S):

@@ -8,8 +8,11 @@ point and call the semigroup's own point predicates there, where
 `TwoPointSemigroup` asks each predicate once per class (m1 + m2,
 m1 mod period).  `line_minima` and `sigma_candidate` are the constructor's
 line-minimum tables and the symmetry-point search as they were computed,
-one strip cell or one normalized point at a time.  The property tests
-in test_twopoint.py check each pair against each other.
+one strip cell or one normalized point at a time.  `closure_witnesses`
+walks every pair of member classes, and `lemma4_band_walk` asks lemma4's
+premise on every band class, which `TwoPointSemigroup` no longer does
+because neither can find a witness on a built strip.  The property
+tests in test_twopoint.py check each pair against each other.
 """
 
 from functools import cache
@@ -157,6 +160,33 @@ def line_minima(S):
                        top) for b in range(th)))
 
 
+def closure_witnesses(S):
+    """Every pair of member classes, read off the strip, whose sum below
+    2g is not a member, as ((s1, a1), (s2, a2), (s, a)), sorted."""
+    top, th = 2 * S.genus, S.period
+    members = [(s, a) for s in range(top) for a in range(th) if S.strip[s][a]]
+    return sorted(((s1, a1), (s2, a2), (s1 + s2, (a1 + a2) % th))
+                  for i, (s1, a1) in enumerate(members)
+                  for s2, a2 in members[i:]
+                  if s1 + s2 < top and not S.strip[s1 + s2][(a1 + a2) % th])
+
+
+def lemma4_band_walk(S, region):
+    """lemma4's witnesses class by class over the band: on a class (s, a)
+    with d != 2 the premise clips m1 to [max(1, C(a)), s - max(1, R(b))],
+    b = s - a, and the points of the region in the clip are witnesses."""
+    (lo1, hi1), (lo2, hi2) = region.bounds
+    th = S.period
+    points = []
+    for s, a in S._band(region):
+        if S._d(s, a) != 2:
+            lo = max(lo1, s - hi2, 1, S._colmin[a])
+            hi = min(hi1, s - lo2, s - max(1, S._rowmin[(s - a) % th]))
+            points += [(m1, s - m1)
+                       for m1 in range(lo + (a - lo) % th, hi + 1, th)]
+    return sorted(points)
+
+
 def sigma_candidate(S):
     """The first corner maximal of sum 2g whose reflection, normalized
     point by point, maps the corner maximals into themselves."""
@@ -258,6 +288,10 @@ def _corner_translates(S, region):
     return sorted(scanned ^ translated), details
 
 
+def _closure(S, region):
+    return closure_witnesses(S), {}
+
+
 def _lemma4(S, region):
     return [m for m in region.points()
             if m[0] > 0 and m[1] > 0 and projection_contains(S, 1, m[0])
@@ -292,6 +326,7 @@ def _funceq(S, region):
 
 
 _CHECKS = {
+    "closure": _closure,
     "c_prop": _c_prop,
     "c_identity": _c_identity,
     "corner_translates": _corner_translates,

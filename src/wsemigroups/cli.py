@@ -17,16 +17,22 @@ one strided write, and every other series, alone or in a verification
 report, is rendered one %-format per numerator term.  Each such output
 is joined once, to the bytes that encoding its value would give.  Every
 other value goes through one encoder.
+
+A canonical argv, the verb, its path and then each of the verb's options
+at most once (`--json`, `--corner`, `--form F`, `--check C`, `--window`
+and its ASCII integers), is parsed directly by `_canonical`; every other
+argv, help, usage errors and abbreviations included, goes to argparse,
+which is imported and built only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
 import os
 import sys
+import types
 from dataclasses import dataclass, replace
 
 from .checks import KIND_CHECKS, VerificationReport
@@ -434,7 +440,7 @@ _HANDLERS = {
 }
 
 
-def run(cmd: argparse.Namespace):
+def run(cmd):
     """Execute a parsed command; returns (exit code, output text)."""
     with open(cmd.path, "rb") as handle:
         data = handle.read()
@@ -442,14 +448,74 @@ def run(cmd: argparse.Namespace):
     return _HANDLERS[cmd.verb](model, cmd)
 
 
+# what a canonical argv may give each verb after its path: an option's
+# field and its values, None for a flag, a tuple of choices for one
+# token, int for --window's one or more integers
+_JSON = {"--json": ("json_output", None)}
+_WINDOW = {"--window": ("window", int)}
+_VERB_OPTIONS = {
+    "validate": _JSON,
+    "analyze": _JSON,
+    "maximals": {**_JSON, "--corner": ("corner", None)},
+    "poincare": {**_JSON, "--form": ("form", FORMS)},
+    "expand": {**_JSON, **_WINDOW},
+    "verify": {**_JSON, "--check": ("check", VERIFY_CHECKS), **_WINDOW},
+}
+
+
+def _is_int_token(token):
+    digits = token[token[:1] == "-":]  # ASCII -?[0-9]+, as argparse takes
+    return digits.isascii() and digits.isdigit()
+
+
+def _canonical(argv):
+    """The fields `_parser().parse_args(argv)` gives a canonical argv,
+    `verb path` and then each option of the verb at most once; None for
+    every other argv, so that argparse keeps all help and error text."""
+    options = _VERB_OPTIONS.get(argv[0]) if argv else None
+    if options is None or len(argv) < 2 or argv[1].startswith("-"):
+        return None
+    cmd = dict(verb=argv[0], path=argv[1], json_output=False, window=None,
+               form=None, check=None, corner=False)
+    seen, i = set(), 2
+    while i < len(argv):
+        field, values = options.get(argv[i], (None, None))
+        if field is None or field in seen:
+            return None
+        seen.add(field)
+        i += 1
+        if values is None:
+            cmd[field] = True
+        elif values is int:
+            start = i
+            while i < len(argv) and _is_int_token(argv[i]):
+                i += 1
+            if i == start:
+                return None
+            try:
+                cmd[field] = list(map(int, argv[start:i]))
+            except ValueError:  # past the int digit limit: argparse's error
+                return None
+        elif i < len(argv) and argv[i] in values:
+            cmd[field] = argv[i]
+            i += 1
+        else:
+            return None
+    if argv[0] == "verify" and cmd["check"] is None:
+        return None  # --check is required
+    return types.SimpleNamespace(**cmd)
+
+
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The argument tree, built on first use and shared by every call.
 
     Reuse is safe: argparse makes a fresh Namespace per parse, every
     default is immutable, and help and usage read the terminal width
     (COLUMNS) when they are formatted, not here.
     """
+    import argparse  # only argv that `_canonical` declines comes here
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", dest="json_output",
                         help="emit canonical JSON instead of text")
@@ -496,8 +562,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one CLI call and print its output; returns the exit code.
+
+    A canonical argv is parsed by `_canonical`; any other, and every
+    `-h`, abbreviation or usage error, by argparse, which exits 0 after
+    help and 2 after a usage error.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        code, text = run(_parser().parse_args(argv))
+        code, text = run(_canonical(argv) or _parser().parse_args(argv))
     except (ValueError, OSError) as exc:  # every library error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

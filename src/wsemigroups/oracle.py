@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .checks import KIND_CHECKS
 from .errors import InputError
-from .twopoint import TwoPointSemigroup, interior_region
+from .twopoint import (TwoPointSemigroup, check_strip_cells,
+                       interior_region)
 
 FAMILIES = ("projective_line", "elliptic")
 
@@ -98,6 +99,8 @@ def semigroup_from_fixture(fixture: Fixture) -> FixtureSemigroup:
     m belongs to the semigroup iff both single-step jumps equal one:
     ell(m) - ell(m - e1) = 1 and ell(m) - ell(m - e2) = 1.
     """
+    check_strip_cells(fixture.genus, fixture.period)
+
     def member(m):
         here = ell(fixture, m)
         return (here - ell(fixture, (m[0] - 1, m[1])) == 1

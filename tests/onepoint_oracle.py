@@ -30,11 +30,14 @@ same identity as one equality of sorted exponent lists read off
 
 `indicator_report_by_expansion` builds the `indicator` and
 `delta_product` reports by expanding the series on the window and
-comparing it with the membership bytes point by point.  The library
-first divides the series' numerator down to the Apery form, and passes
-a series that reduces to it with nothing expanded; test_onepoint.py
-checks the two reports equal on seeded, perturbed and unreducible
-series.
+comparing it with the membership bytes point by point.
+`indicator_report_by_division` is those reports as the library built
+them before it read them off what its constructors prove: it first
+divides the series' numerator down to the Apery form
+(`reduces_to_apery_form`) and passes a series that reduces to it with
+nothing expanded, and expands any other.  test_onepoint.py checks the
+library's reports against the first, and the first two against each
+other on seeded, perturbed and unreducible series.
 
 `l_polynomial_by_mask` reads the L-polynomial's run starts and ends off
 the membership mask on [0, c] with `bytearray.find`; the library reads
@@ -184,6 +187,58 @@ def indicator_report_by_expansion(check, series, semigroup, window):
         operator.ne, series.expand(window), semigroup.indicator(window))))
     return VerificationReport(check, not witnesses, witnesses, window.bounds,
                               {}, series)
+
+
+def indicator_report_by_division(check, series, semigroup, window):
+    """Where the expansion of series on the window is not the membership
+    indicator of semigroup.  A series that reduces exactly to the Apery
+    form is P itself, whose expansion is the indicator on every window,
+    so it passes with nothing expanded; any other series is expanded on
+    the window and compared point by point."""
+    if reduces_to_apery_form(series, semigroup, window):
+        return VerificationReport(check, True, (), window.bounds, {}, series)
+    return indicator_report_by_expansion(check, series, semigroup, window)
+
+
+def reduces_to_apery_form(series, semigroup, window):
+    """Whether series = N / ((1 - t^a) prod_v (1 - t^v)), a = len(apery),
+    with N divided exactly by every (1 - t^v) to sum_{w in Ap} t^w, the
+    Apery form's numerator.
+
+    Q (1 - t^v) = N is solved per residue class modulo v: Q is the
+    running sum of the class's coefficients of N, from each of its
+    exponents up to the next, and the division is exact when every
+    class sums to 0.  The quotients lay out no more terms, all told,
+    than the grid [min N, window top] that expand would fill; a
+    division past that answers False, as does an inexact one."""
+    apery = semigroup.apery
+    den = list(series.den)
+    if (len(apery),) not in den:
+        return False
+    den.remove((len(apery),))
+    terms = {e: c for (e,), c in series.num._terms.items()}
+    (_, hi), = window.bounds
+    budget = max(0, hi - min(terms, default=hi)) + 1
+    for (v,) in den:
+        classes = {}
+        for e in sorted(terms):
+            classes.setdefault(e % v, []).append(e)
+        runs = []
+        for exps in classes.values():
+            run = 0
+            for e, nxt in zip(exps, exps[1:]):
+                run += terms[e]
+                if run:
+                    runs.append((e, nxt, run))
+            if run + terms[exps[-1]]:
+                return False
+        budget -= sum((nxt - e) // v for e, nxt, _ in runs)
+        if budget < 0:
+            return False
+        terms = {}
+        for e, nxt, run in runs:
+            terms.update(dict.fromkeys(range(e, nxt, v), run))
+    return terms == dict.fromkeys(apery, 1)
 
 
 def indicator_by_direct_series(semigroup, window):

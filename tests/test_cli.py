@@ -318,6 +318,30 @@ def test_strip_over_the_budget_exits_2_at_once(payload, cells, tmp_path,
     assert peak < 1_000_000
 
 
+HUGE = str(10**20)  # past sys.maxsize, so no index can reach it
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("ns23", ["--json", "--window", "-" + HUGE, "5"]),
+    ("ns23", ["--json", "--window", "0", HUGE]),
+    ("ns23", ["--window", "0", HUGE]),
+    ("ns23", ["--window", "-" + HUGE, "5"]),
+    ("elliptic2", ["--window", "0", "3", "-" + HUGE, "5"]),
+    ("elliptic2", ["--json", "--window", "0", "3", "-" + HUGE, "5"])],
+    ids=["json-below", "json-above", "text-above", "text-below",
+         "two-point-text", "two-point-json"])
+def test_expand_window_past_the_index_range_exits_2_at_once(
+        name, argv, request, capsys):
+    # the output is sized before a line of it is built, and the size
+    # overflows; text one-point expand once built a line per negative n
+    path = request.getfixturevalue(name)
+    start = time.perf_counter()
+    code, out, err = invoke(["expand", path, *argv], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == \
+        (2, "", "error: input too large (OverflowError)\n")
+
+
 # ------------------------------------------------------------------- analyze
 
 def test_analyze_numerical_json(ns23, capsys):

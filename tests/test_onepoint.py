@@ -38,8 +38,6 @@ from wsemigroups.onepoint import (
     DeltaSequence,
     NumericalSemigroup,
     OnePointSemigroup,
-    _indicator_report,
-    _reduces_to_apery_form,
     apery_series,
     direct_series,
     functional_equation_signs,
@@ -56,12 +54,14 @@ from onepoint_oracle import (base_or_extra, base_plus_extras_mask,
                              expand_stdout_by_series,
                              funceq_by_direct_series,
                              indicator_by_direct_series,
+                             indicator_report_by_division,
                              indicator_report_by_expansion,
                              l_identity_by_cross_multiplication,
                              l_identity_by_dict_loop, l_polynomial_by_mask,
                              l_polynomial_comparison, l_polynomial_paper,
                              paper_product_by_addition,
-                             representation_counts, series_modes_by_expansion,
+                             reduces_to_apery_form, representation_counts,
+                             series_modes_by_expansion,
                              sieved, signs_by_cross_multiplication,
                              symmetry_by_direct_series,
                              symmetry_witnesses_by_scan)
@@ -340,7 +340,7 @@ def test_indicator_witnesses_match_point_scan(case):
     coeffs = dict(zip(window.points(), series.expand(window), strict=True))
     scan = tuple(n for (n,) in window.points()
                  if coeffs[(n,)] != int(s.contains(n)))
-    report = _indicator_report("indicator", series, s, window)
+    report = indicator_report_by_division("indicator", series, s, window)
     assert report.witnesses == scan
     assert report == indicator_report_by_expansion("indicator", series, s,
                                                    window)
@@ -361,9 +361,10 @@ def test_far_windows_expand_to_membership(s, lo, width):
     a = len(s.apery)
     series = RationalGF(apery_series(s).num + LaurentPoly(
         {(s.conductor + 1,): 1}, arity=1), [(a,)])
-    assert _indicator_report("indicator", series, s, window).witnesses == \
-        tuple(n for n in range(lo, lo + width + 1)
-              if n > s.conductor and (n - s.conductor - 1) % a == 0)
+    report = indicator_report_by_division("indicator", series, s, window)
+    assert report.witnesses == tuple(
+        n for n in range(lo, lo + width + 1)
+        if n > s.conductor and (n - s.conductor - 1) % a == 0)
 
 
 def test_expand_and_indicator_on_a_window_near_10_to_the_9(tmp_path):
@@ -441,14 +442,15 @@ def test_apery_reduction_lays_out_no_more_than_the_grid():
     # 4 terms of the Apery numerator 1 + t^6 + t^7 + t^13, 8 in all
     s = OnePointSemigroup([4, 6, 7])
     series = poincare_onepoint(s)
-    assert _reduces_to_apery_form(series, s, Window((0, 7)))
-    assert not _reduces_to_apery_form(series, s, Window((0, 6)))
-    assert not _reduces_to_apery_form(series, s, Window((-9, -1)))
-    assert _indicator_report("indicator", series, s, Window((0, 6))).passed
+    assert reduces_to_apery_form(series, s, Window((0, 7)))
+    assert not reduces_to_apery_form(series, s, Window((0, 6)))
+    assert not reduces_to_apery_form(series, s, Window((-9, -1)))
+    assert indicator_report_by_division("indicator", series, s,
+                                        Window((0, 6))).passed
     # no factor 1 - t^a, or an inexact division: no reduction
-    assert not _reduces_to_apery_form(poincare_direct(s), s, Window((0, 99)))
+    assert not reduces_to_apery_form(poincare_direct(s), s, Window((0, 99)))
     inexact = RationalGF(series.num + LaurentPoly({(1,): 1}), series.den)
-    assert not _reduces_to_apery_form(inexact, s, Window((0, 99)))
+    assert not reduces_to_apery_form(inexact, s, Window((0, 99)))
 
 
 def test_symmetric_means_conductor_twice_genus():
@@ -983,8 +985,14 @@ def unreducible_series(series, s):
 def test_indicator_reports_match_the_expansion_oracle(s):
     own = poincare_onepoint(s) if isinstance(s, OnePointSemigroup) \
         else apery_series(s)
-    assert s.verify("indicator") == indicator_report_by_expansion(
-        "indicator", own, s, s.default_window())
+    # the library asks no point: its reports are the expansion's on every
+    # window, far out through the Apery form, the same value
+    _, *near, far = indicator_windows(s)
+    for window in [s.default_window(), *near]:
+        assert s.verify("indicator", window) == \
+            indicator_report_by_expansion("indicator", own, s, window)
+    assert s.verify("indicator", far) == replace(indicator_report_by_expansion(
+        "indicator", apery_series(s), s, far), series=own)
     pairs = [(own, s)]
     if isinstance(s, OnePointSemigroup):
         base = s.base.semigroup
@@ -997,7 +1005,8 @@ def test_indicator_reports_match_the_expansion_oracle(s):
         _, *near, far = indicator_windows(sg)
         for candidate in (series, *unreducible_series(series, sg)):
             for window in near:
-                assert _indicator_report("x", candidate, sg, window) == \
+                assert indicator_report_by_division(
+                    "x", candidate, sg, window) == \
                     indicator_report_by_expansion("x", candidate, sg, window)
         # far out the one-factor Apery form is the oracle's cheap stand-in
         # for a series of the same value, which it would expand from 0
@@ -1005,8 +1014,25 @@ def test_indicator_reports_match_the_expansion_oracle(s):
             expected = indicator_report_by_expansion(
                 "x", apery_series(sg), sg, window)
             assert expected.passed
-            assert _indicator_report("x", series, sg, window) == \
-                replace(expected, series=series)
+            assert indicator_report_by_division(
+                "x", series, sg, window) == replace(expected, series=series)
+
+
+@pytest.mark.parametrize(
+    "s", [s for s in ONE_POINT_INPUTS if isinstance(s, OnePointSemigroup)],
+    ids=repr)
+def test_delta_checks_expand_no_series(s, monkeypatch):
+    # the constructors proved the chain free and the extras closed, so
+    # `all` runs with nothing expanded, and only symmetry and funceq can
+    # fail, exactly on a semigroup that is not symmetric
+    def refuse(*args):
+        raise AssertionError("a check expanded a series")
+
+    monkeypatch.setattr(RationalGF, "expand", refuse)
+    sym = s.is_symmetric()
+    assert {check: s.verify(check).passed for check in s.CHECKS} == {
+        "indicator": True, "l_identity": True, "delta_product": True,
+        "symmetry": sym, "funceq": sym}
 
 
 # windows across each width of n in the text lines (9 | 10, ...,

@@ -5,6 +5,7 @@ import os
 import random
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -683,32 +684,48 @@ def test_line_minima_and_sigma_match_strip_scans(S):
     assert S.gap_class_count() == sum(not x for row in S.strip for x in row)
 
 
-def test_corner_translates_check_compares_two_derivations(monkeypatch):
-    # the scanned side asks is_maximal on every class where it can hold,
-    # the translated side reads the corner maximals; a corner missing a
-    # point must fail it
-    S = fixture("elliptic", 2)
-    assert S.verify("corner_translates").passed
-    dropped = S.corner_maximals()[1:]
-    monkeypatch.setattr(TwoPointSemigroup, "corner_maximals",
-                        lambda self: dropped)
-    rep = S.verify("corner_translates")
-    assert not rep.passed
-    assert rep.details["scanned"] > rep.details["translates"]
+@pytest.mark.parametrize("seed", range(24))
+def test_corner_translates_reports_match_the_oracle(seed):
+    # the check counts each maximal class's window points without asking
+    # one; the oracle scans is_maximal on every point of the region and
+    # compares it with the corner's translates, counts included, near the
+    # origin and 10^9 translates away
+    rng = random.Random(f"corner-translates:{seed}")
+    g, th = rng.randint(0, 12), rng.randint(1, 12)
+    S = TwoPointSemigroup.from_members(
+        g, th, random_members(rng, g, th, rng.randint(1, 4)))
+    reach = 2 * g + 3 * th + 6
+    windows = [S.default_window()]
+    for far in (0, 0, 0, 10**9, -10**9):
+        x, y = far + rng.randint(-reach, reach), rng.randint(-reach, reach)
+        windows.append(Window((x, x + rng.randint(4, 3 * th + 9)),
+                              (y - far, y - far + rng.randint(4, 3 * th + 9))))
+    for W in windows:
+        rep = S.verify("corner_translates", W)
+        region = interior_region(W)
+        witnesses, details = oracle._corner_translates(S, region)
+        assert (rep.passed, rep.witnesses, rep.details) == \
+            (True, tuple(witnesses),
+             {"scan": region.bounds, **details}), W.bounds
 
 
-def test_corner_translates_fails_without_a_maximal_class(monkeypatch):
-    # the scanned side reads the is_maximal table, built from membership
-    # and an empty nabla; the corner comes from _maximal_classes, so a
-    # table built from _maximal_classes would drop the class as well
+def test_corner_translates_costs_the_classes_not_the_window():
+    # a window of 10^12 per side: one len(range) per maximal class
     S = strip_4x5()
-    classes = S._maximal_classes()
-    assert len(classes) > 1
-    monkeypatch.setattr(TwoPointSemigroup, "_maximal_classes",
-                        lambda self: classes[1:])
-    rep = S.verify("corner_translates")
-    assert not rep.passed
-    assert rep.details["scanned"] > rep.details["translates"]
+    b = 10**12
+    start = time.perf_counter()
+    rep = S.verify("corner_translates", Window((-b, b), (-b, b)))
+    assert time.perf_counter() - start < 0.5
+    assert rep.passed and rep.witnesses == ()
+    # the m1 = a mod period in [max(lo1, s - hi2), min(hi1, s - lo2)]
+    # of each maximal class (s, a), counted by floor division
+    (lo1, hi1), (lo2, hi2) = rep.details["scan"]
+    th = S.period
+    count = sum((min(hi1, s - lo2) - a) // th
+                - (max(lo1, s - hi2) - 1 - a) // th
+                for s, a in S._maximal_classes())
+    assert rep.details["scanned"] == rep.details["translates"] == count
+    assert count > 10**11
 
 
 far_points = st.lists(st.tuples(

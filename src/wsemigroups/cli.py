@@ -14,9 +14,11 @@ L-polynomial's jump mask (a start is a +1 term, an end a -1 term), or
 off its sorted jumps where they are too sparse in [0, c] for a mask.
 One-point `expand --json` writes the digit bytes between its commas by
 one strided write, and every other series, alone or in a verification
-report, is rendered one %-format per numerator term.  Each such output
-is joined once, to the bytes that encoding its value would give.  Every
-other value goes through one encoder.
+report, is rendered by columns: its sorted exponents as one column of
+strings, each followed by a term tail looked up per distinct
+coefficient.  Each such output is joined once, to the bytes that
+encoding its value would give.  Every other value goes through one
+encoder.
 
 A canonical argv, the verb, its path and then each of the verb's options
 at most once (`--json`, `--corner`, `--form F`, `--check C`, `--window`
@@ -33,7 +35,7 @@ import json
 import os
 import sys
 import types
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .checks import KIND_CHECKS, VerificationReport
 from .errors import InputError
@@ -328,14 +330,26 @@ def _report_lines(rep: VerificationReport):
 
 
 def _series_json(series: RationalGF, head="", tail="") -> str:
-    """head + `_dump(series.to_json())` + tail, one %-format per
-    numerator term in place of a dict and a list per term, joined once:
-    the head goes before the first term and the tail after the last."""
-    term = '{"e":[' + ",".join(["%d"] * series.arity) + '],"c":%d}'
-    terms = [term % (*e, c) for e, c in series.num.terms()] or [""]
-    terms[0] = head + '{"num":[' + terms[0]
-    terms[-1] += '],"den":' + _dump(series.den) + "}" + tail
-    return ",".join(terms)
+    """head + `_dump(series.to_json())` + tail, rendered by columns and
+    joined once: the sorted exponents as one column of strings (one str
+    per exponent in one variable, one format per term in two), each
+    followed by its term's tail `],"c":k},{"e":[`, one string per
+    distinct coefficient k, and the last tail cut before the next term."""
+    num = series.num._terms
+    keys = sorted(num)
+    den = '],"den":' + _dump(series.den) + "}" + tail
+    if not keys:
+        return head + '{"num":[' + den
+    if series.arity == 1:
+        exponents = map(str, itertools.chain.from_iterable(keys))
+    else:
+        exponents = map(",".join(["%d"] * series.arity).__mod__, keys)
+    tails = {c: '],"c":%d},{"e":[' % c for c in set(num.values())}
+    parts = [None] * (2 * len(keys))
+    parts[::2] = exponents
+    parts[1::2] = map(tails.__getitem__, map(num.__getitem__, keys))
+    parts[-1] = parts[-1][:-len(',{"e":[')] + den
+    return "".join([head, '{"num":[{"e":[', *parts])
 
 
 def _direct_json(S) -> str:
@@ -422,9 +436,13 @@ def _report_json(rep: VerificationReport) -> str:
     between the window and the details, in its one join."""
     if rep.series is None:
         return _dump(rep.to_json())
-    head = _dump(replace(rep, series=None, details={}).to_json())
+    head = {"check": rep.check, "pass": rep.passed,
+            "witnesses": rep.witnesses}
+    if rep.window is not None:
+        head["window"] = rep.window
     details = ',"details":' + _dump(rep.details) if rep.details else ""
-    return _series_json(rep.series, head[:-1] + ',"series":', details + "}")
+    return _series_json(rep.series, _dump(head)[:-1] + ',"series":',
+                        details + "}")
 
 
 # one encoder for every dump; library values are fresh acyclic trees, and a

@@ -21,12 +21,13 @@ range per residue class of the table; `l_jumps` sorts the starts and
 ends into one list, whose signs alternate +1, -1, ..., +1, and
 `jump_mask()` lays them out as bytes, one strided write a run.  Checks
 read the Apery form P(t) = sum_{w in Ap} t^w / (1 - t^a), a numerator
-terms, not c: it decides the `funceq` signs in O(a), and the
-`symmetry` and `funceq` reports carry it.  `indicator` and
-`delta_product` ask no point: the series they report, the Apery form,
-or the delta product (plus the extras on a one-point semigroup), is P
-by the Apery set's definition or by the freeness and closure the
-constructors proved.  Of the checks only `l_identity` reads L: it decides
+terms, not c: the `funceq` signs are decided on it with no series
+arithmetic, as one equality of sorted lists, Ap against its reflection
+2g - 1 + a - Ap, and the `symmetry` and `funceq` reports carry it.
+`indicator` and `delta_product` ask no point: the series they report,
+the Apery form, or the delta product (plus the extras on a one-point
+semigroup), is P by the Apery set's definition or by the freeness and
+closure the constructors proved.  Of the checks only `l_identity` reads L: it decides
 (1 - t) sum_w t^w = L (1 - t^a) as one equality of sorted lists of
 L's jumps, and its report carries the L-polynomial, with its O(g)
 terms.
@@ -44,7 +45,6 @@ from .errors import (AxiomViolation, InvalidSemigroup, NotSymmetric,
                      strict_index)
 from .series import LaurentPoly, RationalGF, Window
 
-_ONE_MINUS_T = LaurentPoly({(0,): 1, (1,): -1})
 # the largest multiplicity a that is built: the Apery table has a entries
 # and its Dijkstra runs over Z/a, so a bounds both time and memory
 MAX_MULTIPLICITY = 2 ** 20
@@ -496,33 +496,38 @@ def series_first_difference(ops: OnePointSemigroup) -> int | None:
     return None
 
 
-def _matching_sign(lhs: RationalGF, rhs: RationalGF):
-    if lhs.equals(rhs):
-        return 1
-    if lhs.equals(-rhs):
-        return -1
-    return None
-
-
 def functional_equation_signs(semigroup) -> tuple:
     """The signs (eps_l, eps_p) in L(t) = eps_l t^{2g} L(1/t) and
-    P(t) = eps_p t^{2g-1} P(1/t) of a symmetric semigroup, decided by
-    exact algebra; a sign is None when neither closes its identity.
+    P(t) = eps_p t^{2g-1} P(1/t) of a symmetric semigroup, decided
+    exactly; a sign is None when neither closes its identity.  Raises
+    NotSymmetric otherwise.
 
-    Exact one-sided algebra forces eps_l = +1 and eps_p = -1 on every
-    symmetric semigroup; the commonly displayed opposite signs do not
-    hold in this representation.  Both identities are decided on the
-    Apery form, P = sum_w t^w / (1 - t^a) and L = (1 - t) P, whose
-    numerators have a and at most 2a terms, so the cost is O(a) for the
-    Apery modulus a, not O(c).  Raises NotSymmetric otherwise.
+    Both identities are one equality of sorted lists of a ints, on the
+    Apery form P = N / (1 - t^a) with N = sum_{w in Ap} t^w:
+
+    - t^{2g-1} P(1/t) = -t^{2g-1+a} N(1/t) / (1 - t^a), as
+      1 - t^-a = -t^-a (1 - t^a).  Over the same denominator,
+      P = eps_p t^{2g-1} P(1/t) iff N = -eps_p t^{2g-1+a} N(1/t).  Both
+      sides have a distinct exponents, all with coefficient +1, so this
+      holds only with eps_p = -1, and exactly when the sorted Ap equals
+      the sorted 2g - 1 + a - w over Ap.
+    - L = (1 - t) P and t^{2g} L(1/t) = -(1 - t) t^{2g-1} P(1/t), so,
+      cancelling 1 - t, L = eps_l t^{2g} L(1/t) iff
+      P = -eps_l t^{2g-1} P(1/t): eps_l = +1 exactly when eps_p = -1.
+
+    So the signs are (1, -1) when the lists are equal and (None, None)
+    otherwise, in O(a log a) for the Apery modulus a, not O(c).  The
+    commonly displayed opposite signs never hold.  That the Apery set
+    of a symmetric semigroup is reflected by w -> c - 1 + a - w is
+    classical (Rosales & Garcia-Sanchez, Numerical Semigroups, ch. 4);
+    the check decides it, it does not assume it.
     """
     if not semigroup.is_symmetric():
         raise NotSymmetric(
             f"functional equation needs a symmetric semigroup; "
             f"witnesses {semigroup.symmetry_witnesses()}")
-    g = semigroup.genus
-    p = apery_series(semigroup)
-    lgf = p * _ONE_MINUS_T
-    rhs_l = lgf.reciprocal() * LaurentPoly.monomial((2 * g,))
-    rhs_p = p.reciprocal() * LaurentPoly.monomial((2 * g - 1,))
-    return _matching_sign(lgf, rhs_l), _matching_sign(p, rhs_p)
+    apery = semigroup.apery
+    top = 2 * semigroup.genus - 1 + len(apery)
+    if sorted(apery) == sorted(map(top.__sub__, apery)):
+        return 1, -1
+    return None, None

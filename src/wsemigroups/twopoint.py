@@ -474,10 +474,13 @@ class TwoPointSemigroup:
                 (c == 1) != self._max(s, a)
 
         region = interior_region(window)
-        witnesses = self._where(region, fails, self._support(region))
-        # the violations where m and m - (1, 1) are not both maximal
-        stray = [m for m in witnesses if not (
-            self.is_maximal(m) and self.is_maximal((m[0] - 1, m[1] - 1)))]
+        failing = [(s, a) for s, a in self._support(region) if fails(s, a)]
+        witnesses = self._points_of(region, failing)
+        # the violations where m and m - (1, 1) are not both maximal, a
+        # property of m's class
+        stray = self._points_of(region, [
+            (s, a) for s, a in failing
+            if not (self._max(s, a) and self._max(s - 2, a - 1))])
         details = {"violations_both_maximal": not stray}
         if stray:
             details["stray"] = stray

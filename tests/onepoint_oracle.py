@@ -21,6 +21,13 @@ which cross-multiplies sparse polynomials.  The library decides both on
 the Apery form, with a numerator terms, instead; test_onepoint.py checks
 the two against each other.
 
+`signs_by_apery_algebra` is the functional-equation signs as the
+library decided them by series algebra on the Apery form: L = (1 - t) P,
+both reciprocals times their monomials, and up to four `equals`, each
+sign +1 or -1 by `matching_sign`.  The library decides both as one
+equality of sorted lists, the Apery set against its reflection
+2g - 1 + a - Ap; test_onepoint.py checks the two against each other.
+
 `l_identity_by_dict_loop` is the `l_identity` check as the library
 decided it on L's terms: it builds L (1 - t^a) by moving each term of
 the L-polynomial up by a in a Python loop over a dict, and compares it
@@ -101,10 +108,9 @@ import operator
 from dataclasses import dataclass
 
 from wsemigroups import LaurentPoly, RationalGF, VerificationReport, Window
-from wsemigroups.onepoint import (_matching_sign, apery_series,
-                                  direct_series, l_polynomial,
-                                  poincare_delta_product, poincare_direct,
-                                  poincare_onepoint)
+from wsemigroups.onepoint import (apery_series, direct_series,
+                                  l_polynomial, poincare_delta_product,
+                                  poincare_direct, poincare_onepoint)
 
 _ONE_MINUS_T = LaurentPoly({(0,): 1, (1,): -1})
 
@@ -168,6 +174,15 @@ def l_identity_by_dict_loop(semigroup):
                               RationalGF(lpoly))
 
 
+def matching_sign(lhs, rhs):
+    """+1 if lhs equals rhs, -1 if it equals -rhs, else None."""
+    if lhs.equals(rhs):
+        return 1
+    if lhs.equals(-rhs):
+        return -1
+    return None
+
+
 def signs_by_cross_multiplication(semigroup):
     """The reflection signs of a symmetric semigroup, decided on the
     L-polynomial and the direct series."""
@@ -176,7 +191,18 @@ def signs_by_cross_multiplication(semigroup):
     rhs_l = lpoly.reciprocal() * LaurentPoly.monomial((2 * g,))
     p = poincare_direct(semigroup)
     rhs_p = p.reciprocal() * LaurentPoly.monomial((2 * g - 1,))
-    return _matching_sign(lpoly, rhs_l), _matching_sign(p, rhs_p)
+    return matching_sign(lpoly, rhs_l), matching_sign(p, rhs_p)
+
+
+def signs_by_apery_algebra(semigroup):
+    """The reflection signs of a symmetric semigroup, decided by series
+    algebra on the Apery form P and on L = (1 - t) P."""
+    g = semigroup.genus
+    p = apery_series(semigroup)
+    lgf = p * _ONE_MINUS_T
+    rhs_l = lgf.reciprocal() * LaurentPoly.monomial((2 * g,))
+    rhs_p = p.reciprocal() * LaurentPoly.monomial((2 * g - 1,))
+    return matching_sign(lgf, rhs_l), matching_sign(p, rhs_p)
 
 
 def indicator_report_by_expansion(check, series, semigroup, window):

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import datetime
 import hashlib
 import io
 import itertools
@@ -24,11 +25,13 @@ from wsemigroups import (
     DeltaSequence,
     LaurentPoly,
     NumericalSemigroup,
+    OnePointSemigroup,
     RationalGF,
     Window,
     direct_series,
     poincare_delta_product,
     poincare_direct,
+    poincare_onepoint,
 )
 import wsemigroups
 from wsemigroups import CHECKS, TwoPointSemigroup, VerificationReport, cli
@@ -1082,6 +1085,37 @@ def _seeded_strips(seed, count):
     return out
 
 
+def _seeded_series(seed, count):
+    """Series of one and two variables: empty numerators, negative
+    exponents, coefficients other than +-1 and repeated denominator
+    factors, then the corner series of seeded strips and P of one-point
+    semigroups with extras."""
+    rng = random.Random(seed)
+    out = [RationalGF(LaurentPoly({}, arity=1), [(1,)]),
+           RationalGF(LaurentPoly({}, arity=2), [(1, 0), (1, 0)])]
+    for _ in range(count):
+        arity = rng.choice((1, 2))
+        num = {tuple(rng.randint(-30, 30) for _ in range(arity)):
+               rng.choice((1, -1, 2, -3, 7, -10**20))
+               for _ in range(rng.randint(0, 12))}
+        den = [v for v in (tuple(rng.randint(0, 3) for _ in range(arity))
+                           for _ in range(rng.randint(0, 3))) if any(v)]
+        den += den[:rng.randint(0, len(den))]
+        out.append(RationalGF(LaurentPoly(num, arity=arity), den))
+    out += [S.poincare_corner() for S in _seeded_strips(seed, count)]
+    out += [poincare_onepoint(OnePointSemigroup(r, extras)) for r, extras in
+            (([4, 6, 7], [9]), ([4, 6, 7], [3, 9]), ([2, 5], [3]),
+             ([3, 7], [4, 8, 11]), ([6, 9, 10], [23]), ([4, 5], [6, 11]))]
+    return out
+
+
+@pytest.mark.parametrize("gf", _seeded_series(17, 40))
+def test_series_renderer_puts_head_and_tail_around_the_encoder(gf):
+    for head, tail in (("", ""), ('{"series":', "}"), ("H", "T")):
+        assert cli._series_json(gf, head, tail) == \
+            head + cli._dump(gf.to_json()) + tail
+
+
 def _every_report():
     """Every check of every input kind on the default window and one
     more, then one made-up report per choice of window, series and
@@ -1635,6 +1669,88 @@ def test_main_over_any_argv_ends_in_an_exit_code(argv_paths, data):
     else:
         assert code in (0, 1, 2), argv
 
+
+# every JSON value a field may hold, small enough that any input is
+# answered in milliseconds
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 12),
+              st.floats(allow_nan=False), st.text(max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=10)
+INPUT_VERBS = [
+    ["validate"], ["analyze"], ["maximals"], ["maximals", "--corner"],
+    ["poincare"], *(["poincare", "--form", form] for form in cli.FORMS),
+    ["expand"], ["expand", "--window", "-5", "20"],
+    ["expand", "--window", "-3", "4", "-2", "5"],
+    *(["verify", "--check", check] for check in cli.VERIFY_CHECKS),
+    ["verify", "--check", "all", "--window", "-4", "9"]]
+
+
+@st.composite
+def json_inputs(draw):
+    """Now and then a bare JSON value; else an object of some kind whose
+    own fields (`cli._FIELDS`) are each in their shape, small, and one
+    time in eight missing or any small JSON value, and whose other fields
+    are mostly missing."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(JSON_VALUES)
+    kind = draw(st.sampled_from([*cli._FIELDS, "spiral"]))
+    genus, period = draw(st.integers(-1, 3)), draw(st.integers(-1, 4))
+    rows, cols = max(0, 2 * genus), max(0, period)
+    shaped = {
+        "generators": st.lists(st.integers(-1, 30), min_size=1, max_size=4),
+        "r": st.one_of(
+            st.sampled_from([[4, 6, 7], [2, 5], [6, 9, 10], [4, 6, 13],
+                             [8, 12, 18, 13], [1]]),
+            st.lists(st.integers(-1, 30), max_size=4)),
+        "extras": st.lists(st.integers(-1, 12), max_size=3),
+        "genus": st.just(genus),
+        "period": st.just(period),
+        "strip": st.lists(st.lists(st.booleans(), min_size=cols,
+                                   max_size=cols),
+                          min_size=rows, max_size=rows),
+        "members": st.lists(st.lists(st.integers(-8, 8), min_size=2,
+                                     max_size=2), max_size=4),
+        "name": st.sampled_from(["elliptic", "projective_line", "hermitian"]),
+    }
+    obj = {"kind": kind}
+    for key, values in shaped.items():
+        own = key in cli._FIELDS.get(kind, ())
+        if draw(st.integers(0, 7)) == 0:
+            if draw(st.booleans()):
+                obj[key] = draw(JSON_VALUES)
+        elif own:
+            obj[key] = draw(values)
+    return obj
+
+
+@pytest.fixture(scope="module")
+def input_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("inputs") / "in.json"
+
+
+@settings(max_examples=300, deadline=datetime.timedelta(seconds=2))
+@given(json_inputs(), st.sampled_from(INPUT_VERBS), st.booleans())
+@example({"kind": "delta", "r": [4, 6, 7], "extras": [9]}, ["verify",
+         "--check", "all"], True)
+@example({"kind": "two_point", "genus": 3, "period": 2,
+          "members": [[-2, 4]]}, ["maximals", "--corner"], False)
+@example({"kind": "fixture", "name": "elliptic", "period": 0},
+         ["analyze"], True)
+def test_main_over_any_json_input_ends_in_an_exit_code(input_path, payload,
+                                                        verb, json_output):
+    input_path.write_text(json.dumps(payload))
+    argv = [verb[0], str(input_path), *verb[1:]] + ["--json"] * json_output
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code in (0, 2), (payload, argv)
+    else:
+        assert code in (0, 1, 2), (payload, argv)
 
 
 def test_help_width_is_read_per_call(capsys, monkeypatch):

@@ -62,7 +62,8 @@ from onepoint_oracle import (base_or_extra, base_plus_extras_mask,
                              paper_product_by_addition,
                              reduces_to_apery_form, representation_counts,
                              series_modes_by_expansion,
-                             sieved, signs_by_cross_multiplication,
+                             sieved, signs_by_apery_algebra,
+                             signs_by_cross_multiplication,
                              symmetry_by_direct_series,
                              symmetry_witnesses_by_scan)
 
@@ -877,6 +878,81 @@ def test_apery_checks_match_cross_multiplication_oracle(s, monkeypatch):
     old = s.verify("funceq")
     assert new.passed == old.passed == s.is_symmetric()
     assert new.to_json() == old.to_json()
+
+
+def seeded_symmetric_inputs(seed, count):
+    """Symmetric <a, b> and symmetric delta sequences with extras: the
+    extras are the base's gaps in T = <r, k> for some gaps k of the base,
+    so the union is the semigroup T, closed, and kept when T is
+    symmetric."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a, b = rng.sample(range(2, 40), 2)
+        if math.gcd(a, b) == 1:
+            out.append(NumericalSemigroup([a, b]))
+        base = random_free_chain(rng)
+        gaps = base.semigroup.gaps
+        if not gaps:
+            continue
+        whole = NumericalSemigroup(
+            [*base.r, *rng.sample(gaps, rng.randint(1, min(2, len(gaps))))])
+        if whole.is_symmetric():
+            out.append(OnePointSemigroup(
+                base, [n for n in gaps if whole.contains(n)]))
+    return out[:count]
+
+
+SYMMETRIC_INPUTS = [s for s in ONE_POINT_INPUTS if s.is_symmetric()] + \
+    seeded_symmetric_inputs(23, 40)
+
+
+def test_seeded_symmetric_inputs_have_extras():
+    assert all(s.is_symmetric() for s in SYMMETRIC_INPUTS)
+    assert sum(isinstance(s, OnePointSemigroup) and bool(s.extras)
+               for s in SYMMETRIC_INPUTS[-40:]) >= 5
+
+
+@pytest.mark.parametrize("s", SYMMETRIC_INPUTS, ids=repr)
+def test_signs_match_the_apery_algebra_oracle(s):
+    assert functional_equation_signs(s) == signs_by_apery_algebra(s) == (1, -1)
+
+
+@pytest.mark.parametrize("s", SYMMETRIC_INPUTS, ids=repr)
+def test_signs_fail_on_an_apery_table_moved_by_a(s, monkeypatch):
+    # one entry w of class r moved to w + a, still in class r: both
+    # identities fail for either sign, by list and by algebra alike
+    a = len(s.apery)
+    r = s.genus % a
+    moved = (*s.apery[:r], s.apery[r] + a, *s.apery[r + 1:])
+    monkeypatch.setattr(s, "apery", moved)
+    assert s.is_symmetric()  # read off the conductor and genus
+    assert functional_equation_signs(s) == signs_by_apery_algebra(s) == \
+        (None, None)
+    report = s.verify("funceq")
+    assert not report.passed
+    assert (report.details["eps_l"], report.details["eps_p"]) == (None, None)
+
+
+def _raises(*args, **kwargs):
+    raise AssertionError("series algebra in a one-point check")
+
+
+@pytest.mark.parametrize("kind", ["numerical", "delta"])
+def test_one_point_verify_does_no_series_algebra(kind, monkeypatch):
+    inputs = [s for s in ONE_POINT_INPUTS + SYMMETRIC_INPUTS
+              if isinstance(s, NumericalSemigroup) == (kind == "numerical")]
+    expected = [[cli._report_json(s.verify(c)) for c in s.CHECKS]
+                for s in inputs]
+    monkeypatch.setattr(RationalGF, "reciprocal", _raises)
+    monkeypatch.setattr(RationalGF, "equals", _raises)
+    if kind == "numerical":  # a delta product multiplies its factors
+        monkeypatch.setattr(LaurentPoly, "__mul__", _raises)
+        monkeypatch.setattr(LaurentPoly, "__rmul__", _raises)
+    for s, shown in zip(inputs, expected):
+        reports = [s.verify(c) for c in s.CHECKS]
+        assert [cli._report_json(rep) for rep in reports] == shown
+        assert all(rep.passed for rep in reports) == s.is_symmetric()
 
 
 @pytest.mark.parametrize("s", ONE_POINT_INPUTS, ids=repr)

@@ -26,7 +26,8 @@ PKG = types.SimpleNamespace(cli=cli, onepoint=onepoint, series=series,
                             twopoint=twopoint, oracle=oracle)
 
 # one input per kind, with the spans its `verify --check all` must record;
-# l_identity multiplies no series, the signs of a symmetric input do
+# no one-point check multiplies a series, but a delta input's delta
+# product does
 INPUTS = {
     "numerical": ({"kind": "numerical", "generators": [3, 4, 5]}, {
         "onepoint.NumericalSemigroup", "onepoint.symmetry_witnesses",
